@@ -13,13 +13,19 @@ columns aligned to the plan node's ``out_vertices`` order.
   adjacency-key columns (lexsort + boundary detection, the explicit form of
   ``np.unique(axis=0)``), so the single-entry intersection cache of paper
   Section 3.1 generalises to one intersection per *distinct* key instead of
-  one per consecutive duplicate.  Extensions for the distinct keys are
-  computed without a per-tuple Python loop: the most selective adjacency list
-  of every key is gathered with one ragged CSR gather, and every other
-  descriptor is applied as a vectorized binary-search membership filter
-  (galloping at batch scale).  Isomorphism violations are filtered with
-  broadcast compares against the prefix columns, and the ``(prefix x
-  extension)`` product is expanded with ``np.repeat`` + ragged gathers.
+  one per consecutive duplicate.  Extensions for the distinct keys come from
+  one candidate pipeline without a per-tuple Python loop: *seed*, then
+  *filter the survivors* by each remaining descriptor with a vectorized
+  binary-search membership test (galloping at batch scale), compacting after
+  every filter so a candidate one list rejected is never probed again.  The
+  seeds are either the most selective adjacency list of every key (one ragged
+  CSR gather) or, when the child is an E/I whose descriptors are a subset of
+  this node's, the child's own extension sets read back off the frame
+  (*prefix-intersection reuse*: the batch form of the cache hit on
+  ``N(a1) ∩ N(a2)`` that a chained E/I would otherwise recompute).
+  Isomorphism violations are filtered with broadcast compares against the
+  prefix columns, and the ``(prefix x extension)`` product is expanded with
+  ``np.repeat`` + ragged gathers.
 * :class:`BatchHashJoinOperator` concatenates the build side into one frame,
   sorts it by an encoded join key, and probes whole columnar batches with a
   single ``searchsorted`` per batch.
@@ -43,7 +49,21 @@ guarantee of their outputs:
   layout;
 * expansion is chunked (``_expansion_segments``) so no output frame grows far
   beyond ``batch_size`` rows regardless of per-row fanout, bounding peak
-  memory multiplicatively through an operator chain.
+  memory multiplicatively through an operator chain;
+* **one input row's expansions never straddle frames**: the chunking splits
+  on row boundaries only, and a row whose own fanout exceeds the cap is a
+  segment (and a frame) of its own.  Prefix-intersection reuse relies on
+  this.  An E/I that reads its child's extension set ``E(k)`` back off a
+  frame takes the distinct child-to-vertex values among the frame's rows
+  sharing the child's key ``k``; because every row with key ``k`` arrives
+  with its whole expansion, that set is ``E(k)`` minus only the values the
+  child's isomorphism filter removed from *every* such row — values equal to
+  a prefix column of each of them, which this node's own isomorphism filter
+  would remove again.  A frame cannot show that a row's expansion continues
+  in another one, so the consumer cannot assert this per frame: the E/I
+  constructor asserts the structural half (where the child's to-vertex and
+  keys sit in the frame), and ``tests/executor/test_vectorized.py`` checks
+  the frames themselves at caps below, at and above single rows' fanout.
 
 The operators are deliberately agnostic about *which* graph object provides
 the columnar arrays: an immutable :class:`~repro.graph.graph.Graph` serves
@@ -58,7 +78,7 @@ synchronous compaction on the query path (delta-merge invariants in
 from __future__ import annotations
 
 import time
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +91,7 @@ from repro.executor.operators import (
 )
 from repro.executor.profile import ExecutionProfile
 from repro.graph.graph import ANY_LABEL, Direction, Graph
-from repro.graph.intersect import intersect_multiway
+from repro.graph.intersect import intersect_multiway, locate_sorted, member_sorted
 from repro.planner.plan import ExtendNode, HashJoinNode, Plan, PlanNode, ScanNode
 
 _EMPTY_I64 = np.array([], dtype=np.int64)
@@ -136,17 +156,6 @@ def _expansion_segments(counts: np.ndarray, cap: int) -> Iterator[Tuple[int, int
         end = max(end, start + 1)
         yield start, min(end, n)
         start = end
-
-
-def _membership(sorted_keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Vectorized ``probe in sorted_keys`` via binary search."""
-    out = np.zeros(len(probe), dtype=bool)
-    if len(sorted_keys) == 0 or len(probe) == 0:
-        return out
-    loc = np.searchsorted(sorted_keys, probe)
-    valid = loc < len(sorted_keys)
-    out[valid] = sorted_keys[loc[valid]] == probe[valid]
-    return out
 
 
 class BatchOperator:
@@ -227,7 +236,7 @@ class BatchScanOperator(BatchOperator):
                 keys = self.graph.adjacency_key_array(
                     Direction.FORWARD, extra.label, ANY_LABEL
                 )
-                mask &= _membership(keys, s * n_vertices + d)
+                mask &= member_sorted(keys, s * n_vertices + d)
             if not mask.all():
                 u, v = u[mask], v[mask]
             frame = np.stack((v, u) if self._reversed else (u, v), axis=1)
@@ -243,22 +252,44 @@ class BatchExtendIntersectOperator(BatchOperator):
         super().__init__(node, *args, **kwargs)
         self.extend_node = node
         self.child = child
-        self._resolved: List[Tuple[int, Direction, Optional[int]]] = (
+        resolved: List[Tuple[int, Direction, Optional[int]]] = (
             resolve_extend_descriptors(node, child.node.out_vertices)
         )
         self._to_label = node.to_vertex_label
-        self._key_idx = np.array([idx for idx, _, _ in self._resolved], dtype=np.int64)
-        self._csrs = [
-            self.graph.csr(direction, edge_label, self._to_label)
-            for _, direction, edge_label in self._resolved
-        ]
         index = self.config.triangle_index
         self._index_applicable = (
             index is not None
-            and len(self._resolved) == 2
+            and len(resolved) == 2
             and self._to_label is None
-            and all(edge_label is None for _, _, edge_label in self._resolved)
+            and all(edge_label is None for _, _, edge_label in resolved)
         )
+        # Prefix-intersection reuse (seed source (b)): the child's columns are
+        # a prefix of this node's input columns, so equal resolved descriptors
+        # name the same adjacency lists.  The covered descriptors move to the
+        # front, which makes the child's key the primary sort key of a frame.
+        self._num_covered = 0
+        if (
+            self.config.enable_intersection_cache
+            and not self._index_applicable
+            and isinstance(child, BatchExtendIntersectOperator)
+            and child._to_label == self._to_label
+            and set(child._resolved) <= set(resolved)
+        ):
+            covered = set(child._resolved)
+            resolved.sort(key=lambda descriptor: descriptor not in covered)
+            self._num_covered = sum(descriptor in covered for descriptor in resolved)
+            # What reading the child's sets back off a frame relies on, next
+            # to the whole-row frames of the module docstring: the child's
+            # to-vertex is the last input column and no covered list hangs
+            # off it.
+            assert child.node.out_vertices[-1] == child.extend_node.to_vertex
+            assert all(idx < len(child.node.out_vertices) - 1 for idx, _, _ in covered)
+        self._resolved = resolved
+        self._key_idx = np.array([idx for idx, _, _ in resolved], dtype=np.int64)
+        self._csrs = [
+            self.graph.csr(direction, edge_label, self._to_label)
+            for _, direction, edge_label in resolved
+        ]
         self._name = node.display_name()
 
     # ------------------------------------------------------------------ #
@@ -266,24 +297,44 @@ class BatchExtendIntersectOperator(BatchOperator):
         _, direction, edge_label = self._resolved[descriptor]
         return self.graph.adjacency_key_array(direction, edge_label, self._to_label)
 
-    def _extensions_vectorized(
+    def _degrees(self, unique_keys: np.ndarray, descriptors: Sequence[int]) -> np.ndarray:
+        """Adjacency-list length per (distinct key, descriptor in ``descriptors``)."""
+        degrees = np.empty((len(unique_keys), len(descriptors)), dtype=np.int64)
+        for slot, j in enumerate(descriptors):
+            indptr = self._csrs[j].indptr
+            degrees[:, slot] = indptr[unique_keys[:, j] + 1] - indptr[unique_keys[:, j]]
+        return degrees
+
+    def _filter_survivors(
+        self,
+        groups: np.ndarray,
+        values: np.ndarray,
+        unique_keys: np.ndarray,
+        descriptors: Sequence[int],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Keep the ``(group, value)`` candidates present in the adjacency
+        list of every descriptor in ``descriptors``.  The candidates are
+        compacted after each filter, so a later list is probed only for what
+        the earlier ones let through."""
+        n_vertices = self.graph.num_vertices
+        for e in descriptors:
+            if len(values) == 0:
+                break
+            probe = (unique_keys[:, e] * n_vertices)[groups]
+            probe += values
+            keep = np.flatnonzero(member_sorted(self._adj_keys(e), probe))
+            if len(keep) < len(values):
+                groups, values = groups[keep], values[keep]
+        return groups, values
+
+    def _extensions_from_smallest_list(
         self, unique_keys: np.ndarray, group_sizes: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Extension candidates for every distinct key row.
-
-        Returns ``(group_ids, values)`` with ``group_ids`` non-decreasing and
-        values sorted within each group.  The most selective adjacency list of
-        every key seeds the candidates (one ragged CSR gather per descriptor
-        partition); every other descriptor is applied as a vectorized
-        binary-search membership filter.
-        """
+        """Seed source (a): the most selective adjacency list of every key,
+        one ragged CSR gather per descriptor partition; every other
+        descriptor filters the survivors."""
         num_desc = len(self._resolved)
-        n_vertices = self.graph.num_vertices
-        cols = [unique_keys[:, j] for j in range(num_desc)]
-        degrees = np.stack(
-            [csr.indptr[c + 1] - csr.indptr[c] for csr, c in zip(self._csrs, cols)],
-            axis=1,
-        )
+        degrees = self._degrees(unique_keys, range(num_desc))
         accessed = degrees.sum(axis=1)
         if self.config.enable_intersection_cache:
             self.profile.record_intersection(int(accessed.sum()))
@@ -296,24 +347,19 @@ class BatchExtendIntersectOperator(BatchOperator):
         value_parts: List[np.ndarray] = []
         for d in range(num_desc):
             group_ids = np.flatnonzero(seed_choice == d)
-            if group_ids.size == 0:
-                continue
-            csr = self._csrs[d]
-            from_vertices = cols[d][group_ids]
-            counts = csr.indptr[from_vertices + 1] - csr.indptr[from_vertices]
+            counts = degrees[group_ids, d]
             if int(counts.sum()) == 0:
                 continue
-            positions = _ragged_positions(csr.indptr[from_vertices], counts)
-            values = csr.indices[positions]
-            groups = np.repeat(group_ids, counts)
-            mask = np.ones(len(values), dtype=bool)
-            for e in range(num_desc):
-                if e == d:
-                    continue
-                probe = cols[e][groups] * n_vertices + values
-                mask &= _membership(self._adj_keys(e), probe)
-            group_parts.append(groups[mask])
-            value_parts.append(values[mask])
+            csr = self._csrs[d]
+            starts = csr.indptr[unique_keys[group_ids, d]]
+            groups, values = self._filter_survivors(
+                np.repeat(group_ids, counts),
+                csr.indices[_ragged_positions(starts, counts)],
+                unique_keys,
+                [e for e in range(num_desc) if e != d],
+            )
+            group_parts.append(groups)
+            value_parts.append(values)
         if not group_parts:
             return _EMPTY_I64, _EMPTY_I64
         groups = np.concatenate(group_parts)
@@ -322,6 +368,43 @@ class BatchExtendIntersectOperator(BatchOperator):
             order = np.argsort(groups, kind="stable")
             groups, values = groups[order], values[order]
         return groups, values
+
+    def _extensions_from_siblings(
+        self,
+        sorted_frame: np.ndarray,
+        keys: np.ndarray,
+        starts: np.ndarray,
+        unique_keys: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Seed source (b), prefix-intersection reuse: the child's extension
+        sets, read back off the frame; only the descriptors the child did not
+        cover filter the survivors.
+
+        Rows are sorted by the child's key first, so each child key is a run
+        of rows, and its extension set is the distinct values of the child's
+        to-vertex (the last column) in that run — complete because one input
+        row's expansions never straddle frames (module docstring).
+        """
+        n_vertices = self.graph.num_vertices
+        _, _, child_group_of_row = _group_runs(keys[:, : self._num_covered])
+        codes = np.unique(child_group_of_row * n_vertices + sorted_frame[:, -1])
+        sibling_group = codes // n_vertices
+        sibling_values = codes - sibling_group * n_vertices
+        set_sizes = np.bincount(sibling_group)
+        set_starts = np.cumsum(set_sizes) - set_sizes
+        child_group = child_group_of_row[starts]
+        sizes = set_sizes[child_group]
+        uncovered = range(self._num_covered, len(self._resolved))
+        # What is really read: the child's set plus the uncovered lists.
+        self.profile.record_intersection(
+            int(sizes.sum() + self._degrees(unique_keys, uncovered).sum())
+        )
+        return self._filter_survivors(
+            np.repeat(np.arange(len(starts), dtype=np.int64), sizes),
+            sibling_values[_ragged_positions(set_starts[child_group], sizes)],
+            unique_keys,
+            uncovered,
+        )
 
     def _extensions_per_key(
         self, unique_keys: np.ndarray, group_sizes: np.ndarray
@@ -362,7 +445,7 @@ class BatchExtendIntersectOperator(BatchOperator):
         # Sort rows so equal adjacency keys become consecutive, then find the
         # group boundaries (np.unique(axis=0) without the overhead).
         order = np.lexsort(key_cols[:, ::-1].T)
-        sorted_frame = frame[order]
+        sorted_frame = frame.take(order, axis=0)
         keys = sorted_frame[:, self._key_idx]
         starts, group_sizes, group_of_row = _group_runs(keys)
         unique_keys = keys[starts]
@@ -372,10 +455,16 @@ class BatchExtendIntersectOperator(BatchOperator):
             # a distinct key is served from the one computed intersection.
             self.profile.cache_hits += int(n - num_groups)
             self.profile.cache_misses += int(num_groups)
+        # Both vectorized sources return non-decreasing group ids with sorted
+        # values inside each group, the layout the expansion below indexes.
         if self._index_applicable:
             groups, values = self._extensions_per_key(unique_keys, group_sizes)
+        elif self._num_covered:
+            groups, values = self._extensions_from_siblings(
+                sorted_frame, keys, starts, unique_keys
+            )
         else:
-            groups, values = self._extensions_vectorized(unique_keys, group_sizes)
+            groups, values = self._extensions_from_smallest_list(unique_keys, group_sizes)
         counts_per_group = (
             np.bincount(groups, minlength=num_groups)
             if len(groups)
@@ -390,21 +479,23 @@ class BatchExtendIntersectOperator(BatchOperator):
         # ``batch_size`` rows, whatever the per-row fanout.
         segment_starts = np.concatenate(([0], np.cumsum(counts_per_group)[:-1]))
         first = segment_starts[group_of_row]
+        width = frame.shape[1]
         for lo, hi in _expansion_segments(row_counts, max(1, self.config.batch_size)):
             counts = row_counts[lo:hi]
             total = int(counts.sum())
             if total == 0:
                 continue
-            prefix = sorted_frame[np.repeat(np.arange(lo, hi), counts)]
-            extension = values[_ragged_positions(first[lo:hi], counts)]
+            out = np.empty((total, width + 1), dtype=np.int64)
+            out[:, :width] = np.repeat(sorted_frame[lo:hi], counts, axis=0)
+            out[:, width] = values[_ragged_positions(first[lo:hi], counts)]
             if self.config.isomorphism:
                 mask = np.ones(total, dtype=bool)
-                for j in range(frame.shape[1]):
-                    mask &= prefix[:, j] != extension
+                for j in range(width):
+                    mask &= out[:, j] != out[:, width]
                 if not mask.all():
-                    prefix, extension = prefix[mask], extension[mask]
-            if prefix.shape[0]:
-                yield np.concatenate([prefix, extension[:, None]], axis=1)
+                    out = out[mask]
+            if out.shape[0]:
+                yield out
 
     def frames(self) -> Iterator[np.ndarray]:
         for frame in self.child.frames():
@@ -466,7 +557,7 @@ class BatchHashJoinOperator(BatchOperator):
         n_vertices = self.graph.num_vertices
         for src_idx, dst_idx, label in self._filter_edges:
             keys = self.graph.adjacency_key_array(Direction.FORWARD, label, ANY_LABEL)
-            mask &= _membership(keys, out[:, src_idx] * n_vertices + out[:, dst_idx])
+            mask &= member_sorted(keys, out[:, src_idx] * n_vertices + out[:, dst_idx])
         return out if mask.all() else out[mask]
 
     def frames(self) -> Iterator[np.ndarray]:
@@ -497,10 +588,7 @@ class BatchHashJoinOperator(BatchOperator):
                 self.profile.record_operator_time(self._name, time.perf_counter() - t0)
                 continue
             probe_codes = self._encode(probe_frame[:, self._probe_key_idx])
-            loc = np.searchsorted(unique_codes, probe_codes)
-            valid = loc < len(unique_codes)
-            hit = np.zeros(len(probe_codes), dtype=bool)
-            hit[valid] = unique_codes[loc[valid]] == probe_codes[valid]
+            loc, hit = locate_sorted(unique_codes, probe_codes)
             rows = np.flatnonzero(hit)
             if rows.size == 0:
                 self.profile.record_operator_time(self._name, time.perf_counter() - t0)

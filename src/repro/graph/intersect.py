@@ -17,12 +17,16 @@ Two kernels are provided and :func:`intersect_sorted` picks between them:
 
 The crossover follows the textbook cost comparison
 ``s * log2(L) < s + L``.
+
+Under the galloping kernel, and under every batch operator of
+:mod:`repro.executor.vectorized`, sits one membership kernel:
+:func:`locate_sorted` / :func:`member_sorted`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,22 +44,41 @@ def _as_int64(a) -> np.ndarray:
     return np.asarray(a, dtype=np.int64)
 
 
+def locate_sorted(sorted_keys: np.ndarray, probe: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Binary-probe every element of ``probe`` into ``sorted_keys``.
+
+    Returns ``(loc, hit)``: ``hit[i]`` says whether ``probe[i]`` occurs in
+    ``sorted_keys`` and, where it does, ``loc[i]`` is its (leftmost) position.
+    One ``searchsorted`` plus a clamped gather-compare: a probe above the last
+    key is clamped onto it, where the compare fails by itself, so no
+    validity mask is built.  This is the one membership kernel under the batch
+    operators (SCAN extra-edge checks, E/I survivor filters, HASH-JOIN probe
+    and post-filter) and the galloping intersection.
+    """
+    if len(sorted_keys) == 0:
+        return np.zeros(len(probe), dtype=np.intp), np.zeros(len(probe), dtype=bool)
+    loc = np.searchsorted(sorted_keys, probe)
+    np.minimum(loc, len(sorted_keys) - 1, out=loc)
+    return loc, sorted_keys[loc] == probe
+
+
+def member_sorted(sorted_keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Vectorized ``probe in sorted_keys`` (boolean mask over ``probe``)."""
+    return locate_sorted(sorted_keys, probe)[1]
+
+
 def intersect_sorted_gallop(small: np.ndarray, large: np.ndarray) -> np.ndarray:
     """Galloping intersection of two sorted, duplicate-free int arrays.
 
     Every element of ``small`` is located in ``large`` with a binary probe
-    (``np.searchsorted`` vectorises the probes; each is the endpoint of the
+    (:func:`member_sorted` vectorises the probes; each is the endpoint of the
     exponential "gallop" an LFTJ-style seek performs).  Cost is
     ``O(len(small) * log2(len(large)))``, so it beats the linear merge when
     ``small`` is much shorter than ``large``.
     """
     if len(small) == 0 or len(large) == 0:
         return _EMPTY
-    pos = np.searchsorted(large, small)
-    hits = np.zeros(len(small), dtype=bool)
-    valid = pos < len(large)
-    hits[valid] = large[pos[valid]] == small[valid]
-    return small[hits]
+    return small[member_sorted(large, small)]
 
 
 def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,6 +180,7 @@ def is_sorted_unique(a: np.ndarray) -> bool:
 
 
 def contains_sorted(a: np.ndarray, value: int) -> bool:
-    """Binary-search membership test on a sorted array."""
+    """Binary-search membership test on a sorted array (the scalar form of
+    :func:`member_sorted`, for the tuple-at-a-time operators)."""
     pos = np.searchsorted(a, value)
     return bool(pos < len(a) and a[pos] == value)

@@ -15,6 +15,34 @@ from repro.query.query_graph import QueryGraph
 
 
 # --------------------------------------------------------------------------- #
+# per-test wall-time ceiling
+# --------------------------------------------------------------------------- #
+#: Ceiling on one test's call phase, in seconds.  ``--durations=10`` puts the
+#: slowest tier-1 test at 7.4 s (``test_chosen_plan_is_correct[Q11]``, 2-vCPU
+#: container) and the next at 5.3 s, so 30 s is 4x headroom over today and
+#: far under the 75 s one brute-force oracle once took.  There is no
+#: ``pytest-timeout`` here: the test is not interrupted, it runs to its end
+#: and then fails by name.
+TEST_SECONDS_CEILING = 30.0
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    start = time.perf_counter()
+    outcome = yield
+    seconds = time.perf_counter() - start
+    if outcome.excinfo is None and seconds > TEST_SECONDS_CEILING:
+        outcome.force_exception(
+            pytest.fail.Exception(
+                f"{item.nodeid} took {seconds:.1f} s; the per-test ceiling is "
+                f"{TEST_SECONDS_CEILING:.0f} s (tests/conftest.py). Shrink its input or "
+                "check it against a cheaper oracle.",
+                pytrace=False,
+            )
+        )
+
+
+# --------------------------------------------------------------------------- #
 # timing helpers
 # --------------------------------------------------------------------------- #
 def wait_until(

@@ -10,21 +10,29 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.leapfrog import LeapfrogTrieJoin
 from repro.executor.operators import ExecutionConfig
 from repro.executor.pipeline import count_matches, execute_plan
 from repro.executor.vectorized import (
+    BatchExtendIntersectOperator,
     _expansion_segments,
-    _membership,
     _ragged_positions,
     build_batch_operator_tree,
 )
 from repro.executor.profile import ExecutionProfile
+from repro.graph.generators import clustered_social, erdos_renyi
+from repro.graph.labeling import with_random_vertex_labels
 from repro.graph.triangle_index import TriangleIndex
 from repro.planner.plan import Plan, make_hash_join, make_scan, wco_plan_from_order
 from repro.planner.qvo import enumerate_wco_plans
 from repro.query import catalog_queries as cq
+from repro.query.generator import random_connected_query
 from repro.query.query_graph import QueryGraph
+
+from tests.storage.conftest import build_mutated_pair
 
 VEC = dict(vectorized=True)
 
@@ -111,6 +119,217 @@ class TestEquivalenceOnQuerySet:
     def test_intersection_cache_disabled(self, social_graph):
         plan = wco_plan_from_order(cq.diamond_x(), ("a2", "a3", "a1", "a4"))
         assert_equivalent(plan, social_graph, {"enable_intersection_cache": False})
+
+
+# --------------------------------------------------------------------------- #
+# chained E/I: survivors-only filtering and prefix-intersection reuse
+# --------------------------------------------------------------------------- #
+_Q5_EDGES = [(e.src, e.dst) for e in cq.q5().edges]
+
+#: (name, query, ordering, E/I nodes expected to reuse their child's sets).
+CHAINED_SHAPES = [
+    ("Q5", cq.q5(), ("a1", "a2", "a3", "a4"), 1),
+    ("Q6", cq.q6(), ("a1", "a2", "a3", "a4"), 1),
+    ("Q7", cq.q7(), ("a1", "a2", "a3", "a4", "a5"), 2),
+    # Its two E/I read different lists of a2, so reuse must stay off.
+    ("diamond-x", cq.diamond_x(), ("a1", "a2", "a3", "a4"), 0),
+    # a4 intersects exactly the lists a3 did: the child's set is the answer.
+    (
+        "same-direction-diamond",
+        QueryGraph([("a1", "a2"), ("a1", "a3"), ("a2", "a3"), ("a1", "a4"), ("a2", "a4")]),
+        ("a1", "a2", "a3", "a4"),
+        1,
+    ),
+    # a1 is a prefix column outside the child's key (a2): many rows share one
+    # child key, and under isomorphism each of them had a different value
+    # removed from the shared set.
+    (
+        "non-key-prefix",
+        QueryGraph([("a1", "a2"), ("a2", "a3"), ("a2", "a4"), ("a3", "a4")]),
+        ("a1", "a2", "a3", "a4"),
+        1,
+    ),
+    # Labelled to-vertices: reuse needs a3 and a4 to share a label; in the
+    # second shape they do not.
+    (
+        "labelled-4-clique",
+        QueryGraph(_Q5_EDGES, vertex_labels={"a1": 0, "a2": 1, "a3": 1, "a4": 1}),
+        ("a1", "a2", "a3", "a4"),
+        1,
+    ),
+    (
+        "mixed-label-4-clique",
+        QueryGraph(_Q5_EDGES, vertex_labels={"a1": 0, "a2": 0, "a3": 0, "a4": 1}),
+        ("a1", "a2", "a3", "a4"),
+        0,
+    ),
+]
+CHAINED_IDS = [name for name, *_ in CHAINED_SHAPES]
+
+
+def _ei_operators(root):
+    out = []
+    while isinstance(root, BatchExtendIntersectOperator):
+        out.append(root)
+        root = root.child
+    return out
+
+
+@pytest.fixture(scope="module")
+def chained_graph():
+    """Clustered (many cliques), reciprocal edges, two vertex labels."""
+    return with_random_vertex_labels(
+        clustered_social(150, avg_degree=8, clustering=0.5, seed=9), 2, seed=4
+    )
+
+
+@pytest.fixture(scope="module")
+def dirty_pair():
+    dynamic, fresh = build_mutated_pair()
+    return dynamic.snapshot(), fresh
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """Iterator-engine result per (graph, shape, semantics), checked against
+    LFTJ's count where LFTJ has the semantics (homomorphism).  Computed once:
+    neither depends on the cache switch or the batch size."""
+    cache = {}
+
+    def lookup(graph, name, query, order, isomorphism):
+        key = (id(graph), name, isomorphism)
+        if key not in cache:
+            plan = wco_plan_from_order(query, order)
+            iterator = execute_plan(
+                plan, graph, ExecutionConfig(isomorphism=isomorphism), collect=True
+            )
+            if not isomorphism:
+                lftj = LeapfrogTrieJoin(graph).count(query, ordering=order)
+                assert lftj.num_matches == iterator.num_matches
+            cache[key] = iterator
+        return cache[key]
+
+    return lookup
+
+
+class TestChainedExtendIntersect:
+    def _run(self, graph, query, order, **config):
+        plan = wco_plan_from_order(query, order)
+        return execute_plan(plan, graph, ExecutionConfig(vectorized=True, **config), collect=True)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 2048])
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache", "nocache"])
+    @pytest.mark.parametrize("isomorphism", [False, True], ids=["hom", "iso"])
+    @pytest.mark.parametrize("name,query,order,reusing", CHAINED_SHAPES, ids=CHAINED_IDS)
+    def test_agrees_with_iterator_and_leapfrog(
+        self, chained_graph, oracle, name, query, order, reusing, isomorphism, cache, batch_size
+    ):
+        expected = oracle(chained_graph, name, query, order, isomorphism)
+        got = self._run(
+            chained_graph, query, order,
+            isomorphism=isomorphism, enable_intersection_cache=cache, batch_size=batch_size,
+        )
+        assert got.num_matches == expected.num_matches
+        assert sorted(got.matches) == sorted(expected.matches)
+
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache", "nocache"])
+    @pytest.mark.parametrize("isomorphism", [False, True], ids=["hom", "iso"])
+    @pytest.mark.parametrize("name,query,order,reusing", CHAINED_SHAPES[:6], ids=CHAINED_IDS[:6])
+    def test_dirty_snapshot(
+        self, dirty_pair, oracle, name, query, order, reusing, isomorphism, cache
+    ):
+        snapshot, fresh = dirty_pair
+        expected = oracle(fresh, name, query, order, isomorphism)
+        for batch_size in (3, 2048):
+            got = self._run(
+                snapshot, query, order,
+                isomorphism=isomorphism, enable_intersection_cache=cache, batch_size=batch_size,
+            )
+            assert sorted(got.matches) == sorted(expected.matches)
+
+    @pytest.mark.parametrize("name,query,order,reusing", CHAINED_SHAPES, ids=CHAINED_IDS)
+    def test_reuse_applies_exactly_where_the_child_covers_a_subset(
+        self, chained_graph, name, query, order, reusing
+    ):
+        plan = wco_plan_from_order(query, order)
+
+        def reusing_nodes(**config):
+            root = build_batch_operator_tree(
+                plan.root, chained_graph, ExecutionProfile(), ExecutionConfig(vectorized=True, **config)
+            )
+            return sum(op._num_covered > 0 for op in _ei_operators(root))
+
+        assert reusing_nodes() == reusing
+        assert reusing_nodes(enable_intersection_cache=False) == 0
+        index = TriangleIndex.build(chained_graph)
+        assert reusing_nodes(triangle_index=index) <= reusing
+
+    @pytest.mark.parametrize("name,query,order,reusing", CHAINED_SHAPES, ids=CHAINED_IDS)
+    def test_actual_icost(self, chained_graph, oracle, name, query, order, reusing):
+        """Cache on: the batch engine reads no more than the iterator, and
+        less wherever a child's set replaces the lists it was built from.
+        Cache off: both engines recompute per tuple and read the same."""
+        iterator = oracle(chained_graph, name, query, order, False).profile
+        cached = self._run(chained_graph, query, order).profile
+        assert cached.intersection_cost <= iterator.intersection_cost
+        if reusing:
+            assert cached.intersection_cost < iterator.intersection_cost
+        plan = wco_plan_from_order(query, order)
+        off = ExecutionConfig(enable_intersection_cache=False)
+        uncached_iterator = execute_plan(plan, chained_graph, off).profile
+        uncached = self._run(chained_graph, query, order, enable_intersection_cache=False).profile
+        assert uncached.intersection_cost == uncached_iterator.intersection_cost
+
+    def test_a_rows_expansions_never_straddle_frames(self, chained_graph):
+        """The invariant prefix reuse relies on, at caps below, at and above
+        single rows' fanout."""
+        plan = wco_plan_from_order(cq.q5(), ("a1", "a2", "a3", "a4"))
+        for batch_size in (1, 3, 64):
+            root = build_batch_operator_tree(
+                plan.root, chained_graph, ExecutionProfile(),
+                ExecutionConfig(vectorized=True, batch_size=batch_size),
+            )
+            child = root.child  # E/I -> a3, whose frames E/I -> a4 reads back
+            prefixes = [set(map(tuple, frame[:, :-1].tolist())) for frame in child.frames()]
+            assert len(prefixes) > 1
+            assert sum(map(len, prefixes)) == len(set().union(*prefixes))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        num_vertices=st.integers(min_value=3, max_value=5),
+        avg_degree=st.sampled_from([2.4, 3.2, 4.0]),
+        labelled=st.booleans(),
+        isomorphism=st.booleans(),
+        cache=st.booleans(),
+        batch_size=st.sampled_from([1, 3, 2048]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_queries_on_random_graphs(
+        self, seed, num_vertices, avg_degree, labelled, isomorphism, cache, batch_size
+    ):
+        graph = erdos_renyi(24, 170, seed=seed)
+        if labelled:
+            graph = with_random_vertex_labels(graph, 2, seed=seed)
+        query = random_connected_query(
+            num_vertices, avg_degree=avg_degree, seed=seed, num_vertex_labels=2 if labelled else 1
+        )
+        lftj = LeapfrogTrieJoin(graph)
+        for plan in enumerate_wco_plans(query)[:3]:
+            iterator = execute_plan(
+                plan, graph, ExecutionConfig(isomorphism=isomorphism), collect=True
+            )
+            got = execute_plan(
+                plan,
+                graph,
+                ExecutionConfig(
+                    vectorized=True, isomorphism=isomorphism,
+                    enable_intersection_cache=cache, batch_size=batch_size,
+                ),
+                collect=True,
+            )
+            assert sorted(got.matches) == sorted(iterator.matches)
+            if not isomorphism:
+                assert got.num_matches == lftj.count(query, ordering=plan.qvo()).num_matches
 
 
 class TestHashJoinEquivalence:
@@ -296,9 +515,3 @@ class TestVectorizedHelpers:
             assert frame.shape[0] <= 32 + social_graph.num_vertices
             max_fanout = max(max_fanout, frame.shape[0])
         assert max_fanout > 0
-
-    def test_membership(self):
-        keys = np.array([2, 5, 9], dtype=np.int64)
-        probe = np.array([5, 3, 9, 11], dtype=np.int64)
-        assert _membership(keys, probe).tolist() == [True, False, True, False]
-        assert _membership(np.array([], dtype=np.int64), probe).tolist() == [False] * 4

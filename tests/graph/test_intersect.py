@@ -14,6 +14,8 @@ from repro.graph.intersect import (
     intersect_sorted_gallop_python,
     intersect_sorted_python,
     is_sorted_unique,
+    locate_sorted,
+    member_sorted,
 )
 
 
@@ -148,6 +150,51 @@ class TestIntersectMultiway:
         forward = intersect_multiway(lists)
         backward = intersect_multiway(list(reversed(lists)))
         assert list(forward) == list(backward)
+
+
+class TestMembershipKernel:
+    """``locate_sorted`` / ``member_sorted``: the one probe under the batch
+    SCAN, E/I and HASH-JOIN operators and the galloping intersection."""
+
+    keys = np.array([2, 5, 9], dtype=np.int64)
+
+    def test_hits_and_misses(self):
+        probe = np.array([5, 3, 9, 2], dtype=np.int64)
+        loc, hit = locate_sorted(self.keys, probe)
+        assert hit.tolist() == [True, False, True, True]
+        assert self.keys[loc[hit]].tolist() == [5, 9, 2]
+        assert member_sorted(self.keys, probe).tolist() == hit.tolist()
+
+    def test_probe_above_the_last_key_and_below_the_first(self):
+        probe = np.array([11, 9, 10**12, 0, -4], dtype=np.int64)
+        loc, hit = locate_sorted(self.keys, probe)
+        assert hit.tolist() == [False, True, False, False, False]
+        # Clamped, so the positions index the keys without a validity mask.
+        assert loc.max() < len(self.keys) and loc.min() >= 0
+
+    def test_empty_keys(self):
+        probe = np.array([5, 3], dtype=np.int64)
+        loc, hit = locate_sorted(np.array([], dtype=np.int64), probe)
+        assert hit.tolist() == [False, False] and len(loc) == 2
+        assert member_sorted(np.array([], dtype=np.int64), probe).tolist() == [False, False]
+
+    def test_empty_probes(self):
+        empty = np.array([], dtype=np.int64)
+        loc, hit = locate_sorted(self.keys, empty)
+        assert len(loc) == 0 and len(hit) == 0 and hit.dtype == bool
+        assert len(member_sorted(empty, empty)) == 0
+
+    def test_repeated_keys_locate_the_first(self):
+        # HASH-JOIN probes unique codes, but the kernel itself is leftmost.
+        loc, hit = locate_sorted(np.array([1, 4, 4, 4, 6]), np.array([4, 6]))
+        assert loc.tolist() == [1, 4] and hit.all()
+
+    @given(sorted_unique_arrays, st.lists(st.integers(min_value=-5, max_value=310), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_set_membership(self, keys, probe):
+        probe = np.array(probe, dtype=np.int64)
+        members = set(keys.tolist())
+        assert member_sorted(keys, probe).tolist() == [p in members for p in probe.tolist()]
 
 
 class TestHelpers:
