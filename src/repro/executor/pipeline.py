@@ -61,6 +61,9 @@ def execute_plan(
     collect:
         When True the matches themselves are materialised (tuples of vertex ids
         in the plan root's ``out_vertices`` order); otherwise only counted.
+        The iterator pipeline counts the tuples its root yields; the
+        vectorized engine asks its root operator for row counts, so the last
+        operator's output frames are never assembled.
     """
     config = config or ExecutionConfig()
     if config.vectorized:

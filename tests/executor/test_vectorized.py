@@ -6,6 +6,9 @@ bit-identical match counts and identical sorted match sets; deadline and
 ``output_limit`` semantics must carry over to batch mode as well.
 """
 
+import dataclasses
+import itertools
+import math
 import time
 
 import numpy as np
@@ -26,7 +29,13 @@ from repro.executor.profile import ExecutionProfile
 from repro.graph.generators import clustered_social, erdos_renyi
 from repro.graph.labeling import with_random_vertex_labels
 from repro.graph.triangle_index import TriangleIndex
-from repro.planner.plan import Plan, make_hash_join, make_scan, wco_plan_from_order
+from repro.planner.plan import (
+    Plan,
+    make_extend,
+    make_hash_join,
+    make_scan,
+    wco_plan_from_order,
+)
 from repro.planner.qvo import enumerate_wco_plans
 from repro.query import catalog_queries as cq
 from repro.query.generator import random_connected_query
@@ -332,31 +341,201 @@ class TestChainedExtendIntersect:
                 assert got.num_matches == lftj.count(query, ordering=plan.qvo()).num_matches
 
 
-class TestHashJoinEquivalence:
-    def _hybrid_diamond_plan(self):
-        q = cq.diamond_x()
-        left = wco_plan_from_order(q.project(["a1", "a2", "a3"]), ("a1", "a2", "a3"))
-        right = wco_plan_from_order(q.project(["a2", "a3", "a4"]), ("a2", "a3", "a4"))
-        return Plan(query=q, root=make_hash_join(q, left.root, right.root))
+def _join_plan(query, build_order, probe_order, extend_to=()):
+    """HASH-JOIN of the WCO sub-plans over two vertex subsets (each given as a
+    valid vertex ordering), optionally extended further above the join."""
 
-    def test_hybrid_plan(self, random_graph):
-        assert_equivalent(self._hybrid_diamond_plan(), random_graph)
+    def sub(order):
+        return wco_plan_from_order(query.project(order), order).root
 
-    def test_hybrid_plan_isomorphism(self, random_graph):
-        assert_equivalent(self._hybrid_diamond_plan(), random_graph, {"isomorphism": True})
+    node = make_hash_join(query, sub(build_order), sub(probe_order))
+    for vertex in extend_to:
+        node = make_extend(query, node, vertex)
+    return Plan(query=query, root=node)
 
-    def test_uncovered_edge_post_filter(self, tiny_graph):
-        q = cq.triangle()
-        left = q.project(["a1", "a2"])
-        right = q.project(["a2", "a3"])
-        join = make_hash_join(q, make_scan(left, left.edges[0]), make_scan(right, right.edges[0]))
-        assert_equivalent(Plan(query=q, root=join), tiny_graph, batch_size=3)
 
-    def test_python_table_fallback(self, random_graph, monkeypatch):
+_DIAMOND_X_TAIL = QueryGraph(
+    [(e.src, e.dst) for e in cq.diamond_x().edges] + [("a1", "a5"), ("a4", "a5")]
+)
+
+#: (name, plan).  The first three have the shape the optimizer picks on the
+#: benchmark's ``hybrid_join`` graph; the last two join sub-queries that leave
+#: a query edge to neither side, verified as a post-filter.
+JOIN_PLANS = [
+    ("Q2", _join_plan(cq.q2(), ("a1", "a2", "a4"), ("a3", "a4", "a2"))),
+    ("Q3", _join_plan(cq.q3(), ("a1", "a2", "a3"), ("a2", "a3", "a4"))),
+    ("Q8", _join_plan(cq.q8(), ("a1", "a2", "a3"), ("a3", "a4", "a5"))),
+    (
+        "join-below-extend",
+        _join_plan(_DIAMOND_X_TAIL, ("a1", "a2", "a3"), ("a2", "a3", "a4"), extend_to=("a5",)),
+    ),
+    ("two-scan-triangle", _join_plan(cq.triangle(), ("a1", "a2"), ("a2", "a3"))),
+    ("two-triangle-clique", _join_plan(cq.q5(), ("a1", "a2", "a3"), ("a2", "a3", "a4"))),
+]
+JOIN_IDS = [name for name, _ in JOIN_PLANS]
+
+
+def _counters(profile):
+    """Every counter of a profile; of the timings only which operators have one."""
+    counters = dataclasses.asdict(profile)
+    del counters["elapsed_seconds"]
+    counters["operator_seconds"] = sorted(counters["operator_seconds"])
+    return counters
+
+
+@pytest.fixture(scope="module")
+def join_oracle():
+    """Iterator-engine matches per (graph, plan, semantics), checked against
+    LFTJ's count where LFTJ has the semantics (homomorphism)."""
+    cache = {}
+
+    def lookup(graph, name, plan, isomorphism):
+        key = (id(graph), name, isomorphism)
+        if key not in cache:
+            iterator = execute_plan(
+                plan, graph, ExecutionConfig(isomorphism=isomorphism), collect=True
+            )
+            if not isomorphism:
+                assert LeapfrogTrieJoin(graph).count(plan.query).num_matches == iterator.num_matches
+            cache[key] = sorted(iterator.matches)
+        return cache[key]
+
+    return lookup
+
+
+class TestHashJoin:
+    def _both_modes(self, plan, graph, **config):
+        config = ExecutionConfig(vectorized=True, **config)
+        return (
+            execute_plan(plan, graph, config),
+            execute_plan(plan, graph, config, collect=True),
+        )
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 2048])
+    @pytest.mark.parametrize("isomorphism", [False, True], ids=["hom", "iso"])
+    @pytest.mark.parametrize("name,plan", JOIN_PLANS, ids=JOIN_IDS)
+    def test_count_collect_iterator_and_leapfrog_agree(
+        self, random_graph, join_oracle, name, plan, isomorphism, batch_size
+    ):
+        expected = join_oracle(random_graph, name, plan, isomorphism)
+        counted, collected = self._both_modes(
+            plan, random_graph, isomorphism=isomorphism, batch_size=batch_size
+        )
+        assert sorted(collected.matches) == expected
+        assert counted.num_matches == collected.num_matches == len(expected)
+        assert counted.matches is None
+        assert _counters(counted.profile) == _counters(collected.profile)
+
+    @pytest.mark.parametrize("isomorphism", [False, True], ids=["hom", "iso"])
+    @pytest.mark.parametrize("name,plan", JOIN_PLANS, ids=JOIN_IDS)
+    def test_dirty_snapshot(self, dirty_pair, join_oracle, name, plan, isomorphism):
+        snapshot, fresh = dirty_pair
+        expected = join_oracle(fresh, name, plan, isomorphism)
+        for batch_size in (3, 2048):
+            counted, collected = self._both_modes(
+                plan, snapshot, isomorphism=isomorphism, batch_size=batch_size
+            )
+            assert sorted(collected.matches) == expected
+            assert counted.num_matches == len(expected)
+
+    @pytest.mark.parametrize("name", ["Q8", "two-scan-triangle"])
+    def test_count_mode_honours_output_limit(self, random_graph, name):
+        plan = dict(JOIN_PLANS)[name]
+        total = execute_plan(plan, random_graph, ExecutionConfig(**VEC)).num_matches
+        assert total > 10
+        for limit in (5, total - 1, total, total + 1):
+            counted, collected = self._both_modes(plan, random_graph, output_limit=limit)
+            assert counted.num_matches == collected.num_matches == min(limit, total)
+            assert counted.truncated == collected.truncated == (limit <= total)
+            assert not counted.deadline_exceeded
+
+    def test_count_mode_honours_an_expired_deadline(self, random_graph):
+        result = execute_plan(
+            dict(JOIN_PLANS)["Q8"],
+            random_graph,
+            ExecutionConfig(deadline=time.monotonic() - 1.0, **VEC),
+        )
+        assert result.deadline_exceeded and result.truncated
+        assert result.num_matches == 0
+
+    @pytest.mark.parametrize("collect", [False, True], ids=["count", "collect"])
+    def test_empty_build_side_never_opens_the_probe_side(self, tiny_graph, collect):
+        q = QueryGraph([("a1", "a2", 7), ("a2", "a3")])  # no edge carries label 7
+        plan = _join_plan(q, ("a1", "a2"), ("a2", "a3"))
+        probe = plan.root.probe
+        assert count_matches(Plan(query=probe.sub_query, root=probe), tiny_graph) > 0
+        result = execute_plan(plan, tiny_graph, ExecutionConfig(**VEC), collect=collect)
+        assert result.num_matches == 0 and not result.truncated
+        assert probe.display_name() not in result.profile.per_operator
+        assert result.profile.hash_probes == 0
+        assert result.profile.intermediate_matches == 0
+
+    @pytest.mark.parametrize("isomorphism", [False, True], ids=["hom", "iso"])
+    @pytest.mark.parametrize("name", ["Q3", "Q8", "two-triangle-clique"])
+    def test_key_packing_boundary(self, random_graph, join_oracle, monkeypatch, name, isomorphism):
+        """Join keys that stop fitting one int64 code are located through the
+        dict instead; both sides of the boundary give the same answers, and
+        the dict side's time is on the operator."""
         import repro.executor.vectorized as vectorized
 
-        monkeypatch.setattr(vectorized, "_CODE_BITS", 0)
-        assert_equivalent(self._hybrid_diamond_plan(), random_graph)
+        plan = dict(JOIN_PLANS)[name]
+        expected = join_oracle(random_graph, name, plan, isomorphism)
+        key_bits = len(plan.root.join_vertices) * math.log2(random_graph.num_vertices)
+        for code_bits, fits in ((math.floor(key_bits), False), (math.floor(key_bits) + 1, True)):
+            monkeypatch.setattr(vectorized, "_CODE_BITS", code_bits)
+            root = build_batch_operator_tree(
+                plan.root, random_graph, ExecutionProfile(), ExecutionConfig(**VEC)
+            )
+            assert root._codes_fit == fits
+            counted, collected = self._both_modes(plan, random_graph, isomorphism=isomorphism)
+            assert sorted(collected.matches) == expected
+            assert counted.num_matches == len(expected)
+            assert _counters(counted.profile) == _counters(collected.profile)
+            assert counted.profile.operator_seconds[plan.root.display_name()] > 0
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        num_vertices=st.integers(min_value=3, max_value=5),
+        avg_degree=st.sampled_from([2.0, 2.8, 3.6]),
+        split=st.integers(min_value=0, max_value=10_000),
+        isomorphism=st.booleans(),
+        batch_size=st.sampled_from([1, 3, 2048]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_queries_split_in_two_and_joined(
+        self, seed, num_vertices, avg_degree, split, isomorphism, batch_size
+    ):
+        graph = erdos_renyi(24, 170, seed=seed)
+        query = random_connected_query(num_vertices, avg_degree=avg_degree, seed=seed)
+        # Every way to cover the query with two overlapping connected sub-queries.
+        parts = [
+            subset
+            for size in range(2, num_vertices)
+            for subset in itertools.combinations(query.vertices, size)
+            if query.connected_projection_exists(subset)
+        ]
+        splits = [
+            (a, b)
+            for a in parts
+            for b in parts
+            if set(a) & set(b) and set(a) | set(b) == set(query.vertices)
+        ]
+        build_vertices, probe_vertices = splits[split % len(splits)]
+        join = make_hash_join(
+            query,
+            enumerate_wco_plans(query.project(build_vertices))[0].root,
+            enumerate_wco_plans(query.project(probe_vertices))[0].root,
+        )
+        plan = Plan(query=query, root=join)
+        iterator = execute_plan(plan, graph, ExecutionConfig(isomorphism=isomorphism), collect=True)
+        counted, collected = self._both_modes(
+            plan, graph, isomorphism=isomorphism, batch_size=batch_size
+        )
+        assert sorted(collected.matches) == sorted(iterator.matches)
+        assert counted.num_matches == iterator.num_matches
+        assert _counters(counted.profile) == _counters(collected.profile)
+        if not isomorphism:
+            assert counted.num_matches == LeapfrogTrieJoin(graph).count(query).num_matches
 
 
 class TestTriangleIndexBatchPath:
