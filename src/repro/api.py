@@ -26,12 +26,12 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 from repro.catalogue.catalogue import SubgraphCatalogue
 from repro.catalogue.construction import build_catalogue
 from repro.catalogue.estimation import estimate_cardinality
-from repro.errors import OptimizerError, PersistenceError, ProcessExecutionUnsupported
+from repro.errors import OptimizerError, PersistenceError
 from repro.executor.adaptive import execute_adaptive
 from repro.executor.multiprocess import MorselProcessPool
 from repro.executor.operators import ExecutionConfig
-from repro.executor.parallel import ParallelResult, execute_parallel
-from repro.executor.pipeline import ExecutionResult, execute_plan
+from repro.executor.parallel import check_execution_mode, execute_parallel
+from repro.executor.pipeline import ExecutionResult
 from repro.graph.graph import Graph
 from repro.graph.schema import GraphSchema
 from repro.obs import EventLog, Observability
@@ -771,14 +771,33 @@ class GraphflowDB:
         ``vectorized=True`` the plan is priced with the batch engine's
         per-batch cost constants (and cached under a separate key).
         """
+        return self._plan(query, full_enumeration, enable_binary_joins, use_cache, vectorized)[0]
+
+    def _plan(
+        self,
+        query: Union[QueryGraph, str],
+        full_enumeration: bool,
+        enable_binary_joins: bool,
+        use_cache: bool,
+        vectorized: bool,
+    ) -> Tuple[Plan, bool]:
+        """:meth:`plan`, plus whether the plan came out of the cache: True
+        unless *this call* ran the optimizer.  A caller that waited on another
+        thread's in-flight planning of the same key counts as cached, matching
+        the cache's own hit/miss counters."""
         query = self._as_query(query)
-        if not use_cache or self.plan_cache is None:
+        optimized = False
+
+        def compute() -> Plan:
+            nonlocal optimized
+            optimized = True
             return self._plan_uncached(query, full_enumeration, enable_binary_joins, vectorized)
+
+        if not use_cache or self.plan_cache is None:
+            return compute(), False
         key = (query.canonical_key(), full_enumeration, enable_binary_joins, vectorized)
-        return self.plan_cache.get_or_compute(
-            key,
-            lambda: self._plan_uncached(query, full_enumeration, enable_binary_joins, vectorized),
-        )
+        plan = self.plan_cache.get_or_compute(key, compute)
+        return plan, not optimized
 
     def _plan_uncached(
         self,
@@ -834,8 +853,7 @@ class GraphflowDB:
         num_workers: int = 1,
         config: Optional[ExecutionConfig] = None,
         vectorized: Optional[bool] = None,
-        batch_size: Optional[int] = None,
-        execution_mode: Optional[str] = None,
+        execution_mode: str = "thread",
     ) -> QueryResult:
         """Plan (if needed) and execute a query.
 
@@ -852,15 +870,15 @@ class GraphflowDB:
             engine may group rows differently, as it already does serially).
         num_workers:
             When > 1, execute with the morsel-parallel executor.
+        config:
+            Execution knobs (:class:`ExecutionConfig`): engine, frame size
+            (``batch_size``), output limit, deadline, ...
         vectorized:
             When True, run the batch-at-a-time (columnar) engine instead of
             the tuple-at-a-time pipeline; composes with ``adaptive``
             (batched base matches), ``collect``, and ``num_workers > 1``
             (each morsel executes vectorized).  Overrides
             ``config.vectorized`` when given.
-        batch_size:
-            Rows per columnar frame in vectorized mode; overrides
-            ``config.batch_size`` when given.
         execution_mode:
             ``"thread"`` (default) or ``"process"`` — how ``num_workers > 1``
             distributes morsels.  Process mode runs them across the
@@ -869,23 +887,11 @@ class GraphflowDB:
             GIL); an unshippable query — no scan leaf, triangle-index config,
             or a dirty snapshot whose delta exceeds the pool's shipping
             threshold — falls back to thread execution for that query.
-            Overrides ``config.execution_mode`` when given; ignored when
-            ``num_workers <= 1``.
+            Ignored when ``num_workers <= 1``.
         """
-        if vectorized is not None or batch_size is not None:
-            overrides = {}
-            if vectorized is not None:
-                overrides["vectorized"] = vectorized
-            if batch_size is not None:
-                overrides["batch_size"] = batch_size
-            config = replace(config or ExecutionConfig(), **overrides)
-        if execution_mode is None:
-            execution_mode = config.execution_mode if config is not None else "thread"
-        if execution_mode not in ("thread", "process"):
-            raise ValueError(
-                f"unknown execution_mode {execution_mode!r}; "
-                "expected 'thread' or 'process'"
-            )
+        if vectorized is not None:
+            config = replace(config or ExecutionConfig(), vectorized=vectorized)
+        check_execution_mode(execution_mode)
         if num_workers > 1 and adaptive:
             # Adaptive ordering re-plans per partial match; morsel workers
             # share one fixed plan, so the combination stays rejected.
@@ -895,27 +901,22 @@ class GraphflowDB:
                 "num_workers=1 for adaptive ordering selection."
             )
         effective_vectorized = bool(config.vectorized) if config is not None else False
-        tracing = self.obs.enabled
         if isinstance(query, Plan):
             plan = query
             query_graph = plan.query
             plan_seconds = 0.0
             plan_cached: Optional[bool] = None
-            feedback_key: Optional[tuple] = ("plan", plan.signature()) if tracing else None
         else:
             query_graph = self._as_query(query)
-            # Cache-hit detection is best-effort: under concurrent planning
-            # another thread's optimizer run can shift the counter.
-            invocations_before = self.planner_invocations
             plan_start = time.perf_counter()
-            plan = self.plan(query_graph, vectorized=effective_vectorized)
-            plan_seconds = time.perf_counter() - plan_start
-            plan_cached = self.planner_invocations == invocations_before
-            feedback_key = (
-                (query_graph.canonical_key(), False, True, effective_vectorized)
-                if tracing
-                else None
+            plan, plan_cached = self._plan(
+                query_graph,
+                full_enumeration=False,
+                enable_binary_joins=True,
+                use_cache=True,
+                vectorized=effective_vectorized,
             )
+            plan_seconds = time.perf_counter() - plan_start
 
         # Queries over a DynamicGraph read a pinned MVCC snapshot, so
         # concurrent writers cannot change the matches mid-execution.  The
@@ -924,83 +925,51 @@ class GraphflowDB:
         # never forces a synchronous compaction onto the query path.
         exec_graph = self._read_graph()
 
-        if num_workers > 1:
-            if execution_mode == "process":
-                parallel, effective_mode = self._execute_process(
-                    plan, exec_graph, num_workers, config, collect
-                )
-            else:
-                parallel = execute_parallel(
-                    plan, exec_graph, num_workers=num_workers, config=config,
-                    collect=collect,
-                )
-                effective_mode = "parallel"
-            matches = None
-            if collect:
-                matches = parallel.matches_as_dicts()
-                matches = self._translate_match_names(matches, plan.query, query_graph)
-            trace = (
-                self._record_query_trace(
-                    query_graph,
-                    plan,
-                    mode=effective_mode,
-                    num_matches=parallel.num_matches,
-                    elapsed_seconds=parallel.elapsed_seconds,
-                    profile=parallel.profile,
-                    plan_seconds=plan_seconds,
-                    plan_cached=plan_cached,
-                    truncated=parallel.truncated,
-                    deadline_exceeded=parallel.deadline_exceeded,
-                    feedback_key=feedback_key,
-                    num_workers=num_workers,
-                    morsel_records=parallel.morsel_records,
-                )
-                if tracing
-                else None
-            )
-            return QueryResult(
-                query=query_graph,
-                plan=plan,
-                num_matches=parallel.num_matches,
-                elapsed_seconds=parallel.elapsed_seconds,
-                i_cost=parallel.profile.intersection_cost,
-                intermediate_matches=parallel.profile.intermediate_matches,
-                matches=matches,
-                truncated=parallel.truncated,
-                deadline_exceeded=parallel.deadline_exceeded,
-                trace=trace,
-            )
         if adaptive:
-            result: ExecutionResult = execute_adaptive(
+            result = execute_adaptive(
                 plan, exec_graph, catalogue=self.catalogue, config=config, collect=collect
             )
         else:
-            result = execute_plan(plan, exec_graph, config=config, collect=collect)
+            # One worker is execute_parallel's serial fall-through.
+            pool = base_path = None
+            if num_workers > 1 and execution_mode == "process":
+                pool = self.enable_process_pool(num_workers)
+                base_path = self._process_base_path(exec_graph)
+            result = execute_parallel(
+                plan, exec_graph, num_workers=num_workers, config=config,
+                collect=collect, pool=pool, base_path=base_path,
+            )
+
         matches: Optional[List[dict]] = None
         if collect:
-            matches = result.matches_as_dicts()
-            matches = self._translate_match_names(matches, plan.query, query_graph)
-        if tracing:
-            mode = (
-                "adaptive"
-                if adaptive
-                else ("vectorized" if effective_vectorized else "iterator")
+            matches = result.matches_as_dicts(
+                rename=self._match_names(plan.query, query_graph)
             )
+        trace = None
+        if self.obs.enabled:
+            if isinstance(query, Plan):
+                feedback_key = ("plan", plan.signature())
+            else:  # the plan-cache key of the planning above
+                feedback_key = (query_graph.canonical_key(), False, True, effective_vectorized)
+            # Which transport ran is read off the result: a process-mode
+            # query the pool could not ship comes back as a thread run.
+            if result.morsel_records:
+                mode = "parallel-process"
+            elif result.num_workers > 1:
+                mode = "parallel"
+            elif adaptive:
+                mode = "adaptive"
+            else:
+                mode = "vectorized" if effective_vectorized else "iterator"
             trace = self._record_query_trace(
                 query_graph,
                 plan,
+                result,
                 mode=mode,
-                num_matches=result.num_matches,
-                elapsed_seconds=result.elapsed_seconds,
-                profile=result.profile,
                 plan_seconds=plan_seconds,
                 plan_cached=plan_cached,
-                truncated=result.truncated,
-                deadline_exceeded=result.deadline_exceeded,
                 feedback_key=feedback_key,
             )
-        else:
-            trace = None
         return QueryResult(
             query=query_graph,
             plan=plan,
@@ -1013,32 +982,6 @@ class GraphflowDB:
             deadline_exceeded=result.deadline_exceeded,
             trace=trace,
         )
-
-    def _execute_process(
-        self,
-        plan: Plan,
-        exec_graph,
-        num_workers: int,
-        config: Optional[ExecutionConfig],
-        collect: bool,
-    ) -> Tuple[ParallelResult, str]:
-        """Run one query on the process pool, falling back to the in-process
-        thread executor when the query cannot be shipped (no scan leaf,
-        unshippable config, oversized dirty delta); fallbacks are counted in
-        the pool's stats."""
-        pool = self.enable_process_pool(num_workers)
-        base_path = self._process_base_path(exec_graph)
-        try:
-            result = pool.execute(
-                plan, exec_graph, config=config, collect=collect, base_path=base_path
-            )
-            return result, "parallel-process"
-        except ProcessExecutionUnsupported as exc:
-            pool.note_fallback(str(exc))
-            result = execute_parallel(
-                plan, exec_graph, num_workers=num_workers, config=config, collect=collect
-            )
-            return result, "parallel"
 
     def _process_base_path(self, exec_graph) -> Optional[str]:
         """The durable store's current snapshot file when it provably equals
@@ -1068,18 +1011,12 @@ class GraphflowDB:
         self,
         query_graph: QueryGraph,
         plan: Plan,
+        result: ExecutionResult,
         *,
         mode: str,
-        num_matches: int,
-        elapsed_seconds: float,
-        profile,
         plan_seconds: float,
         plan_cached: Optional[bool],
-        truncated: bool,
-        deadline_exceeded: bool,
-        feedback_key: Optional[tuple],
-        num_workers: int = 1,
-        morsel_records: Optional[List[dict]] = None,
+        feedback_key: tuple,
     ) -> QueryTrace:
         """Assemble and record the trace of one executed query.
 
@@ -1090,36 +1027,37 @@ class GraphflowDB:
         which case the trace simply carries no operator rows and the
         execution contributes no cardinality feedback.
 
-        ``morsel_records`` (process mode) become one ``morsel`` child span
-        per executed morsel, carrying the worker-side stage timings; the
+        ``result.morsel_records`` (process mode) become one ``morsel`` child
+        span per executed morsel, carrying the worker-side stage timings; the
         ``execute`` span then also gets the cross-worker skew and
         critical-path summary so ``trace.format()`` can show where a slow
         parallel query actually spent its time.
         """
-        status = (
-            "deadline" if deadline_exceeded else ("truncated" if truncated else "ok")
-        )
+        profile = result.profile
+        status = "truncated" if result.truncated else "ok"
+        if result.deadline_exceeded:
+            status = "deadline"
         trace = QueryTrace(
             query_name=query_graph.name,
             mode=mode,
             status=status,
-            num_matches=num_matches,
-            total_seconds=plan_seconds + elapsed_seconds,
+            num_matches=result.num_matches,
+            total_seconds=plan_seconds + result.elapsed_seconds,
             plan_type=plan.plan_type,
             plan_cached=plan_cached,
             canonical_key=str(query_graph.canonical_key()),
         )
         trace.add_span("plan", plan_seconds, cached=plan_cached, plan_type=plan.plan_type)
         exec_attrs = {"mode": mode}
-        if num_workers > 1:
-            exec_attrs["num_workers"] = num_workers
-        if morsel_records:
+        if result.num_workers > 1:
+            exec_attrs["num_workers"] = result.num_workers
+        if result.morsel_records:
             # Shared field list with ExecutionProfile.as_dict — the trace and
             # the profile surface the same multi-worker summary names.
             for name in type(profile).WORKER_SUMMARY_FIELDS:
                 exec_attrs[name] = getattr(profile, name)
-        trace.add_span("execute", elapsed_seconds, **exec_attrs)
-        for record in morsel_records or ():
+        trace.add_span("execute", result.elapsed_seconds, **exec_attrs)
+        for record in result.morsel_records:
             # The span duration is the execute time; every other timing
             # (queue_wait, deserialize, base_load, overlay_rebuild) plus the
             # monotonic started_at stamp ride along as attributes.
@@ -1133,22 +1071,18 @@ class GraphflowDB:
         return trace
 
     @staticmethod
-    def _translate_match_names(
-        matches: List[dict], plan_query: QueryGraph, query: QueryGraph
-    ) -> List[dict]:
-        """Rekey collected matches from the plan's vertex names to the
-        caller's.
+    def _match_names(plan_query: QueryGraph, query: QueryGraph) -> Optional[dict]:
+        """The plan's vertex names mapped to the caller's, or None when they
+        already agree.
 
         A cache hit may return a plan built for an isomorphic query whose
         vertices were named differently; the match *sets* are identical, but
-        the dictionaries must use the caller's names.
+        the row dictionaries must use the caller's names.
         """
         if plan_query is query or plan_query.structurally_equal(query):
-            return matches
-        mapping = isomorphism_mapping(plan_query, query)
-        if mapping is None:  # not isomorphic — cannot happen for cached plans
-            return matches
-        return [{mapping[k]: v for k, v in match.items()} for match in matches]
+            return None
+        # None also when not isomorphic, which cannot happen for cached plans.
+        return isomorphism_mapping(plan_query, query)
 
     def count(self, query: Union[QueryGraph, str]) -> int:
         """Shorthand: number of matches of the query."""

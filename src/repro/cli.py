@@ -276,7 +276,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         adaptive=args.adaptive,
         num_workers=args.workers,
         vectorized=True if args.vectorized else None,
-        execution_mode=getattr(args, "execution_mode", None),
+        execution_mode=args.execution_mode,
     )
     result = db.execute(query, **execute_kwargs)
     trace = result.trace
@@ -736,6 +736,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--h", type=int, default=3, help="catalogue max sub-query size")
         p.add_argument("--z", type=int, default=300, help="catalogue sample size")
 
+    def add_execution_mode(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--execution-mode",
+            choices=("thread", "process"),
+            default="thread",
+            dest="execution_mode",
+            help="how --workers > 1 runs its morsels: threads in-process, or a "
+            "process pool mapping a shared snapshot file (GIL-free; traces "
+            "then carry per-morsel worker spans and skew/critical-path summaries)",
+        )
+
     sub.add_parser("datasets", help="list dataset archetypes").set_defaults(func=cmd_datasets)
 
     stats = sub.add_parser(
@@ -808,14 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--adaptive", action="store_true")
     trace.add_argument("--workers", type=int, default=1)
-    trace.add_argument(
-        "--execution-mode",
-        choices=("thread", "process"),
-        default="thread",
-        dest="execution_mode",
-        help="how --workers > 1 splits morsels; 'process' traces show "
-        "per-morsel worker spans plus skew/critical-path summaries",
-    )
+    add_execution_mode(trace)
     trace.add_argument(
         "--vectorized",
         action="store_true",
@@ -840,14 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="execute with the batch-at-a-time (columnar) engine",
     )
-    run.add_argument(
-        "--execution-mode",
-        choices=("thread", "process"),
-        default="thread",
-        dest="execution_mode",
-        help="how --workers > 1 splits morsels: threads in-process, or a "
-        "process pool mapping a shared snapshot file (GIL-free)",
-    )
+    add_execution_mode(run)
     run.set_defaults(func=cmd_run)
 
     explain = sub.add_parser("explain", help="show the optimizer's plan for a query")
@@ -936,14 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=1, help="morsel workers per query (1 = serial)"
     )
-    serve.add_argument(
-        "--execution-mode",
-        choices=("thread", "process"),
-        default="thread",
-        dest="execution_mode",
-        help="how --workers > 1 splits morsels: threads in-process, or a "
-        "process pool mapping a shared snapshot file (GIL-free)",
-    )
+    add_execution_mode(serve)
     serve.add_argument(
         "--data-dir",
         default=None,

@@ -1,21 +1,25 @@
 """Volcano-style plan execution: SCAN, EXTEND/INTERSECT, HASH-JOIN, SINK
 operators, runtime profiling (i-cost, intermediate matches, cache hits),
-adaptive query-vertex-ordering selection, parallel execution, and a
-vectorized batch-at-a-time engine exchanging columnar morsels."""
+adaptive query-vertex-ordering selection, a vectorized batch-at-a-time engine
+exchanging columnar morsels, and one morsel coordinator (``parallel``) with a
+thread and a process (``multiprocess``) transport.  Every engine returns an
+:class:`ExecutionResult`."""
 
 from repro.executor.profile import ExecutionProfile
-from repro.executor.pipeline import execute_plan, count_matches
+from repro.executor.pipeline import ExecutionResult, execute_plan, count_matches
 from repro.executor.adaptive import execute_adaptive
-from repro.executor.parallel import execute_parallel
+from repro.executor.parallel import execute_parallel, morsel_ranges
 from repro.executor.multiprocess import MorselProcessPool
 from repro.executor.vectorized import execute_plan_vectorized
 
 __all__ = [
     "ExecutionProfile",
+    "ExecutionResult",
     "MorselProcessPool",
     "execute_plan",
     "count_matches",
     "execute_adaptive",
     "execute_parallel",
+    "morsel_ranges",
     "execute_plan_vectorized",
 ]

@@ -1,9 +1,10 @@
 """Multi-process morsel execution over a shared mmap'd snapshot base.
 
-The thread-pool executor (:mod:`repro.executor.parallel`) partitions the
-primary SCAN's edge list into morsels but remains GIL-bound: it reports
-honest *work-based* speed-ups while wall-clock time barely moves for
-Python-level work.  This module escapes the GIL with worker *processes*,
+The morsel coordinator (:mod:`repro.executor.parallel`) partitions the
+primary SCAN's edge list into morsels; its thread transport remains
+GIL-bound: it reports honest *work-based* speed-ups while wall-clock time
+barely moves for Python-level work.  This module is the other transport: it
+escapes the GIL with worker *processes*,
 following the partition-and-stream design of distributed WCOJ dataflows
 (arXiv:1802.03760): the graph is never pickled through a pipe — workers
 ``np.memmap`` one shared, immutable snapshot file read-only (the persistence
@@ -26,15 +27,13 @@ coordinator
    ``(src, dst, label)`` triples (bounded by ``delta_ship_threshold``;
    anything larger raises :class:`ProcessExecutionUnsupported` so the caller
    falls back to in-process execution);
-3. computes morsel ranges over the scan's edge count with dynamic sizing
-   (``total / (num_workers * morsels_per_worker)`` clamped to
-   ``[min_morsel_size, max_morsel_size]``), enqueues one task per range, and
-   collects exactly one result per range, discarding stale messages from
-   abandoned attempts by query id;
-4. merges counts, collected rows (in morsel-index order, which equals the
-   serial scan order for the iterator engine), and
-   :class:`~repro.executor.profile.ExecutionProfile` objects with the same
-   ``workers``/``busy_seconds`` semantics as the thread executor.
+3. hands the shared coordinator (:func:`repro.executor.parallel.run_morsels`)
+   its transport: enqueue one task per scan range and collect exactly one
+   :class:`~repro.executor.parallel.MorselOutcome` per range, discarding
+   stale messages from abandoned attempts by query id.  Range sizing and the
+   fold of counts, rows (in range order, which equals the serial scan order
+   for the iterator engine), limits and profiles are the coordinator's, the
+   same code the thread transport runs under.
 
 Every task also carries its enqueue timestamp and every result a compact
 per-morsel timing dict (queue wait, plan deserialization, base load vs
@@ -43,7 +42,7 @@ piggybacked on the result message rather than shipped separately.  The
 coordinator folds them into the attached observability's ``worker_*``
 registry families, computes the query's busy skew and critical path onto
 the merged profile, and returns the raw records on
-:attr:`~repro.executor.parallel.ParallelResult.morsel_records` so the
+:attr:`~repro.executor.pipeline.ExecutionResult.morsel_records` so the
 database can attach one child span per morsel to the query's trace.
 
 Workers cache the deserialised ``(plan, graph, config)`` per query id and the
@@ -54,9 +53,11 @@ the pool stays usable for later queries.
 
 Determinism: match *counts* are bit-identical to the single-threaded pipeline
 for both engines (each scan edge is executed exactly once across morsels).
-Collected rows from the iterator engine come back in exact serial order;
-the vectorized engine may group rows differently within a morsel, exactly as
-it already does in-process.
+Collected rows from the iterator engine come back in exact serial order
+(except on a dirty snapshot written over several batches: workers rebuild the
+overlay from the *sorted* delta, whose scan order can differ from the
+coordinator's; same rows, another order); the vectorized engine may group
+rows differently within a morsel, exactly as it already does in-process.
 
 Deadlines ship as absolute ``time.monotonic()`` values, which is correct on
 Linux (``CLOCK_MONOTONIC`` is system-wide, and child processes share the
@@ -73,16 +74,22 @@ import shutil
 import tempfile
 import threading
 import time
-from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ProcessExecutionUnsupported, WorkerPoolError
 from repro.executor.operators import ExecutionConfig
-from repro.executor.parallel import ParallelResult, _primary_scan
-from repro.executor.profile import ExecutionProfile
+from repro.executor.parallel import (
+    MIN_MORSEL_SIZE,
+    MorselOutcome,
+    primary_scan,
+    run_morsel,
+    run_morsels,
+)
+from repro.executor.pipeline import ExecutionResult
 from repro.graph.graph import Graph
 from repro.obs.registry import Histogram
-from repro.planner.plan import Plan
+from repro.planner.plan import Plan, ScanNode
 from repro.planner.serialize import plan_from_dict, plan_to_dict
 
 #: Mapped bases a worker keeps alive at once (current + previous, so a
@@ -154,7 +161,8 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
     Must stay importable at module top level (``spawn`` start method).
     """
     base_cache: Dict[str, Graph] = {}
-    current: Optional[tuple] = None  # (query_id, plan, graph, config, collect, scan_vertices)
+    # (query_id, (plan, graph, config, collect, scan_vertices)) of the last query
+    current: Optional[tuple] = None
     while True:
         task = task_queue.get()
         pickup = time.monotonic()
@@ -183,38 +191,14 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
                 )
                 current = (
                     query_id,
-                    plan,
-                    graph,
-                    config,
-                    spec["collect"],
-                    tuple(spec["scan_vertices"]),
+                    (plan, graph, config, spec["collect"], tuple(spec["scan_vertices"])),
                 )
-            _, plan, graph, config, collect, scan_vertices = current
-            from repro.executor.pipeline import execute_plan
-
-            morsel_config = replace(
-                config,
-                scan_range=tuple(scan_range),
-                scan_range_vertices=scan_vertices,
-            )
             timings["started_at"] = time.monotonic()
             busy_start = time.perf_counter()
-            result = execute_plan(plan, graph, config=morsel_config, collect=collect)
+            outcome = run_morsel(*current[1], tuple(scan_range), worker_id)
             timings["execute"] = time.perf_counter() - busy_start
             result_queue.put(
-                (
-                    "result",
-                    query_id,
-                    morsel_index,
-                    worker_id,
-                    result.num_matches,
-                    result.matches if collect else None,
-                    tuple(result.vertex_order),
-                    result.profile,
-                    result.truncated,
-                    result.deadline_exceeded,
-                    timings,
-                )
+                ("result", query_id, morsel_index, outcome._replace(timings=timings))
             )
         except BaseException as exc:  # report, keep serving later queries
             current = None
@@ -246,11 +230,9 @@ class MorselProcessPool:
         ``multiprocessing`` start method; defaults to ``"fork"`` where
         available (cheap, workers inherit the imported modules) and
         ``"spawn"`` otherwise.
-    morsels_per_worker:
-        Dynamic-sizing target: aim for this many morsels per worker so the
-        shared queue load-balances skewed ranges.
-    min_morsel_size / max_morsel_size:
-        Clamp on the computed morsel size (edges per morsel).
+    min_morsel_size:
+        Lower clamp on the morsel size (edges per morsel) computed by
+        :func:`repro.executor.parallel.morsel_ranges`.
     delta_ship_threshold:
         Largest dirty-snapshot overlay (edge mutations + new vertices) the
         coordinator will serialise to workers; beyond it the query raises
@@ -273,9 +255,7 @@ class MorselProcessPool:
         self,
         num_workers: int = 2,
         start_method: Optional[str] = None,
-        morsels_per_worker: int = 4,
-        min_morsel_size: int = 256,
-        max_morsel_size: int = 65536,
+        min_morsel_size: int = MIN_MORSEL_SIZE,
         delta_ship_threshold: int = 5000,
         spool_dir: Optional[str] = None,
         poll_seconds: float = 0.1,
@@ -290,9 +270,7 @@ class MorselProcessPool:
             )
         self.num_workers = num_workers
         self.start_method = start_method
-        self.morsels_per_worker = morsels_per_worker
         self.min_morsel_size = min_morsel_size
-        self.max_morsel_size = max_morsel_size
         self.delta_ship_threshold = delta_ship_threshold
         self.poll_seconds = poll_seconds
         self.retry_limit = retry_limit
@@ -545,7 +523,7 @@ class MorselProcessPool:
         config: Optional[ExecutionConfig] = None,
         collect: bool = False,
         base_path: Optional[str] = None,
-    ) -> ParallelResult:
+    ) -> ExecutionResult:
         """Execute ``plan`` across the worker processes.
 
         ``graph`` is a :class:`~repro.graph.graph.Graph`,
@@ -556,34 +534,43 @@ class MorselProcessPool:
         checkpoint); without it the base is spooled on first use.
 
         Raises :class:`ProcessExecutionUnsupported` (before any work is
-        enqueued) when the query cannot be shipped; the caller decides
-        whether to fall back in-process.
+        enqueued) when the query cannot be shipped;
+        :func:`repro.executor.parallel.execute_parallel` catches it and runs
+        the query on threads.
         """
         from repro.storage.dynamic import DynamicGraph
 
         if isinstance(graph, DynamicGraph):
             graph = graph.snapshot()
-        base_config = config or ExecutionConfig()
-        spec, ranges = self._build_spec(plan, graph, base_config, collect, base_path)
+        config = config or ExecutionConfig()
+        scan = primary_scan(plan)
+        if scan is None:
+            raise ProcessExecutionUnsupported(
+                "plan has no scan leaf to partition into morsels"
+            )
+        spec = self._build_spec(plan, graph, scan, config, collect, base_path)
+        spec_bytes = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
         with self._query_lock:
             self._ensure_started()
-            return self._run_query(plan, spec, ranges, base_config, collect)
+            transport = partial(self._run_query, spec_bytes)
+            result = run_morsels(
+                plan, graph, scan, self.num_workers, self.min_morsel_size, config, collect,
+                transport,
+            )
+            self._merge_worker_timings(result)
+        return result
 
     def _build_spec(
         self,
         plan: Plan,
         graph,
+        scan: ScanNode,
         base_config: ExecutionConfig,
         collect: bool,
         base_path: Optional[str],
-    ) -> Tuple[dict, List[Tuple[int, int]]]:
+    ) -> dict:
         from repro.storage.snapshot import GraphSnapshot
 
-        scan = _primary_scan(plan)
-        if scan is None:
-            raise ProcessExecutionUnsupported(
-                "plan has no scan leaf to partition into morsels"
-            )
         if base_config.scan_range is not None:
             raise ProcessExecutionUnsupported(
                 "an explicit scan_range conflicts with morsel partitioning"
@@ -622,14 +609,7 @@ class MorselProcessPool:
 
         if base_path is None:
             base_path = self._ship_base(base)
-
-        edge = scan.edge
-        total_edges = graph.count_edges(
-            edge_label=edge.label,
-            src_label=scan.sub_query.vertex_label(edge.src),
-            dst_label=scan.sub_query.vertex_label(edge.dst),
-        )
-        spec = {
+        return {
             "base_path": base_path,
             "overlay": overlay,
             "plan": plan_to_dict(plan),
@@ -639,37 +619,18 @@ class MorselProcessPool:
             "collect": collect,
             "scan_vertices": tuple(scan.out_vertices),
         }
-        return spec, self._morsel_ranges(total_edges)
-
-    def _morsel_ranges(self, total_edges: int) -> List[Tuple[int, int]]:
-        if total_edges <= 0:
-            return [(0, 0)]
-        target = max(1, self.num_workers * self.morsels_per_worker)
-        size = -(-total_edges // target)  # ceil division
-        size = max(self.min_morsel_size, min(self.max_morsel_size, size))
-        return [
-            (start, min(start + size, total_edges))
-            for start in range(0, total_edges, size)
-        ]
 
     def _run_query(
-        self,
-        plan: Plan,
-        spec: dict,
-        ranges: List[Tuple[int, int]],
-        base_config: ExecutionConfig,
-        collect: bool,
-    ) -> ParallelResult:
-        spec_bytes = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-        start_time = time.perf_counter()
+        self, spec_bytes: bytes, ranges: Sequence[Tuple[int, int]]
+    ) -> List[MorselOutcome]:
+        """The process transport: one outcome per range, in range order."""
         attempts = 0
         while True:
             with self._state_lock:
                 self._query_counter += 1
                 query_id = self._query_counter
             try:
-                payloads = self._dispatch(query_id, spec_bytes, ranges)
-                break
+                return self._dispatch(query_id, spec_bytes, ranges)
             except _WorkerDied:
                 self._respawn_dead()
                 attempts += 1
@@ -680,12 +641,10 @@ class MorselProcessPool:
                     )
                 # Retry the whole query under a fresh id: results of the
                 # abandoned attempt are discarded by id on arrival.
-        elapsed = time.perf_counter() - start_time
-        return self._merge(plan, payloads, ranges, base_config, collect, elapsed)
 
     def _dispatch(
-        self, query_id: int, spec_bytes: bytes, ranges: List[Tuple[int, int]]
-    ) -> Dict[int, tuple]:
+        self, query_id: int, spec_bytes: bytes, ranges: Sequence[Tuple[int, int]]
+    ) -> List[MorselOutcome]:
         for index, scan_range in enumerate(ranges):
             # The enqueue timestamp rides with the task so the worker can
             # measure its own queue wait (monotonic clocks are shared across
@@ -693,8 +652,8 @@ class MorselProcessPool:
             self._task_queue.put(
                 ("task", query_id, index, spec_bytes, scan_range, time.monotonic())
             )
-        payloads: Dict[int, tuple] = {}
-        while len(payloads) < len(ranges):
+        outcomes: Dict[int, MorselOutcome] = {}
+        while len(outcomes) < len(ranges):
             try:
                 message = self._result_queue.get(timeout=self.poll_seconds)
             except queue_mod.Empty:
@@ -709,109 +668,47 @@ class MorselProcessPool:
                 raise WorkerPoolError(
                     f"worker {message[3]} failed on morsel {message[2]}: {message[4]}"
                 )
-            payloads[message[2]] = message
-        return payloads
+            outcomes[message[2]] = message[3]
+        return [outcomes[index] for index in range(len(ranges))]
 
-    def _merge(
-        self,
-        plan: Plan,
-        payloads: Dict[int, tuple],
-        ranges: List[Tuple[int, int]],
-        base_config: ExecutionConfig,
-        collect: bool,
-        elapsed: float,
-    ) -> ParallelResult:
-        total = 0
-        merged = ExecutionProfile()
-        truncated = False
-        deadline_exceeded = False
-        per_worker_work = [0] * self.num_workers
+    def _merge_worker_timings(self, result: ExecutionResult) -> None:
+        """Fold the query's per-morsel worker timings into the pool's
+        histograms and per-worker totals, and put the busy skew and the
+        critical path on the result's profile."""
+        records = result.morsel_records
         query_busy = [0.0] * self.num_workers
         # Per-worker total seconds on this query including setup stages
         # (deserialize, base load, overlay rebuild) — the critical-path basis.
         query_total = [0.0] * self.num_workers
-        morsel_records: List[dict] = []
-        matches: Optional[List[Tuple[int, ...]]] = [] if collect else None
-        vertex_order: Tuple[str, ...] = ()
-        for index in sorted(payloads):
-            (
-                _,
-                _,
-                _,
-                worker_id,
-                count,
-                rows,
-                v_order,
-                profile,
-                m_truncated,
-                m_deadline,
-                timings,
-            ) = payloads[index]
-            busy = timings.get("execute", 0.0)
-            total += count
-            merged = merged.merge(profile)
-            per_worker_work[worker_id] += profile.intersection_cost + count
-            truncated = truncated or m_truncated
-            deadline_exceeded = deadline_exceeded or m_deadline
-            if v_order:
-                vertex_order = v_order
-            if matches is not None and rows:
-                matches.extend(rows)
-            query_busy[worker_id] += busy
-            query_total[worker_id] += (
+        for record in records:
+            busy = record.get("execute", 0.0)
+            query_busy[record["worker_id"]] += busy
+            query_total[record["worker_id"]] += (
                 busy
-                + timings.get("deserialize", 0.0)
-                + timings.get("base_load", 0.0)
-                + timings.get("overlay_rebuild", 0.0)
+                + record.get("deserialize", 0.0)
+                + record.get("base_load", 0.0)
+                + record.get("overlay_rebuild", 0.0)
             )
             self.morsel_seconds.observe(busy)
-            self.queue_wait_seconds.observe(timings.get("queue_wait", 0.0))
-            record = {"morsel_index": index, "worker_id": worker_id, "rows": count}
-            record.update(timings)
-            morsel_records.append(record)
-        limit = base_config.output_limit
-        if limit is not None and total > limit:
-            total = limit
-            truncated = True
-        if matches is not None and limit is not None and len(matches) > limit:
-            matches = matches[:limit]
-        merged.elapsed_seconds = elapsed
-        merged.output_matches = total
-        # One profile per morsel was folded in; normalise busy-vs-wall by the
-        # process count, mirroring the thread executor.
-        merged.workers = self.num_workers
+            self.queue_wait_seconds.observe(record.get("queue_wait", 0.0))
         active = [b for b in query_busy if b > 0]
         skew = (max(active) * len(active) / sum(active)) if active else 1.0
-        merged.skew = skew
-        merged.critical_path_seconds = max(query_total) if query_total else 0.0
+        result.profile.skew = skew
+        result.profile.critical_path_seconds = max(query_total)
         with self._state_lock:
             self._counters["queries"] += 1
-            self._counters["tasks"] += len(ranges)
-            for record in morsel_records:
+            self._counters["tasks"] += len(records)
+            for record in records:
                 if "base_cache_hit" in record:
                     key = "base_cache_hits" if record["base_cache_hit"] else "base_cache_misses"
                     self._counters[key] += 1
                 if "overlay_rebuild" in record:
                     self._counters["overlay_rebuilds"] += 1
+                self._worker_morsels[record["worker_id"]] += 1
             for worker_id, busy in enumerate(query_busy):
                 self._worker_busy_seconds[worker_id] += busy
-            for index in payloads:
-                self._worker_morsels[payloads[index][3]] += 1
             self._last_query_skew = skew
-        self._fold_worker_metrics(morsel_records)
-        return ParallelResult(
-            plan=plan,
-            num_matches=total,
-            profile=merged,
-            num_workers=self.num_workers,
-            elapsed_seconds=elapsed,
-            per_worker_work=per_worker_work,
-            truncated=truncated,
-            deadline_exceeded=deadline_exceeded,
-            matches=matches,
-            vertex_order=vertex_order,
-            morsel_records=morsel_records,
-        )
+        self._fold_worker_metrics(records)
 
     # ------------------------------------------------------------------ #
     # observability

@@ -41,7 +41,7 @@ class ExecutionConfig:
         systems such as Graphflow and EmptyHeaded.
     scan_range:
         Optional ``(start, stop)`` slice over the SCAN operator's edge list;
-        the parallel executor partitions work this way (morsels).
+        the morsel coordinator partitions work this way.
     scan_range_vertices:
         When a plan contains several SCAN leaves (hash-join plans), the range
         is applied only to the scan whose ``out_vertices`` equal this tuple;
@@ -70,15 +70,11 @@ class ExecutionConfig:
     batch_size:
         Rows per columnar frame emitted by the batch SCAN operator (and the
         granularity of deadline checks in vectorized mode).
-    execution_mode:
-        How ``num_workers > 1`` executions distribute morsels: ``"thread"``
-        (the in-process pool of :func:`repro.executor.parallel.execute_parallel`,
-        GIL-bound for Python-level work) or ``"process"`` (the
-        :class:`repro.executor.multiprocess.MorselProcessPool`, worker
-        processes mapping a shared snapshot file read-only for wall-clock
-        scaling).  Ignored when ``num_workers <= 1``.  An unsupported query
-        in process mode (e.g. a triangle-index config or an oversized dirty
-        delta) falls back to thread execution per query.
+
+    How a run is *distributed* is not set here: ``num_workers`` and
+    ``execution_mode`` are arguments of :meth:`repro.api.GraphflowDB.execute`,
+    and the morsel coordinator (:mod:`repro.executor.parallel`) runs every
+    morsel under this config with ``scan_range`` filled in.
     """
 
     enable_intersection_cache: bool = True
@@ -90,7 +86,6 @@ class ExecutionConfig:
     deadline: Optional[float] = None
     vectorized: bool = False
     batch_size: int = 2048
-    execution_mode: str = "thread"
 
 
 # How many tuples an operator processes between deadline checks; keeps the

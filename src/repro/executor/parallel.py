@@ -1,200 +1,217 @@
-"""Parallel plan execution (Section 7 / Figure 11).
+"""Morsel-parallel plan execution (Section 7 / Figure 11): the coordinator.
 
 Graphflow parallelises plans by giving every worker a copy of the plan and
 letting workers steal ranges of the SCAN operator's edges from a shared queue;
-E/I extensions then proceed without coordination.  We reproduce the same
-work-partitioning scheme with a morsel queue over scan ranges.  Because CPython
-threads share the GIL, measured wall-clock speed-ups for Python-level work are
-bounded; the result therefore also reports the *work-based* speed-up (the
-maximum over workers of the work each performed, relative to the total), which
-is what the paper's near-linear scaling measures on a JVM.
+E/I extensions then proceed without coordination.  :func:`run_morsels` is that
+scheme once: partition the scan (:func:`morsel_ranges`), let a *transport*
+execute the ranges, fold one :class:`MorselOutcome` per range into the
+:class:`~repro.executor.pipeline.ExecutionResult` a serial run would return.
 
-Scan-range morsels are also the natural unit of the vectorized batch engine:
-each range executes through :func:`repro.executor.pipeline.execute_plan` with
-the caller's config, so ``config.vectorized`` makes every worker process its
-morsel as columnar frames (and NumPy kernels release the GIL, improving the
-wall-clock scaling story).
+The thread transport is here; because CPython threads share the GIL its
+wall-clock speed-ups are bounded, so the result also reports the *work-based*
+speed-up (total work over the busiest worker's), which is what the paper's
+near-linear scaling measures on a JVM.  The process transport is
+:class:`repro.executor.multiprocess.MorselProcessPool`.  Either way a range
+executes through :func:`repro.executor.pipeline.execute_plan` with the
+caller's config, so ``config.vectorized`` makes every worker process its
+morsel as columnar frames (and NumPy kernels release the GIL).
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import replace
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.errors import ProcessExecutionUnsupported
 from repro.executor.operators import ExecutionConfig
+from repro.executor.pipeline import ExecutionResult, execute_plan
 from repro.executor.profile import ExecutionProfile
 from repro.graph.graph import Graph
 from repro.planner.plan import Plan, ScanNode
 
+#: Morsel sizing, one policy for both transports: ``total / (workers * 4)``
+#: edges per morsel -- enough morsels for the queue to balance a skewed
+#: range, few enough that per-morsel set-up (see :func:`primary_scan`) stays
+#: a constant factor -- clamped to ``[min_morsel_size, MAX_MORSEL_SIZE]``.
+MORSELS_PER_WORKER = 4
+MIN_MORSEL_SIZE = 256
+MAX_MORSEL_SIZE = 65536
 
-@dataclass
-class ParallelResult:
-    """Outcome of a parallel run."""
 
-    plan: Plan
-    num_matches: int
+class MorselOutcome(NamedTuple):
+    """What a transport reports for one executed scan range."""
+
+    count: int
+    rows: Optional[List[Tuple[int, ...]]]
     profile: ExecutionProfile
-    num_workers: int
-    elapsed_seconds: float
-    per_worker_work: List[int] = field(default_factory=list)
-    truncated: bool = False
-    deadline_exceeded: bool = False
-    # Collected rows (``collect=True``): per-morsel frames merged in range
-    # order, capped at ``config.output_limit``; None when only counting.
-    matches: Optional[List[Tuple[int, ...]]] = None
-    vertex_order: Tuple[str, ...] = ()
-    # Process mode only: one dict per executed morsel with the worker-side
-    # stage timings (queue_wait, deserialize, base_load, overlay_rebuild,
-    # execute, started_at) plus worker_id/morsel_index/rows — the raw
-    # material the trace merge turns into worker child spans.  Empty for
-    # thread-mode runs (stage boundaries are not observable in-process).
-    morsel_records: List[dict] = field(default_factory=list)
-
-    @property
-    def work_based_speedup(self) -> float:
-        """Ideal speed-up implied by the work partition: total work divided by
-        the maximum work any single worker performed."""
-        total = sum(self.per_worker_work)
-        worst = max(self.per_worker_work) if self.per_worker_work else 0
-        return total / worst if worst else 1.0
-
-    def matches_as_dicts(self) -> List[dict]:
-        """Matches keyed by query-vertex name (only if matches were collected)."""
-        if self.matches is None:
-            return []
-        return [dict(zip(self.vertex_order, m)) for m in self.matches]
+    truncated: bool
+    deadline_exceeded: bool
+    worker_id: int
+    # Worker-side stage timings; only the process transport can observe them.
+    timings: Optional[dict] = None
 
 
-def _primary_scan(plan: Plan) -> Optional[ScanNode]:
-    """The scan whose edge range the morsel queue partitions: the first scan
+def check_execution_mode(execution_mode: str) -> str:
+    """Validate the name of a morsel transport (``"thread"``/``"process"``)."""
+    if execution_mode not in ("thread", "process"):
+        raise ValueError(
+            f"unknown execution_mode {execution_mode!r}; expected 'thread' or 'process'"
+        )
+    return execution_mode
+
+
+def primary_scan(plan: Plan) -> Optional[ScanNode]:
+    """The scan whose edge range the morsels partition: the first scan
     reached by walking probe/child pointers from the root."""
     node = plan.root
     while True:
         children = node.children()
         if not children:
             return node if isinstance(node, ScanNode) else None
-        # HashJoinNode.children() returns (build, probe); descend the probe
-        # side so the build side is computed fully by every worker exactly
-        # once is avoided -- each worker computes the build side over the full
-        # edge list, mirroring Graphflow's shared hash-table construction cost.
+        # HashJoinNode.children() returns (build, probe): only the probe-side
+        # scan is ranged.  Every morsel therefore recomputes the HASH-JOIN
+        # build side over its full input, which is why the morsel count is
+        # tied to the worker count (workers * MORSELS_PER_WORKER) and not to
+        # the size of the scan.
         node = children[-1]
 
 
-def execute_parallel(
+def morsel_ranges(
+    total_edges: int, num_workers: int, min_morsel_size: int = MIN_MORSEL_SIZE
+) -> List[Tuple[int, int]]:
+    """Partition ``[0, total_edges)`` into contiguous scan ranges."""
+    if total_edges <= 0:
+        return [(0, 0)]
+    size = -(-total_edges // max(1, num_workers * MORSELS_PER_WORKER))  # ceil
+    size = max(min_morsel_size, min(MAX_MORSEL_SIZE, size))
+    return [(lo, min(lo + size, total_edges)) for lo in range(0, total_edges, size)]
+
+
+def run_morsel(
     plan: Plan,
     graph: Graph,
-    num_workers: int = 2,
-    morsel_size: int = 1024,
-    config: Optional[ExecutionConfig] = None,
-    collect: bool = False,
-) -> ParallelResult:
-    """Execute ``plan`` with ``num_workers`` workers over scan-range morsels.
+    config: ExecutionConfig,
+    collect: bool,
+    scan_vertices: Tuple[str, ...],
+    scan_range: Tuple[int, int],
+    worker_id: int,
+) -> MorselOutcome:
+    """Execute one scan range.  Every other knob of ``config`` carries over,
+    so a morsel runs exactly as the serial path would over those edges."""
+    config = replace(config, scan_range=scan_range, scan_range_vertices=scan_vertices)
+    r = execute_plan(plan, graph, config=config, collect=collect)
+    return MorselOutcome(
+        r.num_matches, r.matches, r.profile, r.truncated, r.deadline_exceeded, worker_id
+    )
 
-    With ``collect=True`` each morsel materialises its rows and the merged
-    result concatenates them in range order (the iterator engine therefore
-    reproduces the serial row order exactly), capped at
-    ``config.output_limit``.
+
+def run_morsels(
+    plan: Plan,
+    graph: Graph,
+    scan: ScanNode,
+    num_workers: int,
+    min_morsel_size: int,
+    config: ExecutionConfig,
+    collect: bool,
+    transport: Callable[[Sequence[Tuple[int, int]]], Sequence[MorselOutcome]],
+) -> ExecutionResult:
+    """Partition ``scan``, let ``transport`` execute the ranges (it returns
+    their outcomes in range order), and fold them into one result.
+
+    Rows concatenate in range order, so the iterator engine reproduces the
+    serial row order exactly.  A global output limit cannot be partitioned
+    across morsels: each morsel stops at the limit on its own and the merged
+    count and rows are capped here.
     """
-    base_config = config or ExecutionConfig()
-    scan = _primary_scan(plan)
-    if scan is None or num_workers <= 1:
-        from repro.executor.pipeline import execute_plan
-
-        start = time.perf_counter()
-        result = execute_plan(plan, graph, config=base_config, collect=collect)
-        elapsed = time.perf_counter() - start
-        return ParallelResult(
-            plan=plan,
-            num_matches=result.num_matches,
-            profile=result.profile,
-            num_workers=1,
-            elapsed_seconds=elapsed,
-            per_worker_work=[result.profile.intersection_cost + result.num_matches],
-            truncated=result.truncated,
-            deadline_exceeded=result.deadline_exceeded,
-            matches=result.matches,
-            vertex_order=tuple(result.vertex_order),
-        )
-
     edge = scan.edge
     total_edges = graph.count_edges(
         edge_label=edge.label,
         src_label=scan.sub_query.vertex_label(edge.src),
         dst_label=scan.sub_query.vertex_label(edge.dst),
     )
-    ranges: List[Tuple[int, int]] = [
-        (start, min(start + morsel_size, total_edges))
-        for start in range(0, total_edges, morsel_size)
-    ] or [(0, 0)]
+    start = time.perf_counter()
+    outcomes = transport(morsel_ranges(total_edges, num_workers, min_morsel_size))
+    elapsed = time.perf_counter() - start
 
-    def run_range(scan_range: Tuple[int, int]):
-        # A global output limit cannot be partitioned across morsels exactly,
-        # but it still bounds each worker: no single range may contribute more
-        # than the limit, and the merged count is capped below.  Every other
-        # knob (intersection cache, isomorphism, vectorized batching, ...)
-        # carries over from the caller's config unchanged, so each morsel runs
-        # through the same engine the serial path would use.
-        from repro.executor.pipeline import execute_plan
-
-        worker_config = replace(
-            base_config,
-            scan_range=scan_range,
-            scan_range_vertices=tuple(scan.out_vertices),
-        )
-        result = execute_plan(plan, graph, config=worker_config, collect=collect)
-        range_truncated = result.truncated and not result.deadline_exceeded
-        return (
-            result.num_matches,
-            result.profile,
-            result.deadline_exceeded,
-            range_truncated,
-            result.matches,
-            tuple(result.vertex_order),
-        )
-
-    start_time = time.perf_counter()
-    per_worker_work = [0] * num_workers
-    total = 0
-    merged = ExecutionProfile()
-    deadline_exceeded = False
-    truncated = False
-    matches: Optional[List[Tuple[int, ...]]] = [] if collect else None
-    vertex_order: Tuple[str, ...] = ()
-    with ThreadPoolExecutor(max_workers=num_workers) as pool:
-        results = list(pool.map(run_range, ranges))
-    for i, (count, profile, exceeded, range_truncated, rows, v_order) in enumerate(results):
-        total += count
-        merged = merged.merge(profile)
-        per_worker_work[i % num_workers] += profile.intersection_cost + count
-        deadline_exceeded = deadline_exceeded or exceeded
-        truncated = truncated or exceeded or range_truncated
-        if v_order:
-            vertex_order = v_order
-        if matches is not None and rows:
-            # pool.map preserves input order, so frames merge in range order.
-            matches.extend(rows)
-    if base_config.output_limit is not None and total > base_config.output_limit:
-        total = base_config.output_limit
-        truncated = True
-    if matches is not None and base_config.output_limit is not None:
-        matches = matches[: base_config.output_limit]
-    elapsed = time.perf_counter() - start_time
-    merged.elapsed_seconds = elapsed
-    merged.output_matches = total
-    # The fold above merged one profile per *morsel*; the meaningful
-    # busy-vs-wall normalisation factor is the thread count.
-    merged.workers = num_workers
-    return ParallelResult(
+    result = ExecutionResult(
         plan=plan,
-        num_matches=total,
-        profile=merged,
+        num_matches=0,
+        profile=ExecutionProfile(),
+        matches=[] if collect else None,
+        vertex_order=tuple(plan.root.out_vertices),
         num_workers=num_workers,
-        elapsed_seconds=elapsed,
-        per_worker_work=per_worker_work,
-        truncated=truncated,
-        deadline_exceeded=deadline_exceeded,
-        matches=matches,
-        vertex_order=vertex_order,
+        per_worker_work=[0] * num_workers,
+    )
+    for index, morsel in enumerate(outcomes):
+        result.num_matches += morsel.count
+        result.profile = result.profile.merge(morsel.profile)
+        work = morsel.profile.intersection_cost + morsel.count
+        result.per_worker_work[morsel.worker_id] += work
+        result.truncated |= morsel.truncated
+        result.deadline_exceeded |= morsel.deadline_exceeded
+        if collect and morsel.rows:
+            result.matches.extend(morsel.rows)
+        if morsel.timings is not None:
+            record = {"morsel_index": index, "worker_id": morsel.worker_id, "rows": morsel.count}
+            result.morsel_records.append({**record, **morsel.timings})
+    limit = config.output_limit
+    if limit is not None and result.num_matches >= limit:
+        result.num_matches = limit
+        result.truncated = True
+        if collect:
+            del result.matches[limit:]
+    result.profile.elapsed_seconds = elapsed
+    result.profile.output_matches = result.num_matches
+    # One profile per *morsel* was merged; the meaningful busy-vs-wall
+    # normalisation factor is the worker count.
+    result.profile.workers = num_workers
+    return result
+
+
+def execute_parallel(
+    plan: Plan,
+    graph: Graph,
+    num_workers: int = 2,
+    config: Optional[ExecutionConfig] = None,
+    collect: bool = False,
+    min_morsel_size: int = MIN_MORSEL_SIZE,
+    pool=None,
+    base_path: Optional[str] = None,
+) -> ExecutionResult:
+    """Execute ``plan`` over scan-range morsels.
+
+    With ``pool`` (a :class:`~repro.executor.multiprocess.MorselProcessPool`)
+    the morsels run on its worker processes, ``base_path`` being handed to
+    :meth:`~repro.executor.multiprocess.MorselProcessPool.execute`; a query
+    the pool cannot ship is counted as a fallback on the pool and runs on
+    ``num_workers`` threads, as does every query without a pool.  A single
+    worker (or a plan without a scan leaf) is a plain serial run.
+    """
+    config = config or ExecutionConfig()
+    if pool is not None:
+        try:
+            return pool.execute(plan, graph, config=config, collect=collect, base_path=base_path)
+        except ProcessExecutionUnsupported as exc:
+            pool.note_fallback(str(exc))
+    scan = primary_scan(plan) if num_workers > 1 else None
+    if scan is None:
+        return execute_plan(plan, graph, config=config, collect=collect)
+    scan_vertices = tuple(scan.out_vertices)
+
+    def on_threads(ranges: Sequence[Tuple[int, int]]) -> List[MorselOutcome]:
+        # Work is attributed round-robin by range index; map() keeps range order.
+        with ThreadPoolExecutor(max_workers=num_workers) as threads:
+            return list(
+                threads.map(
+                    lambda i: run_morsel(
+                        plan, graph, config, collect, scan_vertices, ranges[i], i % num_workers
+                    ),
+                    range(len(ranges)),
+                )
+            )
+
+    return run_morsels(
+        plan, graph, scan, num_workers, min_morsel_size, config, collect, on_threads
     )

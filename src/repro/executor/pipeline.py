@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.errors import DeadlineExceededError
 from repro.executor.operators import ExecutionConfig, build_operator_tree
@@ -15,25 +15,48 @@ from repro.planner.plan import Plan
 
 @dataclass
 class ExecutionResult:
-    """The outcome of running one plan on one graph."""
+    """The outcome of running one plan on one graph, whichever engine ran it
+    (iterator, vectorized, adaptive, or morsels on threads or processes)."""
 
     plan: Plan
     num_matches: int
     profile: ExecutionProfile
+    # Collected rows (``collect=True``); None when only counting.  A morsel
+    # run merges per-morsel rows in range order, capped at ``output_limit``.
     matches: Optional[List[Tuple[int, ...]]] = None
     vertex_order: Tuple[str, ...] = ()
     truncated: bool = False
     deadline_exceeded: bool = False
+    num_workers: int = 1
+    # Morsel runs: i-cost + matches attributed to each worker.
+    per_worker_work: List[int] = field(default_factory=list)
+    # Process transport only: one dict per executed morsel with the
+    # worker-side stage timings (queue_wait, deserialize, base_load,
+    # overlay_rebuild, execute, started_at) plus worker_id/morsel_index/rows
+    # -- the raw material the trace merge turns into worker child spans.
+    # Empty otherwise (stage boundaries are not observable in-process).
+    morsel_records: List[dict] = field(default_factory=list)
 
     @property
     def elapsed_seconds(self) -> float:
         return self.profile.elapsed_seconds
 
-    def matches_as_dicts(self) -> List[dict]:
-        """Matches keyed by query-vertex name (only if matches were collected)."""
+    @property
+    def work_based_speedup(self) -> float:
+        """Ideal speed-up implied by the work partition: total work divided by
+        the maximum work any single worker performed (1.0 for a serial run)."""
+        worst = max(self.per_worker_work, default=0)
+        return sum(self.per_worker_work) / worst if worst else 1.0
+
+    def matches_as_dicts(self, rename: Optional[Mapping[str, str]] = None) -> List[dict]:
+        """Matches keyed by query-vertex name (only if matches were
+        collected); ``rename`` maps the plan's vertex names to the caller's."""
         if self.matches is None:
             return []
-        return [dict(zip(self.vertex_order, m)) for m in self.matches]
+        order = self.vertex_order
+        if rename is not None:
+            order = tuple(rename[v] for v in order)
+        return [dict(zip(order, m)) for m in self.matches]
 
     def __repr__(self) -> str:
         return (

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import AdmissionError
 from repro.executor.operators import ExecutionConfig
+from repro.executor.parallel import check_execution_mode
 from repro.obs.trace import QueryTrace
 from repro.query.query_graph import QueryGraph
 from repro.server.metrics import MetricsSnapshot, ServiceMetrics
@@ -261,11 +262,7 @@ class QueryService:
         self.default_deadline_seconds = default_deadline_seconds
         self.default_row_limit = default_row_limit
         self.num_workers = num_workers
-        if execution_mode not in ("thread", "process"):
-            raise ValueError(
-                f"unknown execution_mode {execution_mode!r}; expected 'thread' or 'process'"
-            )
-        self.execution_mode = execution_mode
+        self.execution_mode = check_execution_mode(execution_mode)
         # Process mode: warm the pool now (workers spawn, the base ships on
         # the first query) so serving latency never pays pool startup; this
         # service then owns the pool's shutdown.

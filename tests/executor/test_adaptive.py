@@ -1,11 +1,10 @@
-"""Tests for the adaptive executor and the morsel-parallel executor."""
+"""Tests for the adaptive executor."""
 
 import pytest
 
 from repro.catalogue.construction import build_catalogue
 from repro.executor.adaptive import execute_adaptive
 from repro.executor.operators import ExecutionConfig
-from repro.executor.parallel import execute_parallel
 from repro.executor.pipeline import count_matches, execute_plan
 from repro.planner.plan import wco_plan_from_order
 from repro.planner.qvo import enumerate_wco_plans
@@ -74,45 +73,3 @@ class TestAdaptiveExecution:
         adaptive = execute_adaptive(plan, social_graph)
         assert adaptive.plan.adaptive
         assert "adaptive" in adaptive.plan.label
-
-
-class TestParallelExecution:
-    def test_parallel_counts_match_serial(self, social_graph):
-        q = cq.triangle()
-        plan = wco_plan_from_order(q, ("a1", "a2", "a3"))
-        serial = count_matches(plan, social_graph)
-        for workers in (1, 2, 4):
-            parallel = execute_parallel(plan, social_graph, num_workers=workers)
-            assert parallel.num_matches == serial
-
-    def test_parallel_diamond(self, random_graph):
-        q = cq.diamond_x()
-        plan = wco_plan_from_order(q, ("a1", "a2", "a3", "a4"))
-        serial = count_matches(plan, random_graph)
-        parallel = execute_parallel(plan, random_graph, num_workers=3, morsel_size=128)
-        assert parallel.num_matches == serial
-
-    def test_parallel_hybrid_plan(self, random_graph):
-        from repro.planner.plan import Plan, make_hash_join
-
-        q = cq.diamond_x()
-        left = wco_plan_from_order(q.project(["a1", "a2", "a3"]), ("a1", "a2", "a3"))
-        right = wco_plan_from_order(q.project(["a2", "a3", "a4"]), ("a2", "a3", "a4"))
-        hybrid = Plan(query=q, root=make_hash_join(q, left.root, right.root))
-        serial = count_matches(hybrid, random_graph)
-        parallel = execute_parallel(hybrid, random_graph, num_workers=2, morsel_size=200)
-        assert parallel.num_matches == serial
-
-    def test_work_based_speedup_positive(self, social_graph):
-        q = cq.triangle()
-        plan = wco_plan_from_order(q, ("a1", "a2", "a3"))
-        result = execute_parallel(plan, social_graph, num_workers=4, morsel_size=64)
-        assert result.work_based_speedup >= 1.0
-        assert result.num_workers == 4
-
-    def test_single_worker_path(self, social_graph):
-        q = cq.triangle()
-        plan = wco_plan_from_order(q, ("a1", "a2", "a3"))
-        result = execute_parallel(plan, social_graph, num_workers=1)
-        assert result.num_workers == 1
-        assert result.num_matches == count_matches(plan, social_graph)

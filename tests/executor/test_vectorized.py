@@ -614,21 +614,6 @@ class TestScanRange:
 
 
 class TestModeComposition:
-    def test_parallel_morsels_execute_vectorized(self, random_graph):
-        from repro.executor.parallel import execute_parallel
-
-        plan = wco_plan_from_order(cq.triangle(), ("a1", "a2", "a3"))
-        serial = count_matches(plan, random_graph)
-        parallel = execute_parallel(
-            plan,
-            random_graph,
-            num_workers=2,
-            morsel_size=128,
-            config=ExecutionConfig(**VEC),
-        )
-        assert parallel.num_matches == serial
-        assert parallel.profile.batches > 0
-
     def test_adaptive_base_streams_batches(self, random_graph):
         from repro.executor.adaptive import execute_adaptive
 

@@ -188,3 +188,45 @@ class TestGraphflowDbIntegration:
         # though the plan came from the cache under the original names.
         assert result.matches is not None and result.matches
         assert set(result.matches[0]) == {"n1", "n2", "n3"}
+
+    def test_plan_cached_is_this_calls_own_fact(self, db, monkeypatch):
+        """``plan_cached`` says whether *this* execute ran the optimizer, not
+        whether anyone did meanwhile: thread A sits inside the optimizer on a
+        cold query while thread B runs an already-cached one."""
+        import repro.api as api
+
+        cached_query, cold_query = cq.triangle(), cq.diamond_x()
+        db.execute(cached_query)
+        inside_optimizer, release = threading.Event(), threading.Event()
+
+        class BlockingOptimizer(api.DynamicProgrammingOptimizer):
+            def optimize(self, query):
+                inside_optimizer.set()
+                assert release.wait(timeout=10.0)
+                return super().optimize(query)
+
+        monkeypatch.setattr(api, "DynamicProgrammingOptimizer", BlockingOptimizer)
+        cold = {}
+        thread_a = threading.Thread(
+            target=lambda: cold.update(result=db.execute(cold_query)), daemon=True
+        )
+        # A starts planning inside B's plan-cache lookup, the window in which
+        # the planner-invocation counter used to be diffed.
+        lookup = db.plan_cache.get_or_compute
+
+        def lookup_while_a_plans(key, compute):
+            if threading.current_thread() is not thread_a:
+                thread_a.start()
+                assert inside_optimizer.wait(timeout=10.0)
+            return lookup(key, compute)
+
+        monkeypatch.setattr(db.plan_cache, "get_or_compute", lookup_while_a_plans)
+        try:
+            result = db.execute(cached_query)
+        finally:
+            release.set()
+            thread_a.join(timeout=10.0)
+        assert not thread_a.is_alive()
+        assert result.trace.plan_cached is True
+        assert result.trace.spans[0].attributes["cached"] is True
+        assert cold["result"].trace.plan_cached is False
