@@ -27,7 +27,7 @@ from repro.catalogue.catalogue import SubgraphCatalogue
 from repro.catalogue.construction import build_catalogue
 from repro.catalogue.estimation import estimate_cardinality
 from repro.errors import OptimizerError, PersistenceError
-from repro.executor.adaptive import execute_adaptive
+from repro.executor.adaptive import adapt
 from repro.executor.multiprocess import MorselProcessPool
 from repro.executor.operators import ExecutionConfig
 from repro.executor.parallel import check_execution_mode, execute_parallel
@@ -861,7 +861,11 @@ class GraphflowDB:
         ----------
         adaptive:
             Re-pick query-vertex orderings per partial match at runtime
-            (Section 6).  Not supported together with ``num_workers > 1``.
+            (Section 6): :func:`repro.executor.adaptive.adapt` replaces the
+            plan's chain of two or more E/I operators by one adaptive
+            operator.  Only the batch engine has it, so this implies
+            ``vectorized=True``; the rewritten plan otherwise runs like any
+            other (``collect``, ``num_workers``, ``execution_mode``).
         collect:
             Materialise matches (as dictionaries keyed by query vertex name).
             With ``num_workers > 1`` the per-morsel frames are merged in
@@ -875,31 +879,24 @@ class GraphflowDB:
             (``batch_size``), output limit, deadline, ...
         vectorized:
             When True, run the batch-at-a-time (columnar) engine instead of
-            the tuple-at-a-time pipeline; composes with ``adaptive``
-            (batched base matches), ``collect``, and ``num_workers > 1``
-            (each morsel executes vectorized).  Overrides
-            ``config.vectorized`` when given.
+            the tuple-at-a-time pipeline; composes with ``collect`` and
+            ``num_workers > 1`` (each morsel executes vectorized).
+            Overrides ``config.vectorized`` when given.
         execution_mode:
             ``"thread"`` (default) or ``"process"`` — how ``num_workers > 1``
             distributes morsels.  Process mode runs them across the
             :class:`~repro.executor.multiprocess.MorselProcessPool` (worker
             processes mapping a shared snapshot file read-only, escaping the
-            GIL); an unshippable query — no scan leaf, triangle-index config,
-            or a dirty snapshot whose delta exceeds the pool's shipping
-            threshold — falls back to thread execution for that query.
+            GIL); an unshippable query — no scan leaf, or a dirty snapshot
+            whose delta exceeds the pool's shipping threshold — falls back
+            to thread execution for that query.
             Ignored when ``num_workers <= 1``.
         """
+        if adaptive:
+            vectorized = True
         if vectorized is not None:
             config = replace(config or ExecutionConfig(), vectorized=vectorized)
         check_execution_mode(execution_mode)
-        if num_workers > 1 and adaptive:
-            # Adaptive ordering re-plans per partial match; morsel workers
-            # share one fixed plan, so the combination stays rejected.
-            raise ValueError(
-                f"execute(num_workers={num_workers}) does not support adaptive; "
-                "the morsel-parallel executors run fixed plans. Run with "
-                "num_workers=1 for adaptive ordering selection."
-            )
         effective_vectorized = bool(config.vectorized) if config is not None else False
         if isinstance(query, Plan):
             plan = query
@@ -926,19 +923,16 @@ class GraphflowDB:
         exec_graph = self._read_graph()
 
         if adaptive:
-            result = execute_adaptive(
-                plan, exec_graph, catalogue=self.catalogue, config=config, collect=collect
-            )
-        else:
-            # One worker is execute_parallel's serial fall-through.
-            pool = base_path = None
-            if num_workers > 1 and execution_mode == "process":
-                pool = self.enable_process_pool(num_workers)
-                base_path = self._process_base_path(exec_graph)
-            result = execute_parallel(
-                plan, exec_graph, num_workers=num_workers, config=config,
-                collect=collect, pool=pool, base_path=base_path,
-            )
+            plan = adapt(plan, exec_graph, self.catalogue)
+        # One worker is execute_parallel's serial fall-through.
+        pool = base_path = None
+        if num_workers > 1 and execution_mode == "process":
+            pool = self.enable_process_pool(num_workers)
+            base_path = self._process_base_path(exec_graph)
+        result = execute_parallel(
+            plan, exec_graph, num_workers=num_workers, config=config,
+            collect=collect, pool=pool, base_path=base_path,
+        )
 
         matches: Optional[List[dict]] = None
         if collect:

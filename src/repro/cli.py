@@ -301,9 +301,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.adaptive and args.workers > 1:
-        print("error: --adaptive is not supported with --workers > 1", file=sys.stderr)
-        return 2
     db = _load_db(args)
     query = _resolve_query(args.query)
     result = db.execute(

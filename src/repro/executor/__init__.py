@@ -1,7 +1,7 @@
 """Volcano-style plan execution: SCAN, EXTEND/INTERSECT, HASH-JOIN, SINK
 operators, runtime profiling (i-cost, intermediate matches, cache hits),
-adaptive query-vertex-ordering selection, a vectorized batch-at-a-time engine
-exchanging columnar morsels, and one morsel coordinator (``parallel``) with a
+adaptive query-vertex-ordering selection (a plan rewrite run by the batch
+engine), a vectorized batch-at-a-time engine exchanging columnar morsels, and one morsel coordinator (``parallel``) with a
 thread and a process (``multiprocess``) transport.  Every engine returns an
 :class:`ExecutionResult`."""
 

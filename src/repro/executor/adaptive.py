@@ -1,136 +1,99 @@
-"""Adaptive WCO plan evaluation (Section 6).
+"""Adaptive WCO plan evaluation (Section 6) as a plan rewrite.
 
 A fixed plan's WCO part (a chain of two or more E/I operators) commits to one
-query-vertex ordering chosen from *average* statistics.  The adaptive executor
-instead fixes only the partial match produced below the chain (for pure WCO
-plans: the scanned edge) and, for every such partial match, re-evaluates the
-cost of every ordering of the remaining query vertices using the *actual*
-adjacency-list sizes of the matched data vertices, then extends that match
-with the cheapest ordering (Example 6.2).
+query-vertex ordering chosen from *average* statistics.  :func:`adapt`
+replaces the topmost such chain by one
+:class:`~repro.planner.plan.AdaptiveNode` carrying every ordering of the
+chain's query vertices; the batch engine's operator for that node
+(:class:`repro.executor.vectorized.BatchAdaptiveOperator`) re-costs the
+orderings for every partial match arriving from below the chain, with the
+*actual* adjacency-list sizes of the matched data vertices, and extends the
+match with the cheapest one (Example 6.2).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import replace
+from typing import List, Optional, Tuple
 
 from repro.catalogue.catalogue import SubgraphCatalogue
 from repro.catalogue.estimation import extension_statistics
-from repro.errors import DeadlineExceededError
-from repro.executor.operators import (
-    DEADLINE_CHECK_STRIDE,
-    ExecutionConfig,
-    build_operator_tree,
-)
-from repro.executor.pipeline import ExecutionResult
-from repro.executor.profile import ExecutionProfile
-from repro.graph.graph import Direction, Graph
-from repro.graph.intersect import intersect_multiway
-from repro.planner.descriptors import AdjListDescriptor
-from repro.planner.plan import ExtendNode, Plan, PlanNode
+from repro.errors import CatalogueError
+from repro.executor.operators import ExecutionConfig
+from repro.executor.pipeline import ExecutionResult, execute_plan
+from repro.graph.graph import Graph
+from repro.planner.plan import AdaptiveNode, AdaptiveTail, ExtendNode, Plan, PlanNode, make_extend
 from repro.planner.qvo import enumerate_orderings
-from repro.query.query_graph import QueryGraph
 
 
-@dataclass
-class _OrderingTemplate:
-    """Pre-resolved extension steps for one candidate ordering."""
-
-    ordering: Tuple[str, ...]
-    # For each extension step: (target label, [(tuple index, direction, edge label), ...])
-    steps: List[Tuple[Optional[int], List[Tuple[int, Direction, Optional[int]]]]]
-    # Catalogue statistics per step: (sum of avg list sizes, mu), used to
-    # re-evaluate the cost of the tail of the ordering.
-    step_stats: List[Tuple[float, float]]
-
-
-def _wco_chain_base(plan: Plan) -> Tuple[PlanNode, int]:
-    """Find the node below the topmost maximal chain of E/I operators.
-
-    Returns the base node and the length of the chain above it.
-    """
-    chain_len = 0
-    node = plan.root
-    while isinstance(node, ExtendNode):
-        chain_len += 1
-        node = node.child
-    return node, chain_len
+def _step_statistics(
+    node: ExtendNode, graph: Graph, catalogue: Optional[SubgraphCatalogue]
+) -> Tuple[float, float]:
+    """``(summed average list sizes, mu)`` of one E/I from the catalogue; the
+    graph's average degree per list without one, or when it has no entry."""
+    if catalogue is not None:
+        try:
+            sizes, mu = extension_statistics(
+                catalogue, node.child.sub_query, node.descriptors, node.to_vertex_label, graph=graph
+            )
+        except CatalogueError:
+            pass
+        else:
+            return float(sum(sizes)), float(mu)
+    return len(node.descriptors) * graph.num_edges / max(graph.num_vertices, 1), 1.0
 
 
-def _build_templates(
-    query: QueryGraph,
-    base_vertices: Tuple[str, ...],
+def _tail(
+    plan: Plan,
+    base: PlanNode,
+    ordering: Tuple[str, ...],
     graph: Graph,
     catalogue: Optional[SubgraphCatalogue],
-) -> List[_OrderingTemplate]:
-    """All orderings that extend the base partial match to the full query,
-    with descriptors resolved to tuple positions and per-step statistics."""
-    templates: List[_OrderingTemplate] = []
-    for ordering in enumerate_orderings(query, prefix=base_vertices):
-        steps: List[Tuple[Optional[int], List[Tuple[int, Direction, Optional[int]]]]] = []
-        step_stats: List[Tuple[float, float]] = []
-        ok = True
-        for k in range(len(base_vertices), len(ordering)):
-            to_vertex = ordering[k]
-            prefix = ordering[:k]
-            index = {v: i for i, v in enumerate(prefix)}
-            descriptors = [
-                AdjListDescriptor.for_extension(e, to_vertex)
-                for e in query.edges_touching(to_vertex)
-                if e.other(to_vertex) in set(prefix)
-            ]
-            if not descriptors:
-                ok = False
-                break
-            resolved = [
-                (index[d.from_vertex], d.direction, d.edge_label) for d in descriptors
-            ]
-            to_label = query.vertex_label(to_vertex)
-            steps.append((to_label, resolved))
-            if catalogue is not None:
-                try:
-                    sub = query.project(prefix)
-                    sizes, mu = extension_statistics(
-                        catalogue, sub, descriptors, to_label, graph=graph
-                    )
-                    step_stats.append((float(sum(sizes)), float(mu)))
-                except Exception:
-                    step_stats.append((float(graph.num_edges) / max(graph.num_vertices, 1), 1.0))
-            else:
-                avg = float(graph.num_edges) / max(graph.num_vertices, 1)
-                step_stats.append((avg * len(resolved), 1.0))
-        if ok and steps:
-            templates.append(
-                _OrderingTemplate(ordering=tuple(ordering), steps=steps, step_stats=step_stats)
-            )
-    return templates
-
-
-def _estimate_template_cost(
-    template: _OrderingTemplate, t: Tuple[int, ...], graph: Graph
-) -> float:
-    """Re-evaluated i-cost of extending the specific partial match ``t`` with
-    this ordering: the first step uses the actual adjacency-list sizes of the
-    matched vertices, later steps scale the catalogue averages by the ratio of
-    actual to average size (Example 6.2)."""
-    to_label, resolved = template.steps[0]
-    actual_first = 0.0
-    for idx, direction, edge_label in resolved:
-        actual_first += graph.degree(t[idx], direction, edge_label, to_label)
-    avg_first, mu_first = template.step_stats[0]
-    cost = actual_first
-    # Scale the expected number of matches flowing into later steps.
-    scale = 1.0
+) -> AdaptiveTail:
+    """The E/I chain extending ``base`` in ``ordering`` and its re-costing
+    constants.  For a partial match whose first E/I reads lists of summed
+    size ``d``, the expected matches flowing into the later steps are the
+    catalogue's ``mu`` scaled by ``d / average d``, and every later step
+    costs its average list sizes per match flowing in (Example 6.2):
+    ``cost = d + mu_1 * (d / avg_1) * (avg_2 + mu_2 * avg_3 + ...)``."""
+    root = base
+    stats: List[Tuple[float, float]] = []
+    for to_vertex in ordering[len(base.out_vertices):]:
+        root = make_extend(plan.query, root, to_vertex)
+        stats.append(_step_statistics(root, graph, catalogue))
+    (avg_first, mu_first), later, flowing = stats[0], 0.0, 1.0
+    for avg, mu in stats[1:]:
+        later += flowing * avg
+        flowing *= mu
     if avg_first > 0:
-        scale = actual_first / avg_first
-    expected_matches = mu_first * scale
-    for (avg_sizes, mu), _step in zip(template.step_stats[1:], template.steps[1:]):
-        cost += expected_matches * avg_sizes
-        expected_matches *= mu
-    return cost
+        return AdaptiveTail(root, 1.0 + mu_first * later / avg_first, 0.0)
+    return AdaptiveTail(root, 1.0, mu_first * later)
+
+
+def adapt(plan: Plan, graph: Graph, catalogue: Optional[SubgraphCatalogue] = None) -> Plan:
+    """``plan`` with its topmost E/I chain replaced by one adaptive node; a
+    plan whose chain is shorter than two operators (pure WCO plans of 4+
+    vertices always have one) is returned as is."""
+    base = plan.root
+    while isinstance(base, ExtendNode):
+        base = base.child
+    if len(plan.root.out_vertices) - len(base.out_vertices) < 2:
+        return plan
+    orderings = enumerate_orderings(plan.query, prefix=base.out_vertices)
+    if not orderings:
+        return plan
+    root = AdaptiveNode(
+        sub_query=plan.root.sub_query,
+        out_vertices=plan.root.out_vertices,
+        child=base,
+        tails=tuple(_tail(plan, base, o, graph, catalogue) for o in orderings),
+    )
+    # The adaptive operator produces what the chain's last E/I would have.
+    estimates = plan.operator_estimates
+    if estimates and plan.root.display_name() in estimates:
+        estimates = {**estimates, root.display_name(): estimates[plan.root.display_name()]}
+    label = (plan.label + "+adaptive") if plan.label else "adaptive"
+    return replace(plan, root=root, label=label, operator_estimates=estimates)
 
 
 def execute_adaptive(
@@ -140,146 +103,7 @@ def execute_adaptive(
     config: Optional[ExecutionConfig] = None,
     collect: bool = False,
 ) -> ExecutionResult:
-    """Run ``plan`` with adaptive query-vertex-ordering selection.
-
-    The plan must contain a chain of at least two E/I operators at the top
-    (pure WCO plans always do for queries with 4+ vertices); otherwise the
-    plan is executed as-is.
-    """
-    config = config or ExecutionConfig()
-    base_node, chain_len = _wco_chain_base(plan)
-    if chain_len < 2:
-        from repro.executor.pipeline import execute_plan
-
-        return execute_plan(plan, graph, config=config, collect=collect)
-
-    profile = ExecutionProfile()
-    if config.vectorized:
-        # The partial matches below the chain stream through the batch engine
-        # (columnar frames straight off the CSR arrays); the per-match
-        # ordering re-selection itself is inherently tuple-at-a-time.
-        from repro.executor.vectorized import build_batch_operator_tree
-
-        batch_base = build_batch_operator_tree(
-            base_node, graph, profile, config, is_root=False
-        )
-
-        def _base_tuples():
-            for frame in batch_base.frames():
-                for row in frame.tolist():
-                    yield tuple(row)
-
-        base_operator = _base_tuples()
-    else:
-        base_operator = build_operator_tree(
-            base_node, graph, profile, config, is_root=False
-        )
-    base_vertices = tuple(base_node.out_vertices)
-    templates = _build_templates(plan.query, base_vertices, graph, catalogue)
-    if not templates:
-        from repro.executor.pipeline import execute_plan
-
-        return execute_plan(plan, graph, config=config, collect=collect)
-
-    matches: Optional[List[Tuple[int, ...]]] = [] if collect else None
-    count = 0
-    truncated = False
-    deadline_exceeded = False
-    ticks = 0
-    # Per-template, per-level intersection cache (key -> extension array).
-    caches: List[List[Optional[Tuple[Tuple[int, ...], np.ndarray]]]] = [
-        [None] * len(template.steps) for template in templates
-    ]
-
-    start = time.perf_counter()
-
-    def extend(
-        t: Tuple[int, ...], template_idx: int, level: int
-    ) -> None:
-        nonlocal count, truncated, deadline_exceeded, ticks
-        if truncated:
-            return
-        ticks += 1
-        if (
-            config.deadline is not None
-            and ticks % DEADLINE_CHECK_STRIDE == 0
-            and time.monotonic() > config.deadline
-        ):
-            truncated = True
-            deadline_exceeded = True
-            return
-        template = templates[template_idx]
-        if level == len(template.steps):
-            count += 1
-            if collect:
-                # Different partial matches may use different orderings, so
-                # normalise every collected match to the plan root's order.
-                position = {v: i for i, v in enumerate(template.ordering)}
-                matches.append(  # type: ignore[union-attr]
-                    tuple(t[position[v]] for v in plan.root.out_vertices)
-                )
-            if config.output_limit is not None and count >= config.output_limit:
-                truncated = True
-            return
-        to_label, resolved = template.steps[level]
-        key = tuple(t[idx] for idx, _, _ in resolved)
-        cached = caches[template_idx][level]
-        if config.enable_intersection_cache and cached is not None and cached[0] == key:
-            extension = cached[1]
-            profile.record_cache_hit()
-        else:
-            profile.record_cache_miss()
-            lists = []
-            accessed = 0
-            for idx, direction, edge_label in resolved:
-                adj = graph.neighbors(t[idx], direction, edge_label, to_label)
-                accessed += len(adj)
-                lists.append(adj)
-            profile.record_intersection(accessed)
-            extension = lists[0] if len(lists) == 1 else intersect_multiway(lists)
-            if config.enable_intersection_cache:
-                caches[template_idx][level] = (key, extension)
-        for w in extension:
-            w = int(w)
-            if config.isomorphism and w in t:
-                continue
-            if level + 1 < len(template.steps):
-                profile.record_intermediate(1)
-            extend(t + (w,), template_idx, level + 1)
-            if truncated:
-                return
-
-    try:
-        for t in base_operator:
-            if truncated:
-                break
-            if config.deadline is not None and time.monotonic() > config.deadline:
-                truncated = True
-                deadline_exceeded = True
-                break
-            costs = [_estimate_template_cost(tpl, t, graph) for tpl in templates]
-            best_idx = int(np.argmin(costs))
-            extend(t, best_idx, 0)
-    except DeadlineExceededError:
-        truncated = True
-        deadline_exceeded = True
-
-    profile.elapsed_seconds = time.perf_counter() - start
-    profile.output_matches = count
-    adaptive_plan = Plan(
-        query=plan.query,
-        root=plan.root,
-        estimated_cost=plan.estimated_cost,
-        estimated_cardinality=plan.estimated_cardinality,
-        label=(plan.label + "+adaptive") if plan.label else "adaptive",
-        adaptive=True,
-    )
-    return ExecutionResult(
-        plan=adaptive_plan,
-        num_matches=count,
-        profile=profile,
-        matches=matches,
-        vertex_order=tuple(plan.root.out_vertices),
-        truncated=truncated,
-        deadline_exceeded=deadline_exceeded,
-    )
+    """Run ``adapt(plan)`` on the batch engine, the only one with an
+    operator for the adaptive node."""
+    config = replace(config or ExecutionConfig(), vectorized=True)
+    return execute_plan(adapt(plan, graph, catalogue), graph, config=config, collect=collect)

@@ -97,7 +97,7 @@ from repro.planner.serialize import plan_from_dict, plan_to_dict
 _WORKER_BASE_CACHE = 2
 
 #: Config fields shipped to workers.  Everything else on ExecutionConfig is
-#: either per-morsel (scan_range) or unshippable (triangle_index).
+#: per-morsel (scan_range).
 _SHIPPED_CONFIG_FIELDS = (
     "enable_intersection_cache",
     "isomorphism",
@@ -574,10 +574,6 @@ class MorselProcessPool:
         if base_config.scan_range is not None:
             raise ProcessExecutionUnsupported(
                 "an explicit scan_range conflicts with morsel partitioning"
-            )
-        if base_config.triangle_index is not None:
-            raise ProcessExecutionUnsupported(
-                "a triangle index cannot be shipped to worker processes"
             )
 
         overlay = None

@@ -22,7 +22,6 @@ from repro.errors import DeadlineExceededError, PlanError
 from repro.executor.profile import ExecutionProfile
 from repro.graph.graph import Direction, Graph
 from repro.graph.intersect import contains_sorted, intersect_multiway
-from repro.graph.triangle_index import TriangleIndex
 from repro.planner.plan import ExtendNode, HashJoinNode, PlanNode, ScanNode
 
 
@@ -48,11 +47,6 @@ class ExecutionConfig:
         all other scans read their full edge list.
     output_limit:
         Stop after this many output matches (Appendix C limits output sizes).
-    triangle_index:
-        Optional :class:`repro.graph.triangle_index.TriangleIndex`.  Two-way
-        intersections whose (vertex pair, direction pair) the index covers are
-        answered with a lookup instead of an adjacency-list intersection; all
-        other extensions fall back to ordinary intersections.
     deadline:
         Optional absolute ``time.monotonic()`` timestamp.  Operators check it
         periodically while iterating and raise
@@ -82,7 +76,6 @@ class ExecutionConfig:
     scan_range: Optional[Tuple[int, int]] = None
     scan_range_vertices: Optional[Tuple[str, ...]] = None
     output_limit: Optional[int] = None
-    triangle_index: Optional["TriangleIndex"] = None
     deadline: Optional[float] = None
     vectorized: bool = False
     batch_size: int = 2048
@@ -256,25 +249,6 @@ class ExtendIntersectOperator(Operator):
         self._cache_key: Optional[Tuple] = None
         self._cache_value: Optional[np.ndarray] = None
 
-    def _indexed_extension(self, t: Tuple[int, ...]) -> Optional[np.ndarray]:
-        """Serve a 2-way intersection from the triangle index when possible.
-
-        Only applies to unlabeled 2-descriptor extensions onto an unlabeled
-        target vertex, because the index stores intersections of full (merged)
-        adjacency lists.
-        """
-        index = self.config.triangle_index
-        if index is None or len(self._resolved) != 2 or self._to_label is not None:
-            return None
-        (idx_a, dir_a, label_a), (idx_b, dir_b, label_b) = self._resolved
-        if label_a is not None or label_b is not None:
-            return None
-        extension = index.lookup(t[idx_a], t[idx_b], dir_a, dir_b)
-        if extension is None:
-            return None
-        self.profile.record_index_hit()
-        return extension
-
     def _extension_set(self, t: Tuple[int, ...]) -> np.ndarray:
         key = tuple(t[idx] for idx, _, _ in self._resolved)
         if (
@@ -285,12 +259,6 @@ class ExtendIntersectOperator(Operator):
             self.profile.record_cache_hit()
             return self._cache_value  # type: ignore[return-value]
         self.profile.record_cache_miss()
-        indexed = self._indexed_extension(t)
-        if indexed is not None:
-            if self.config.enable_intersection_cache:
-                self._cache_key = key
-                self._cache_value = indexed
-            return indexed
         lists = []
         accessed = 0
         for idx, direction, edge_label in self._resolved:

@@ -16,7 +16,7 @@ from repro.planner.plan import Plan
 @dataclass
 class ExecutionResult:
     """The outcome of running one plan on one graph, whichever engine ran it
-    (iterator, vectorized, adaptive, or morsels on threads or processes)."""
+    (iterator, vectorized, or morsels of either on threads or processes)."""
 
     plan: Plan
     num_matches: int

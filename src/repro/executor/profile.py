@@ -31,7 +31,6 @@ class ExecutionProfile:
     output_matches: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    index_hits: int = 0
     hash_table_entries: int = 0
     hash_probes: int = 0
     batches: int = 0
@@ -69,10 +68,6 @@ class ExecutionProfile:
 
     def record_cache_miss(self) -> None:
         self.cache_misses += 1
-
-    def record_index_hit(self) -> None:
-        """An extension set was served from a precomputed triangle index."""
-        self.index_hits += 1
 
     def record_intermediate(self, count: int = 1) -> None:
         self.intermediate_matches += count
@@ -120,7 +115,6 @@ class ExecutionProfile:
             output_matches=self.output_matches + other.output_matches,
             cache_hits=self.cache_hits + other.cache_hits,
             cache_misses=self.cache_misses + other.cache_misses,
-            index_hits=self.index_hits + other.index_hits,
             hash_table_entries=self.hash_table_entries + other.hash_table_entries,
             hash_probes=self.hash_probes + other.hash_probes,
             batches=self.batches + other.batches,
@@ -144,7 +138,6 @@ class ExecutionProfile:
             "output_matches": self.output_matches,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "index_hits": self.index_hits,
             "hash_table_entries": self.hash_table_entries,
             "hash_probes": self.hash_probes,
             "batches": self.batches,

@@ -26,6 +26,8 @@ columns aligned to the plan node's ``out_vertices`` order.
   Isomorphism violations are filtered with broadcast compares against the
   prefix columns, and the ``(prefix x extension)`` product is expanded with
   ``np.repeat`` + ragged gathers.
+* :class:`BatchAdaptiveOperator` (Section 6) routes each row of a frame to
+  the cheapest of several E/I chains and drives those chains' ``_process``.
 * :class:`BatchHashJoinOperator` sorts the build side by a packed join code
   and *locates* every probe batch in it: the batch sorted by its own code,
   one ``searchsorted``, and per hit the bucket of build rows it matches.
@@ -98,8 +100,8 @@ from repro.executor.operators import (
 )
 from repro.executor.profile import ExecutionProfile
 from repro.graph.graph import ANY_LABEL, Direction, Graph
-from repro.graph.intersect import intersect_multiway, locate_sorted, member_sorted
-from repro.planner.plan import ExtendNode, HashJoinNode, Plan, PlanNode, ScanNode
+from repro.graph.intersect import locate_sorted, member_sorted
+from repro.planner.plan import AdaptiveNode, ExtendNode, HashJoinNode, Plan, PlanNode, ScanNode
 
 _EMPTY_I64 = np.array([], dtype=np.int64)
 
@@ -262,7 +264,33 @@ class BatchScanOperator(BatchOperator):
                 yield frame
 
 
-class BatchExtendIntersectOperator(BatchOperator):
+class _FrameExpander(BatchOperator):
+    """An operator over one ``child`` whose :meth:`_process` turns an input
+    frame into output frames or, under ``count_only``, their row counts."""
+
+    child: BatchOperator
+    _name: str
+
+    def _run(self, count_only: bool) -> Iterator[Union[np.ndarray, int]]:
+        for frame in self.child.frames():
+            self._check_deadline()
+            t0 = time.perf_counter()
+            for out in self._process(frame, count_only):
+                self.profile.record_operator_time(self._name, time.perf_counter() - t0)
+                self._account_frame(self._name, out if count_only else out.shape[0])
+                yield out
+                self._check_deadline()
+                t0 = time.perf_counter()
+            self.profile.record_operator_time(self._name, time.perf_counter() - t0)
+
+    def frames(self) -> Iterator[np.ndarray]:
+        return self._run(count_only=False)
+
+    def counts(self) -> Iterator[int]:
+        return self._run(count_only=True)
+
+
+class BatchExtendIntersectOperator(_FrameExpander):
     """EXTEND/INTERSECT over columnar batches, grouped by adjacency keys."""
 
     def __init__(self, node: ExtendNode, child: BatchOperator, *args, **kwargs) -> None:
@@ -273,13 +301,6 @@ class BatchExtendIntersectOperator(BatchOperator):
             resolve_extend_descriptors(node, child.node.out_vertices)
         )
         self._to_label = node.to_vertex_label
-        index = self.config.triangle_index
-        self._index_applicable = (
-            index is not None
-            and len(resolved) == 2
-            and self._to_label is None
-            and all(edge_label is None for _, _, edge_label in resolved)
-        )
         # Prefix-intersection reuse (seed source (b)): the child's columns are
         # a prefix of this node's input columns, so equal resolved descriptors
         # name the same adjacency lists.  The covered descriptors move to the
@@ -287,7 +308,6 @@ class BatchExtendIntersectOperator(BatchOperator):
         self._num_covered = 0
         if (
             self.config.enable_intersection_cache
-            and not self._index_applicable
             and isinstance(child, BatchExtendIntersectOperator)
             and child._to_label == self._to_label
             and set(child._resolved) <= set(resolved)
@@ -423,38 +443,6 @@ class BatchExtendIntersectOperator(BatchOperator):
             uncovered,
         )
 
-    def _extensions_per_key(
-        self, unique_keys: np.ndarray, group_sizes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-distinct-key path used when a triangle index is configured:
-        each key is answered with an index lookup when covered, falling back
-        to an ordinary multiway intersection."""
-        index = self.config.triangle_index
-        (idx_a, dir_a, _), (idx_b, dir_b, _) = self._resolved[0], self._resolved[1]
-        group_parts: List[np.ndarray] = []
-        value_parts: List[np.ndarray] = []
-        for gid in range(unique_keys.shape[0]):
-            key = unique_keys[gid]
-            extension = index.lookup(int(key[0]), int(key[1]), dir_a, dir_b)
-            if extension is not None:
-                self.profile.record_index_hit()
-            else:
-                lists = []
-                accessed = 0
-                for j, (_, direction, _) in enumerate(self._resolved):
-                    adj = self._csrs[j].neighbors(int(key[j]))
-                    accessed += len(adj)
-                    lists.append(adj)
-                weight = 1 if self.config.enable_intersection_cache else int(group_sizes[gid])
-                self.profile.record_intersection(accessed * weight)
-                extension = lists[0] if len(lists) == 1 else intersect_multiway(lists)
-            if len(extension):
-                group_parts.append(np.full(len(extension), gid, dtype=np.int64))
-                value_parts.append(np.asarray(extension, dtype=np.int64))
-        if not group_parts:
-            return _EMPTY_I64, _EMPTY_I64
-        return np.concatenate(group_parts), np.concatenate(value_parts)
-
     # ------------------------------------------------------------------ #
     def _process(
         self, frame: np.ndarray, count_only: bool
@@ -476,11 +464,9 @@ class BatchExtendIntersectOperator(BatchOperator):
             # a distinct key is served from the one computed intersection.
             self.profile.cache_hits += int(n - num_groups)
             self.profile.cache_misses += int(num_groups)
-        # Both vectorized sources return non-decreasing group ids with sorted
+        # Both seed sources return non-decreasing group ids with sorted
         # values inside each group, the layout the expansion below indexes.
-        if self._index_applicable:
-            groups, values = self._extensions_per_key(unique_keys, group_sizes)
-        elif self._num_covered:
+        if self._num_covered:
             groups, values = self._extensions_from_siblings(
                 sorted_frame, keys, starts, unique_keys
             )
@@ -523,23 +509,68 @@ class BatchExtendIntersectOperator(BatchOperator):
             if out.shape[0]:
                 yield out.shape[0] if count_only else out
 
-    def _run(self, count_only: bool) -> Iterator[Union[np.ndarray, int]]:
-        for frame in self.child.frames():
+
+class BatchAdaptiveOperator(_FrameExpander):
+    """Adaptive E/I (Section 6): every input row is extended by the cheapest
+    of the node's candidate orderings for that row.
+
+    Per input frame: the rows x orderings matrix of re-costed i-costs (each
+    ordering's cost is linear in the summed sizes of the adjacency lists its
+    first E/I would read for the row, straight off the CSR offsets), every
+    row routed to its arg-min ordering, each ordering's rows driven through
+    that ordering's chain of :class:`BatchExtendIntersectOperator` one frame
+    at a time, and the result's columns permuted back to the node's
+    ``out_vertices``.  Intersections, the cache, isomorphism filtering and
+    frame chunking are the E/I operators'; this operator accounts as one
+    (what flows between the E/Is of a chain is counted as intermediate
+    matches, not as any operator's output).
+    """
+
+    def __init__(self, node: AdaptiveNode, child: BatchOperator, *args, **kwargs) -> None:
+        super().__init__(node, *args, **kwargs)
+        self.child = child
+        self._name = node.display_name()
+        #: Per ordering: its E/I operators bottom-up, the two cost constants,
+        #: and the column permutation to ``out_vertices`` (None when identity).
+        self._tails = []
+        for tail in node.tails:
+            chain: List[BatchExtendIntersectOperator] = []
+            for extend in node.tail_chain(tail):
+                below = chain[-1] if chain else child
+                chain.append(BatchExtendIntersectOperator(extend, below, *args, **kwargs))
+            order = tail.root.out_vertices
+            columns = None
+            if order != node.out_vertices:
+                columns = [order.index(v) for v in node.out_vertices]
+            self._tails.append((chain, tail.slope, tail.intercept, columns))
+
+    def _route(self, frame: np.ndarray) -> np.ndarray:
+        """The arg-min ordering of every row."""
+        costs = np.empty((frame.shape[0], len(self._tails)))
+        for j, (chain, slope, intercept, _) in enumerate(self._tails):
+            first = chain[0]
+            degrees = first._degrees(frame[:, first._key_idx], range(len(first._key_idx)))
+            costs[:, j] = slope * degrees.sum(axis=1) + intercept
+        return np.argmin(costs, axis=1)
+
+    def _extend(
+        self, chain: Sequence[BatchExtendIntersectOperator], frame: np.ndarray, count_only: bool
+    ) -> Iterator[Union[np.ndarray, int]]:
+        """``frame`` through ``chain``, depth first: what the last E/I yields."""
+        if len(chain) == 1:
+            yield from chain[0]._process(frame, count_only)
+            return
+        for out in chain[0]._process(frame, False):
             self._check_deadline()
-            t0 = time.perf_counter()
-            for out in self._process(frame, count_only):
-                self.profile.record_operator_time(self._name, time.perf_counter() - t0)
-                self._account_frame(self._name, out if count_only else out.shape[0])
-                yield out
-                self._check_deadline()
-                t0 = time.perf_counter()
-            self.profile.record_operator_time(self._name, time.perf_counter() - t0)
+            self.profile.record_intermediate(out.shape[0])
+            yield from self._extend(chain[1:], out, count_only)
 
-    def frames(self) -> Iterator[np.ndarray]:
-        return self._run(count_only=False)
-
-    def counts(self) -> Iterator[int]:
-        return self._run(count_only=True)
+    def _process(self, frame: np.ndarray, count_only: bool) -> Iterator[Union[np.ndarray, int]]:
+        choice = self._route(frame)
+        for j in np.unique(choice):
+            chain, _, _, columns = self._tails[j]
+            for out in self._extend(chain, frame[choice == j], count_only):
+                yield out if count_only or columns is None else out[:, columns]
 
 
 class BatchHashJoinOperator(BatchOperator):
@@ -763,6 +794,9 @@ def build_batch_operator_tree(
     if isinstance(node, ExtendNode):
         child = build_batch_operator_tree(node.child, graph, profile, config, is_root=False)
         return BatchExtendIntersectOperator(node, child, graph, profile, config, is_root)
+    if isinstance(node, AdaptiveNode):
+        child = build_batch_operator_tree(node.child, graph, profile, config, is_root=False)
+        return BatchAdaptiveOperator(node, child, graph, profile, config, is_root)
     if isinstance(node, HashJoinNode):
         build = build_batch_operator_tree(node.build, graph, profile, config, is_root=False)
         probe = build_batch_operator_tree(node.probe, graph, profile, config, is_root=False)

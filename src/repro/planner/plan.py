@@ -13,7 +13,8 @@ constraint* requires that sub-query to be the induced projection of the full
 query onto the node's vertex set.
 
 WCO plans are plans with no HASH-JOIN; BJ plans have no E/I; hybrid plans mix
-both.
+both.  At execution time a chain of two or more E/I operators may be replaced
+by one :class:`AdaptiveNode` (Section 6).
 """
 
 from __future__ import annotations
@@ -177,6 +178,57 @@ class HashJoinNode(PlanNode):
         return ("hashjoin", tuple(sorted(self.join_vertices)), self.build.signature(), self.probe.signature())
 
 
+@dataclass(frozen=True)
+class AdaptiveTail:
+    """One candidate ordering of an :class:`AdaptiveNode`: the E/I chain that
+    extends the node's child in that order, and the two constants of its
+    re-costed i-cost ``slope * d + intercept``, ``d`` being the summed sizes
+    of the adjacency lists its first E/I reads for a given input row."""
+
+    root: ExtendNode
+    slope: float
+    intercept: float
+
+
+@dataclass
+class AdaptiveNode(PlanNode):
+    """Adaptive E/I (Section 6): stands where a chain of two or more E/I
+    operators stood above ``child`` and extends every input row by whichever
+    of ``tails`` is cheapest for that row's actual adjacency-list sizes.
+    ``out_vertices`` is the replaced chain's order, whatever the tail."""
+
+    child: PlanNode = None  # type: ignore[assignment]
+    tails: Tuple[AdaptiveTail, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.child is None or not self.tails:
+            raise PlanError("AdaptiveNode requires a child and at least one tail")
+        width = len(self.child.out_vertices)
+        for tail in self.tails:
+            order = tail.root.out_vertices
+            if order[:width] != self.child.out_vertices or set(order) != set(self.out_vertices):
+                raise PlanError(f"tail {order} does not extend the child to {self.out_vertices}")
+
+    def children(self) -> Tuple[PlanNode, ...]:
+        return (self.child,)
+
+    def tail_chain(self, tail: AdaptiveTail) -> List[ExtendNode]:
+        """The E/I nodes of ``tail`` from the one above ``child`` upwards."""
+        chain = [tail.root]
+        while len(chain[-1].out_vertices) > len(self.child.out_vertices) + 1:
+            chain.append(chain[-1].child)
+        return chain[::-1]
+
+    def _describe_line(self) -> str:
+        return f"{self.display_name()} over {len(self.tails)} orderings"
+
+    def display_name(self) -> str:
+        return f"ADAPTIVE-E/I[->{','.join(self.out_vertices[len(self.child.out_vertices):])}]"
+
+    def signature(self) -> Tuple:
+        return ("adaptive", tuple(t.root.out_vertices for t in self.tails), self.child.signature())
+
+
 # --------------------------------------------------------------------------- #
 # The Plan wrapper
 # --------------------------------------------------------------------------- #
@@ -189,7 +241,6 @@ class Plan:
     estimated_cost: float = float("nan")
     estimated_cardinality: float = float("nan")
     label: str = ""
-    adaptive: bool = False
     #: Estimated output cardinality per operator ``display_name()``, annotated
     #: at optimization time so cached plans carry their estimates and every
     #: execution can compute per-operator q-error without re-running the
@@ -216,6 +267,11 @@ class Plan:
     @property
     def num_hash_joins(self) -> int:
         return sum(1 for n in self.operators if isinstance(n, HashJoinNode))
+
+    @property
+    def adaptive(self) -> bool:
+        """True for the output of :func:`repro.executor.adaptive.adapt`."""
+        return isinstance(self.root, AdaptiveNode)
 
     @property
     def is_wco(self) -> bool:

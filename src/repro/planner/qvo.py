@@ -25,7 +25,7 @@ def enumerate_orderings(
     ----------
     prefix:
         When given, only orderings starting with exactly this sequence are
-        enumerated (used by the adaptive executor, which fixes the vertices
+        enumerated (used by the adaptive rewrite, which fixes the vertices
         that are already matched and re-orders the remainder).
     limit:
         Optional cap on the number of orderings returned.

@@ -23,11 +23,14 @@ from repro.errors import PlanError
 from repro.graph.graph import Direction
 from repro.planner.descriptors import AdjListDescriptor
 from repro.planner.plan import (
+    AdaptiveNode,
+    AdaptiveTail,
     ExtendNode,
     HashJoinNode,
     Plan,
     PlanNode,
     ScanNode,
+    make_extend,
 )
 from repro.query.query_graph import QueryEdge, QueryGraph
 
@@ -101,6 +104,18 @@ def _node_to_dict(node: PlanNode) -> Dict:
             "build": _node_to_dict(node.build),
             "probe": _node_to_dict(node.probe),
         }
+    if isinstance(node, AdaptiveNode):
+        # A tail is its ordering and two constants; make_extend re-derives
+        # the descriptors of every E/I in it from the query.
+        return {
+            "type": "adaptive",
+            "out_vertices": list(node.out_vertices),
+            "child": _node_to_dict(node.child),
+            "tails": [
+                {"order": list(t.root.out_vertices), "slope": t.slope, "intercept": t.intercept}
+                for t in node.tails
+            ],
+        }
     raise PlanError(f"cannot serialize plan node of type {type(node).__name__}")
 
 
@@ -136,6 +151,20 @@ def _node_from_dict(data: Dict, query: QueryGraph) -> PlanNode:
             probe=probe,
             join_vertices=tuple(data["join_vertices"]),
         )
+    if node_type == "adaptive":
+        child = _node_from_dict(data["child"], query)
+        tails = []
+        for tail in data["tails"]:
+            root = child
+            for to_vertex in tail["order"][len(child.out_vertices):]:
+                root = make_extend(query, root, to_vertex)
+            tails.append(AdaptiveTail(root, tail["slope"], tail["intercept"]))
+        return AdaptiveNode(
+            sub_query=query.project(out_vertices),
+            out_vertices=out_vertices,
+            child=child,
+            tails=tuple(tails),
+        )
     raise PlanError(f"unknown plan node type in serialized plan: {node_type!r}")
 
 
@@ -155,7 +184,6 @@ def plan_to_dict(plan: Plan) -> Dict:
             else plan.estimated_cardinality
         ),
         "label": plan.label,
-        "adaptive": plan.adaptive,
     }
 
 
@@ -182,7 +210,6 @@ def plan_from_dict(data: Dict, query: Optional[QueryGraph] = None) -> Plan:
         estimated_cost=float("nan") if cost is None else float(cost),
         estimated_cardinality=float("nan") if cardinality is None else float(cardinality),
         label=data.get("label", ""),
-        adaptive=bool(data.get("adaptive", False)),
     )
 
 
@@ -219,7 +246,7 @@ def _dot_label(node: PlanNode) -> str:
         return f"E/I -> {node.to_vertex}\\n[{descs}]"
     if isinstance(node, HashJoinNode):
         return "HASH-JOIN\\non " + ",".join(node.join_vertices)
-    return type(node).__name__
+    return node._describe_line()
 
 
 def plan_to_dot(plan: Plan, graph_name: str = "plan") -> str:

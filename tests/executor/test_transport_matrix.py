@@ -5,7 +5,10 @@ and below two engines; whichever combination runs, the result must carry
 what a serial ``execute_plan`` carries.  One parametrised test walks
 
     plan      Q1 (WCO), Q2 / Q8 (HASH-JOIN: the ranged scan is the probe-side
-              one, ``scan_range_vertices``), diamond-X (WCO, two E/I levels)
+              one, ``scan_range_vertices``), diamond-X (WCO, two E/I levels),
+              and diamond-X with its two E/Is replaced by the adaptive
+              operator (batch engine only), checked against the *fixed*
+              serial plan's matches
     transport serial (``execute_parallel``'s fall-through), 3 threads,
               2 processes
     engine    iterator, vectorized
@@ -21,6 +24,7 @@ from collections import Counter
 
 import pytest
 
+from repro.executor.adaptive import adapt
 from repro.executor.multiprocess import MorselProcessPool
 from repro.executor.operators import ExecutionConfig
 from repro.executor.parallel import (
@@ -46,12 +50,16 @@ def _join_plan(query, build_order, probe_order):
     return Plan(query=query, root=make_hash_join(query, sub(build_order), sub(probe_order)))
 
 
+ADAPTIVE = "diamond-X+adaptive"
 #: The shapes the optimizer picks for these queries on the benchmark graphs.
 PLANS = {
     "Q1": wco_plan_from_order(cq.triangle(), ("a1", "a2", "a3")),
     "Q2": _join_plan(cq.q2(), ("a1", "a2", "a4"), ("a3", "a4", "a2")),
     "Q8": _join_plan(cq.q8(), ("a1", "a2", "a3"), ("a3", "a4", "a5")),
     "diamond-X": wco_plan_from_order(cq.diamond_x(), ("a1", "a2", "a3", "a4")),
+    # The fixed plan the reference runs; every cell runs ``adapt`` of it.  Above
+    # SCAN(a2, a3) the two orderings cost alike, so both get rows to extend.
+    ADAPTIVE: wco_plan_from_order(cq.diamond_x(), ("a2", "a3", "a1", "a4")),
 }
 ENGINES = {
     "iterator": dict(),
@@ -109,8 +117,9 @@ def _expected_i_cost(plan, graph, engine, serial, ranges):
     """Iterator engine: a WCO plan costs what it costs serially and a
     HASH-JOIN plan pays its build side once per morsel.  The vectorized E/I
     deduplicates adjacency keys per batch and morsel boundaries move the
-    batch boundaries, so there the reference is the ranges run one by one."""
-    if engine == "vectorized" and len(ranges) > 1:
+    batch boundaries, so there the reference is the ranges run one by one
+    (as it is for an adaptive plan, whose ``serial`` is the fixed plan's)."""
+    if engine == "vectorized" and (len(ranges) > 1 or plan.adaptive):
         scan_vertices = tuple(primary_scan(plan).out_vertices)
         return sum(
             execute_plan(
@@ -136,6 +145,8 @@ def _cells():
         marks = [pytest.mark.process] if transport == "process" else []
         for plan_name in PLANS:
             for engine in ENGINES:
+                if plan_name == ADAPTIVE and engine != "vectorized":
+                    continue
                 for graph_name in ("clean", "dirty"):
                     for case in CASES:
                         yield pytest.param(
@@ -152,6 +163,9 @@ def test_every_cell_returns_the_serial_result(
     pool = request.getfixturevalue("pool") if transport == "process" else None
     plan, graph = PLANS[plan_name], graphs[graph_name]
     serial = reference(graph_name, graph, plan_name, engine)
+    if plan_name == ADAPTIVE:
+        plan = adapt(plan, graph)
+        assert plan.adaptive and len(plan.root.tails) == 2
     total = serial.num_matches
     assert total > 10
     workers = TRANSPORTS[transport]

@@ -28,7 +28,6 @@ from repro.executor.vectorized import (
 from repro.executor.profile import ExecutionProfile
 from repro.graph.generators import clustered_social, erdos_renyi
 from repro.graph.labeling import with_random_vertex_labels
-from repro.graph.triangle_index import TriangleIndex
 from repro.planner.plan import (
     Plan,
     make_extend,
@@ -270,8 +269,6 @@ class TestChainedExtendIntersect:
 
         assert reusing_nodes() == reusing
         assert reusing_nodes(enable_intersection_cache=False) == 0
-        index = TriangleIndex.build(chained_graph)
-        assert reusing_nodes(triangle_index=index) <= reusing
 
     @pytest.mark.parametrize("name,query,order,reusing", CHAINED_SHAPES, ids=CHAINED_IDS)
     def test_actual_icost(self, chained_graph, oracle, name, query, order, reusing):
@@ -536,14 +533,6 @@ class TestHashJoin:
         assert _counters(counted.profile) == _counters(collected.profile)
         if not isomorphism:
             assert counted.num_matches == LeapfrogTrieJoin(graph).count(query).num_matches
-
-
-class TestTriangleIndexBatchPath:
-    def test_index_served_extensions_match(self, random_graph):
-        index = TriangleIndex.build(random_graph)
-        plan = wco_plan_from_order(cq.diamond_x(), ("a1", "a2", "a3", "a4"))
-        it, vec = assert_equivalent(plan, random_graph, {"triangle_index": index})
-        assert vec.profile.index_hits > 0
 
 
 class TestBatchModeResourceBounds:

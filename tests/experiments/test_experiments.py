@@ -3,6 +3,7 @@
 import pytest
 
 from repro.catalogue.construction import build_catalogue
+from repro.executor.operators import ExecutionConfig
 from repro.experiments import tables
 from repro.experiments.harness import ExperimentRow, format_table, speedup, timed
 from repro.experiments.spectrum import generate_emptyheaded_spectrum, generate_spectrum
@@ -68,8 +69,10 @@ class TestSpectrum:
 
     def test_adaptive_spectrum(self, small_graph):
         catalogue = build_catalogue(small_graph, z=100)
+        # Figure 8 compares like with like: both spectrums on the batch engine.
         fixed = generate_spectrum(
-            cq.diamond_x(), small_graph, include_hybrid=False, max_plans=8
+            cq.diamond_x(), small_graph, include_hybrid=False, max_plans=8,
+            config=ExecutionConfig(vectorized=True),
         )
         adaptive = generate_spectrum(
             cq.diamond_x(),
@@ -82,6 +85,8 @@ class TestSpectrum:
         assert {p.num_matches for p in fixed.points} == {
             p.num_matches for p in adaptive.points
         }
+        assert all(p.adaptive and p.i_cost > 0 for p in adaptive.points)
+        assert all(p.plan.adaptive is False for p in adaptive.points)  # the fixed plan it adapts
 
     def test_emptyheaded_spectrum(self, small_graph):
         spectrum = generate_emptyheaded_spectrum(cq.q8(), small_graph, max_plans=8)
@@ -159,3 +164,4 @@ class TestTableRunners:
         assert len(rows) == 4
         for row in rows:
             assert row["matches_fixed"] == row["matches_adaptive"]
+            assert row["fixed_i_cost"] > 0 and row["adaptive_i_cost"] > 0

@@ -278,20 +278,13 @@ class TestMetrics:
 
 
 class TestExecuteFlagValidation:
-    """Satellite fix: parallel execution no longer silently ignores flags."""
-
-    def test_parallel_with_adaptive_raises(self, db):
-        with pytest.raises(ValueError, match="adaptive"):
-            db.execute(cq.triangle(), num_workers=2, adaptive=True)
+    """Parallel execution honours every flag (adaptive x workers is covered
+    by the adaptive row of tests/executor/test_transport_matrix.py)."""
 
     def test_parallel_with_collect_matches_serial(self, db):
         serial = db.execute(cq.triangle(), collect=True)
         parallel = db.execute(cq.triangle(), num_workers=2, collect=True)
         assert parallel.matches == serial.matches
-
-    def test_parallel_with_both_raises(self, db):
-        with pytest.raises(ValueError, match="adaptive"):
-            db.execute(cq.triangle(), num_workers=2, adaptive=True, collect=True)
 
     def test_parallel_plain_still_works(self, db):
         expected = db.execute(cq.triangle()).num_matches
