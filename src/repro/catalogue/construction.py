@@ -6,6 +6,12 @@ operator's edge list, extend only those through a WCO plan of ``Q_{k-1}``, and
 for each produced match measure (i) the sizes of the adjacency lists named by
 the descriptors ``A`` and (ii) how many extensions carrying the target label
 the intersection yields.  The averages become the ``|A|`` and ``mu`` columns.
+
+The WCO plan runs on the batch operators of :mod:`repro.executor.vectorized`,
+the engine that executes queries: its SCAN is handed the sampled edges, and
+one more E/I with the entry's descriptors does the measuring.  Both averages
+are integer sums divided by the number of sampled matches, so an entry is a
+function of the graph, the triple, ``z`` and the ``rng`` state alone.
 """
 
 from __future__ import annotations
@@ -16,81 +22,86 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.catalogue.catalogue import SubgraphCatalogue
+from repro.catalogue.catalogue import CatalogueEntry, SubgraphCatalogue
 from repro.graph.graph import Direction, Graph
-from repro.graph.intersect import intersect_multiway
 from repro.planner.descriptors import AdjListDescriptor
+from repro.planner.plan import ExtendNode, PlanNode, wco_plan_from_order
 from repro.planner.qvo import enumerate_orderings
-from repro.query.query_graph import QueryGraph
+from repro.query.query_graph import QueryEdge, QueryGraph
 
 
 # --------------------------------------------------------------------------- #
 # sampling machinery
 # --------------------------------------------------------------------------- #
+#: Rows per frame of a sampling run, a quarter of a query's default.  An E/I
+#: gathers the smallest adjacency list of every distinct key of a frame before
+#: it intersects; on a skewed graph that was 0.5 M candidates (an 18 MiB
+#: transient) for one 2,048-row frame of sampled 2-paths, inside a planner
+#: that otherwise allocates next to nothing.  At 512 rows the process's peak
+#: RSS is what it was with the per-tuple sampler, and the nine cold plans of
+#: the benchmark's ``plan_cold`` take at most 0.1 s longer (of 0.7 s).
+SAMPLING_BATCH_SIZE = 512
+
+
+def _measuring_node(
+    child: PlanNode,
+    sub_query: QueryGraph,
+    descriptors: Sequence[AdjListDescriptor],
+    to_vertex_label: Optional[int],
+) -> ExtendNode:
+    """The E/I that extends ``child``'s matches of ``sub_query`` via
+    ``descriptors`` to a new query vertex, labelled with the ``Q_k`` it
+    computes."""
+    # Longer than every name in the sub-query, so it is none of them.
+    to_vertex = "".join(sub_query.vertices) + "'"
+    edges = list(sub_query.edges) + [
+        QueryEdge(d.from_vertex, to_vertex, d.edge_label)
+        if d.direction is Direction.FORWARD
+        else QueryEdge(to_vertex, d.from_vertex, d.edge_label)
+        for d in descriptors
+    ]
+    labels = {**sub_query.vertex_labels, to_vertex: to_vertex_label}
+    return ExtendNode(
+        sub_query=QueryGraph(edges, vertex_labels=labels, name=f"{sub_query.name}+1"),
+        out_vertices=tuple(child.out_vertices) + (to_vertex,),
+        child=child,
+        to_vertex=to_vertex,
+        descriptors=tuple(descriptors),
+        to_vertex_label=to_vertex_label,
+    )
+
+
 def sample_subquery_matches(
     graph: Graph,
     sub_query: QueryGraph,
     ordering: Sequence[str],
     z: int,
     rng: np.random.Generator,
-) -> Tuple[List[Tuple[int, ...]], Tuple[str, ...]]:
+):
     """Matches of ``sub_query`` grown from ``z`` uniformly sampled scan edges.
 
-    Returns the matches (tuples of data-vertex ids) and the vertex order the
-    tuple positions correspond to.
+    Returns the top batch operator of the WCO plan of ``sub_query`` in
+    ``ordering``, wired so that its SCAN reads the sample instead of the whole
+    edge list: ``frames()`` yields the matches, columns in ``ordering``.
     """
-    ordering = tuple(ordering)
-    first_edges = sub_query.edges_between(ordering[0], ordering[1])
-    if not first_edges:
-        raise ValueError(f"ordering {ordering} does not start with a query edge")
-    edge = first_edges[0]
-    src, dst = graph.edges(
-        edge_label=edge.label,
-        src_label=sub_query.vertex_label(edge.src),
-        dst_label=sub_query.vertex_label(edge.dst),
-    )
-    if len(src) == 0:
-        return [], ordering
+    # Imported here: ``repro.executor`` imports this module back, through
+    # executor.adaptive -> catalogue.estimation.
+    from repro.executor.operators import ExecutionConfig, scan_edge_arrays
+    from repro.executor.profile import ExecutionProfile
+    from repro.executor.vectorized import BatchExtendIntersectOperator, BatchScanOperator
+
+    scan, *extends = wco_plan_from_order(sub_query, ordering).root.iter_nodes()
+    # Homomorphism semantics, as the plans being priced; nothing here is a root.
+    config = ExecutionConfig(vectorized=True, batch_size=SAMPLING_BATCH_SIZE)
+    wiring = (graph, ExecutionProfile(), config, False)
+    src, dst = scan_edge_arrays(scan, graph, config)
     if len(src) > z:
         idx = rng.choice(len(src), size=z, replace=False)
         src, dst = src[idx], dst[idx]
-    reverse = edge.src != ordering[0]
-    matches: List[Tuple[int, ...]] = [
-        ((int(v), int(u)) if reverse else (int(u), int(v))) for u, v in zip(src, dst)
-    ]
-    # Verify any parallel/reciprocal edges between the first two vertices.
-    extra_first = [e for e in first_edges if e is not edge]
-    if extra_first:
-        filtered = []
-        for t in matches:
-            pos = {ordering[0]: t[0], ordering[1]: t[1]}
-            if all(graph.has_edge(pos[e.src], pos[e.dst], e.label) for e in extra_first):
-                filtered.append(t)
-        matches = filtered
-
-    for k in range(2, len(ordering)):
-        to_vertex = ordering[k]
-        prior = ordering[:k]
-        descriptors = [
-            AdjListDescriptor.for_extension(e, to_vertex)
-            for e in sub_query.edges_touching(to_vertex)
-            if e.other(to_vertex) in set(prior)
-        ]
-        to_label = sub_query.vertex_label(to_vertex)
-        index = {v: i for i, v in enumerate(prior)}
-        extended: List[Tuple[int, ...]] = []
-        for t in matches:
-            lists = [
-                graph.neighbors(t[index[d.from_vertex]], d.direction, d.edge_label, to_label)
-                for d in descriptors
-            ]
-            extension = lists[0] if len(lists) == 1 else intersect_multiway(lists)
-            for w in extension:
-                extended.append(t + (int(w),))
-        matches = extended
-        if not matches:
-            break
-    return matches, ordering
+    top = BatchScanOperator(scan, *wiring, edges=(src, dst))
+    for node in extends:
+        top = BatchExtendIntersectOperator(node, top, *wiring)
+    return top
 
 
 def measure_extension(
@@ -103,31 +114,43 @@ def measure_extension(
 ) -> Tuple[List[float], float, int]:
     """Measure ``|A|`` and ``mu`` for extending ``sub_query`` via ``descriptors``.
 
+    The sampled matches of ``sub_query`` arrive frame by frame; ``|A|`` sums
+    the degrees of each match's anchor vertices, and one last E/I with the
+    entry's descriptors is asked how many extensions it would produce.
     Returns (average list size per descriptor, average number of extensions,
     number of sampled matches the averages are over).
     """
+    # Deferred for the same import cycle as in sample_subquery_matches.
+    from repro.executor.vectorized import BatchExtendIntersectOperator
+
     orderings = enumerate_orderings(sub_query, limit=1)
     if not orderings:
         return [0.0 for _ in descriptors], 0.0, 0
-    matches, order = sample_subquery_matches(graph, sub_query, orderings[0], z, rng)
-    if not matches:
+    matches = sample_subquery_matches(graph, sub_query, orderings[0], z, rng)
+    last = BatchExtendIntersectOperator(
+        _measuring_node(matches.node, sub_query, descriptors, to_vertex_label),
+        matches,
+        graph,
+        matches.profile,
+        matches.config,
+        False,
+    )
+    columns = [matches.node.out_vertices.index(d.from_vertex) for d in descriptors]
+    degrees = [graph.degree_array(d.direction, d.edge_label, to_vertex_label) for d in descriptors]
+    # Integer sums, so the averages do not depend on the order or the
+    # framing of the matches.
+    n = 0
+    size_totals = [0] * len(descriptors)
+    extension_total = 0
+    for frame in matches.frames():
+        n += frame.shape[0]
+        for j, (column, degree) in enumerate(zip(columns, degrees)):
+            size_totals[j] += int(degree[frame[:, column]].sum())
+        extension_total += sum(last._process(frame, count_only=True))
+    if n == 0:
         avg_degree = graph.num_edges / max(graph.num_vertices, 1)
         return [float(avg_degree) for _ in descriptors], 0.0, 0
-    index = {v: i for i, v in enumerate(order)}
-    size_totals = np.zeros(len(descriptors), dtype=np.float64)
-    extension_total = 0.0
-    for t in matches:
-        lists = []
-        for j, d in enumerate(descriptors):
-            adj = graph.neighbors(
-                t[index[d.from_vertex]], d.direction, d.edge_label, to_vertex_label
-            )
-            size_totals[j] += len(adj)
-            lists.append(adj)
-        extension = lists[0] if len(lists) == 1 else intersect_multiway(lists)
-        extension_total += len(extension)
-    n = len(matches)
-    return list(size_totals / n), extension_total / n, n
+    return [total / n for total in size_totals], extension_total / n, n
 
 
 # --------------------------------------------------------------------------- #
@@ -135,13 +158,19 @@ def measure_extension(
 # --------------------------------------------------------------------------- #
 def _edge_count_statistics(graph: Graph) -> Dict[Tuple[Optional[int], Optional[int], Optional[int]], int]:
     """Edge counts partitioned by (edge label, source label, destination label)."""
-    counts: Dict[Tuple[Optional[int], Optional[int], Optional[int]], int] = {}
-    src_labels = graph.vertex_labels[graph.edge_src] if graph.num_edges else []
-    dst_labels = graph.vertex_labels[graph.edge_dst] if graph.num_edges else []
-    for el, sl, dl in zip(graph.edge_labels, src_labels, dst_labels):
-        key = (int(el), int(sl), int(dl))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    if graph.num_edges == 0:
+        return {}
+    labels = graph.vertex_labels
+    # Labels are non-negative (Graph), so the triple packs into one code.
+    span = int(labels.max()) + 1
+    codes = (graph.edge_labels * span + labels[graph.edge_src]) * span + labels[graph.edge_dst]
+    values, counts = np.unique(codes, return_counts=True)
+    statistics: Dict[Tuple[Optional[int], Optional[int], Optional[int]], int] = {}
+    for code, count in zip(values.tolist(), counts.tolist()):
+        rest, dst_label = divmod(code, span)
+        edge_label, src_label = divmod(rest, span)
+        statistics[(edge_label, src_label, dst_label)] = count
+    return statistics
 
 
 def extension_triples_for_query(
@@ -250,14 +279,16 @@ def ensure_entry(
     descriptors: Sequence[AdjListDescriptor],
     to_vertex_label: Optional[int],
     seed: int = 0,
-) -> None:
-    """Lazily measure and store one entry if the sub-query is small enough."""
+) -> Optional[CatalogueEntry]:
+    """The entry for one extension, measured and stored first when it is
+    missing; None when the sub-query is too large for the catalogue."""
     if sub_query.num_vertices > catalogue.h:
-        return
-    if catalogue.has(sub_query, descriptors, to_vertex_label):
-        return
-    rng = np.random.default_rng(seed)
-    sizes, mu, n = measure_extension(
-        graph, sub_query, descriptors, to_vertex_label, catalogue.z, rng
-    )
-    catalogue.put(sub_query, descriptors, to_vertex_label, sizes, mu, n)
+        return None
+    entry = catalogue.get(sub_query, descriptors, to_vertex_label)
+    if entry is None:
+        rng = np.random.default_rng(seed)
+        sizes, mu, n = measure_extension(
+            graph, sub_query, descriptors, to_vertex_label, catalogue.z, rng
+        )
+        entry = catalogue.put(sub_query, descriptors, to_vertex_label, sizes, mu, n)
+    return entry

@@ -26,14 +26,15 @@ def _entry_stats(
     to_label: Optional[int],
 ) -> Optional[Tuple[List[float], float]]:
     """Fetch (lazily measuring when possible) the entry for one extension."""
-    if sub_query.num_vertices <= catalogue.h:
-        if graph is not None:
-            ensure_entry(catalogue, graph, sub_query, descriptors, to_label)
-        entry = catalogue.get(sub_query, descriptors, to_label)
-        if entry is not None:
-            return list(entry.avg_list_sizes), entry.mu
+    if sub_query.num_vertices > catalogue.h:
         return None
-    return None
+    if graph is not None:
+        entry = ensure_entry(catalogue, graph, sub_query, descriptors, to_label)
+    else:
+        entry = catalogue.get(sub_query, descriptors, to_label)
+    if entry is None:
+        return None
+    return list(entry.avg_list_sizes), entry.mu
 
 
 def extension_statistics(

@@ -221,11 +221,20 @@ class BatchOperator:
 
 
 class BatchScanOperator(BatchOperator):
-    """Emits edge batches sliced directly from the graph's edge arrays."""
+    """Emits edge batches sliced directly from the graph's edge arrays, or
+    from ``edges``, a ``(src, dst)`` subset of them: the sampled scan that
+    catalogue construction extends (Section 5.1)."""
 
-    def __init__(self, node: ScanNode, *args, **kwargs) -> None:
+    def __init__(
+        self,
+        node: ScanNode,
+        *args,
+        edges: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        **kwargs,
+    ) -> None:
         super().__init__(node, *args, **kwargs)
         self.scan_node = node
+        self._edges = edges
         query = node.sub_query
         edge = node.edge
         self._extra_edges = [
@@ -237,7 +246,10 @@ class BatchScanOperator(BatchOperator):
         self._name = node.display_name()
 
     def frames(self) -> Iterator[np.ndarray]:
-        src, dst = scan_edge_arrays(self.scan_node, self.graph, self.config)
+        if self._edges is None:
+            src, dst = scan_edge_arrays(self.scan_node, self.graph, self.config)
+        else:
+            src, dst = self._edges
         edge = self.scan_node.edge
         n_vertices = self.graph.num_vertices
         batch = max(1, self.config.batch_size)

@@ -140,7 +140,14 @@ class CostModel:
         self.probe_weight = probe_weight if probe_weight is not None else self.constants.probe_weight
         self.cache_conscious = cache_conscious
         self.batch_size = max(int(batch_size), 1)
+        # Both memos live as long as the model: whoever changes the catalogue
+        # or the graph under it builds a new one (GraphflowDB drops its cost
+        # models on every catalogue install and every write).
         self._cardinality_cache: Dict[QueryGraph, float] = {}
+        self._extension_stats_cache: Dict[
+            Tuple[QueryGraph, Tuple[AdjListDescriptor, ...], Optional[int]],
+            Tuple[List[float], float],
+        ] = {}
 
     # ------------------------------------------------------------------ #
     # cardinalities
@@ -149,12 +156,9 @@ class CostModel:
         """Estimated number of matches of ``sub_query`` (cached)."""
         if ordering is None and sub_query in self._cardinality_cache:
             return self._cardinality_cache[sub_query]
-        try:
-            value = estimate_cardinality(
-                self.catalogue, sub_query, graph=self.graph, ordering=ordering
-            )
-        except Exception:
-            value = estimate_cardinality(self.catalogue, sub_query, graph=self.graph)
+        value = estimate_cardinality(
+            self.catalogue, sub_query, graph=self.graph, ordering=ordering
+        )
         if ordering is None:
             self._cardinality_cache[sub_query] = value
         return value
@@ -165,9 +169,18 @@ class CostModel:
         descriptors: Sequence[AdjListDescriptor],
         to_label: Optional[int],
     ) -> Tuple[List[float], float]:
-        return extension_statistics(
-            self.catalogue, sub_query, descriptors, to_label, graph=self.graph
-        )
+        """``(|A|, mu)`` of one extension (cached: the DP re-costs every
+        ordering of every sub-query from scratch, and each lookup
+        canonicalises its key over all vertex permutations).  Every caller
+        is handed the cached list itself; it is not theirs to change."""
+        key = (sub_query, tuple(descriptors), to_label)
+        stats = self._extension_stats_cache.get(key)
+        if stats is None:
+            stats = extension_statistics(
+                self.catalogue, sub_query, descriptors, to_label, graph=self.graph
+            )
+            self._extension_stats_cache[key] = stats
+        return stats
 
     # ------------------------------------------------------------------ #
     # per-operator costs

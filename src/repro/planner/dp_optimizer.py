@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import OptimizerError
+from repro.errors import OptimizerError, PlanError
 from repro.planner.cost_model import CostModel
 from repro.planner.plan import (
     ExtendNode,
@@ -171,7 +171,7 @@ class DynamicProgrammingOptimizer:
                 for ordering in enumerate_orderings(sub):
                     try:
                         plan = wco_plan_from_order(sub, ordering)
-                    except Exception:
+                    except PlanError:
                         continue
                     cost = self.cost_model.plan_cost(plan)
                     existing = best.get(vset)
@@ -209,7 +209,7 @@ class DynamicProgrammingOptimizer:
             child = best[rest]
             try:
                 node = make_extend(sub, child.root, v)
-            except Exception:
+            except PlanError:
                 continue
             cost = child.cost + self.cost_model.extend_cost(node)
             consider(node, cost)
@@ -244,7 +244,7 @@ class DynamicProgrammingOptimizer:
                         build_cand, probe_cand = right_cand, left_cand
                     try:
                         node = make_hash_join(sub, build_cand.root, probe_cand.root)
-                    except Exception:
+                    except PlanError:
                         continue
                     cost = (
                         left_cand.cost

@@ -336,11 +336,16 @@ def make_extend(query: QueryGraph, child: PlanNode, to_vertex: str) -> ExtendNod
     descriptors from every query edge between ``to_vertex`` and the child's
     vertices (the projection constraint keeps all of them)."""
     prior = set(child.out_vertices)
+    # Keyed, not the dataclass order: reciprocal query edges give two
+    # descriptors on one vertex, and Direction and None do not compare.
     descriptors = tuple(
         sorted(
-            AdjListDescriptor.for_extension(e, to_vertex)
-            for e in query.edges_touching(to_vertex)
-            if e.other(to_vertex) in prior
+            (
+                AdjListDescriptor.for_extension(e, to_vertex)
+                for e in query.edges_touching(to_vertex)
+                if e.other(to_vertex) in prior
+            ),
+            key=lambda d: (d.from_vertex, d.direction.value, d.edge_label is not None, d.edge_label),
         )
     )
     if not descriptors:

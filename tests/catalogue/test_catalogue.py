@@ -92,12 +92,24 @@ class TestConstruction:
     def test_sample_subquery_matches(self, social_graph):
         rng = np.random.default_rng(0)
         q = cq.triangle()
-        matches, order = sample_subquery_matches(social_graph, q, ("a1", "a2", "a3"), 50, rng)
-        assert order == ("a1", "a2", "a3")
-        for t in matches[:20]:
+        matches = sample_subquery_matches(social_graph, q, ("a1", "a2", "a3"), 50, rng)
+        assert matches.node.out_vertices == ("a1", "a2", "a3")
+        rows = [tuple(row) for frame in matches.frames() for row in frame.tolist()]
+        assert rows
+        # Every match grows from one of the 50 sampled scan edges.
+        assert len({t[:2] for t in rows}) <= 50
+        for t in rows:
             assert social_graph.has_edge(t[0], t[1])
             assert social_graph.has_edge(t[1], t[2])
             assert social_graph.has_edge(t[0], t[2])
+
+    def test_sampled_scan_checks_reciprocal_first_edges(self, tiny_graph):
+        """tiny_graph's only reciprocal pair is 1 <-> 4."""
+        q = QueryGraph([("a1", "a2"), ("a2", "a1")])
+        rng = np.random.default_rng(0)
+        matches = sample_subquery_matches(tiny_graph, q, ("a1", "a2"), 1000, rng)
+        rows = sorted(tuple(row) for frame in matches.frames() for row in frame.tolist())
+        assert rows == [(1, 4), (4, 1)]
 
     def test_measure_extension_mu_positive_on_social_graph(self, social_graph):
         rng = np.random.default_rng(0)
