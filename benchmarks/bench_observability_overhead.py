@@ -8,9 +8,9 @@ stays off the hot path — trace construction is a handful of allocations,
 metric increments take one child lock, and everything expensive (collector
 dicts, exposition rendering, quantiles) runs at scrape time only.
 
-This benchmark replays the same repeated-query serving workload (the
-``bench_serving_throughput`` shape: a small query mix, vertices renamed per
-request, replayed through :class:`repro.server.service.QueryService`) in
+This benchmark replays the same repeated-query serving workload (a small
+query mix, vertices renamed per request, replayed through
+:class:`repro.server.service.QueryService`) in
 both modes per graph — ``Observability.enabled = True`` (the default) and
 ``False`` — with the timed rounds *interleaved* (instrumented, plain,
 instrumented, plain, …) so slow environmental drift on a shared runner
@@ -155,9 +155,6 @@ def _paired_replay_seconds(
     service additionally runs its HTTP ops plane and is scraped throughout
     the timed rounds by :class:`_OpsScraper`.  Returns
     ``({True: best_instrumented, False: best_plain}, scrape_count)``.
-
-    QueryService(trace=...) is the serving-side master switch; it must
-    mirror each db's Observability state or it re-enables tracing.
     """
     services = {}
     scraper = None
@@ -168,7 +165,6 @@ def _paired_replay_seconds(
                 db,
                 max_concurrent=CLIENTS,
                 max_queue=len(requests),
-                trace=db.obs.enabled,
                 ops_addr=("127.0.0.1", 0) if flag else None,
                 **service_kwargs,
             )

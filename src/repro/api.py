@@ -164,8 +164,13 @@ class GraphflowDB:
         # Structured event log (obs/events.py): a path (or EventLog) here
         # attaches the JSONL stream lifecycle events flow into — query
         # finishes, checkpoints, compactions, pool respawns, recovery.
+        # A log opened here from a path is closed by close(); an EventLog
+        # object is shared and stays its creator's to close.
+        self._opened_event_log: Optional[EventLog] = None
         if event_log is not None:
-            self.obs.attach_event_log(event_log)
+            log = self.obs.attach_event_log(event_log)
+            if log is not event_log:
+                self._opened_event_log = log
         # Pluggable health checks (obs/health.py): subsystems register deep
         # checks as they attach (durable store, process pool, compaction
         # thread), the ops plane's /readyz runs them, and the "health"
@@ -209,19 +214,18 @@ class GraphflowDB:
         return pool.stats() if pool is not None and not pool.closed else {}
 
     def stats(self) -> dict:
-        """One dict across every stats surface of the database: planner and
-        graph state, plan cache, compaction, persistence, trace ring, and
-        cardinality feedback.  (A :class:`~repro.server.service.QueryService`
-        layers request-level metrics on top of this.)"""
+        """Every stats source registered with the metrics registry
+        (:meth:`~repro.obs.registry.MetricsRegistry.collect`), one section
+        per source — the same numbers ``/metrics`` flattens into gauges —
+        with this database's own ``db`` source (graph version, planner
+        invocations, catalogue staleness) at the top level.  (A
+        :class:`~repro.server.service.QueryService` layers request-level
+        metrics on top of this.)"""
+        sources = self.obs.registry.collect()
         return {
-            "graph_version": self.graph_version,
-            "planner_invocations": self.planner_invocations,
-            "catalogue_stale_fraction": self.catalogue_stale_fraction,
-            "plan_cache": self._plan_cache_stats(),
-            "compaction": self._compaction_stats(),
-            "persistence": self._persistence_stats(),
-            "process_pool": self._process_pool_stats(),
-            "observability": self.obs.stats(),
+            **sources.pop("db"),
+            **sources,
+            "observability": {"enabled": self.obs.enabled},
         }
 
     def _register_durability_health(self, store: DurableGraphStore) -> None:
@@ -353,9 +357,11 @@ class GraphflowDB:
         return self.durable_store.checkpoint(force=force)
 
     def close(self, checkpoint: bool = True) -> None:
-        """Graceful shutdown: stop background compaction, shut down the
-        process pool (if any) and, when durable, write a final checkpoint
-        and close the store.  Idempotent; an in-memory database just stops
+        """Graceful shutdown, the one place it happens: stop background
+        compaction, shut down the process pool (if any), when durable write
+        a final checkpoint and close the store, and last close an event log
+        this database opened from a path (so the shutdown's own checkpoint
+        event still lands).  Idempotent; an in-memory database just stops
         its compaction thread."""
         self.disable_background_compaction()
         self.close_process_pool()
@@ -363,6 +369,14 @@ class GraphflowDB:
             store = self.durable_store
         if store is not None and not store.closed:
             store.close(checkpoint=checkpoint)
+        if self._opened_event_log is not None:
+            self._opened_event_log.close()
+
+    def __enter__(self) -> "GraphflowDB":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
     # multi-process execution
@@ -623,9 +637,8 @@ class GraphflowDB:
         epoch-checked base swap.  Compaction changes no logical content, so
         cached plans, the catalogue, and pinned snapshots all stay valid.
         Idempotent; returns the (running) manager.  When a manager already
-        exists, any thresholds passed here are applied to it, so later
-        callers (e.g. a :class:`QueryService` constructed with tuning knobs)
-        are never silently ignored.  ``min_interval_seconds`` paces the
+        exists, any thresholds passed here are applied to it, so a later
+        caller's thresholds are never silently ignored.  ``min_interval_seconds`` paces the
         manager: threshold-triggered compactions are skipped until that much
         time has passed since the previous install, so sustained write load
         cannot thrash the CSR rebuild.

@@ -115,6 +115,7 @@ class Observability:
             self.attach_event_log(event_log)
         self.registry.register_collector("traces", self.traces.stats)
         self.registry.register_collector("cardinality_feedback", self.feedback.stats)
+        self.registry.register_collector("events", self._event_log_stats)
         # Pre-declared instrument families shared by the serving stack.  A
         # family handle is cheap; children materialise on first use.
         self.query_seconds = self.registry.histogram(
@@ -338,11 +339,6 @@ class Observability:
             )
         return trace
 
-    # ------------------------------------------------------------------ #
-    def stats(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "traces": self.traces.stats(),
-            "cardinality_feedback": self.feedback.stats(),
-            "events": self.event_log.stats() if self.event_log is not None else {"attached": False},
-        }
+    def _event_log_stats(self) -> dict:
+        log = self.event_log
+        return log.stats() if log is not None else {"attached": False}

@@ -221,12 +221,20 @@ class HealthRegistry:
         """Flattened numbers for the metrics registry's ``health`` collector:
         ``health_<check>_healthy`` / ``health_<check>_latency_seconds`` per
         check plus the overall ``health_healthy`` / ``health_draining``
-        gauges — the same verdicts ``/readyz`` serves, on the scrape path."""
+        gauges — the same verdicts ``/readyz`` serves, on the scrape path.
+        The ``status`` / ``drain_reason`` / ``detail`` strings ride along for
+        ``stats()`` readers; the gauge flattener skips them."""
         report = self.run()
-        out: dict = {"healthy": report.healthy, "draining": report.draining}
+        out: dict = {
+            "status": report.status,
+            "healthy": report.healthy,
+            "draining": report.draining,
+            "drain_reason": report.drain_reason,
+        }
         for check in report.checks:
             out[check.name] = {
                 "healthy": check.healthy,
+                "detail": check.detail,
                 "latency_seconds": check.latency_seconds,
             }
         return out

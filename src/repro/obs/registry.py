@@ -344,10 +344,17 @@ class MetricsRegistry:
                 out[name] = float(value)
             # strings / None / non-finite: not representable as a gauge
 
-    def _collected(self) -> Dict[str, float]:
+    def collect(self) -> Dict[str, Mapping]:
+        """Run every registered collector once: ``{source: its stats dict}``.
+
+        This is the one enumeration of the stats sources: the Prometheus
+        gauges flatten it, and ``GraphflowDB.stats()``, ``QueryService.stats()``
+        and ``/stats`` return it, so a source registered by anyone shows up
+        in all of them.
+        """
         with self._lock:
             collectors = list(self._collectors)
-        out: Dict[str, float] = {}
+        out: Dict[str, Mapping] = {}
         for prefix, fn in collectors:
             try:
                 stats = fn()
@@ -356,7 +363,13 @@ class MetricsRegistry:
                 # break the scrape of every other metric.
                 continue
             if isinstance(stats, Mapping):
-                self._flatten(prefix, stats, out)
+                out[prefix] = stats
+        return out
+
+    def _collected(self) -> Dict[str, float]:
+        out: Dict[str, float] = {}
+        for prefix, stats in self.collect().items():
+            self._flatten(prefix, stats, out)
         return out
 
     # ------------------------------------------------------------------ #

@@ -347,15 +347,6 @@ class TraceRecorder:
                     return trace
         return None
 
-    def set_capacity(self, capacity: int) -> None:
-        """Resize the main ring, keeping the newest traces (a service
-        configures the ring on an :class:`Observability` it did not create)."""
-        if capacity < 1:
-            raise ValueError("trace ring capacity must be at least 1")
-        with self._lock:
-            self.capacity = capacity
-            self._ring = deque(self._ring, maxlen=capacity)
-
     def clear(self) -> None:
         with self._lock:
             self._ring.clear()

@@ -12,10 +12,11 @@ The subsystem makes the serving stack crash-safe:
   checkpoints that truncate the WAL, and recovers on open by loading the
   newest valid snapshot and replaying the WAL tail.
 
-Wiring into the serving stack lives in :meth:`repro.api.GraphflowDB.open`,
-:meth:`repro.api.GraphflowDB.enable_durability`, and
-``QueryService(data_dir=...)``; file formats and the recovery protocol are
-documented in ``docs/persistence.md``.
+Wiring into the serving stack lives in :meth:`repro.api.GraphflowDB.open`
+and :meth:`repro.api.GraphflowDB.enable_durability` (a ``QueryService``
+serves the durable database it is handed; :meth:`repro.api.GraphflowDB.close`
+checkpoints and closes the store); file formats and the recovery protocol
+are documented in ``docs/persistence.md``.
 """
 
 from repro.persistence.snapshot_file import (

@@ -97,6 +97,13 @@ class ScanNode(PlanNode):
         return ("scan", self.edge.src, self.edge.dst, self.edge.label, self.out_vertices)
 
 
+def _descriptor_order(d: AdjListDescriptor) -> Tuple:
+    """Sort key for the descriptors of one E/I.  Keyed, not the dataclass
+    order: parallel query edges give two descriptors on one vertex and
+    direction, and neither Direction nor a ``None`` label compares."""
+    return (d.from_vertex, d.direction.value, d.edge_label is not None, d.edge_label)
+
+
 @dataclass
 class ExtendNode(PlanNode):
     """EXTEND/INTERSECT: extends each input (k-1)-match by one query vertex by
@@ -135,7 +142,10 @@ class ExtendNode(PlanNode):
         return (
             "extend",
             self.to_vertex,
-            tuple(sorted((d.from_vertex, d.direction.value, d.edge_label) for d in self.descriptors)),
+            tuple(
+                (d.from_vertex, d.direction.value, d.edge_label)
+                for d in sorted(self.descriptors, key=_descriptor_order)
+            ),
             self.child.signature(),
         )
 
@@ -336,8 +346,6 @@ def make_extend(query: QueryGraph, child: PlanNode, to_vertex: str) -> ExtendNod
     descriptors from every query edge between ``to_vertex`` and the child's
     vertices (the projection constraint keeps all of them)."""
     prior = set(child.out_vertices)
-    # Keyed, not the dataclass order: reciprocal query edges give two
-    # descriptors on one vertex, and Direction and None do not compare.
     descriptors = tuple(
         sorted(
             (
@@ -345,7 +353,7 @@ def make_extend(query: QueryGraph, child: PlanNode, to_vertex: str) -> ExtendNod
                 for e in query.edges_touching(to_vertex)
                 if e.other(to_vertex) in prior
             ),
-            key=lambda d: (d.from_vertex, d.direction.value, d.edge_label is not None, d.edge_label),
+            key=_descriptor_order,
         )
     )
     if not descriptors:

@@ -13,18 +13,13 @@ the serving layer:
 - :mod:`repro.server.service` — a thread-safe :class:`QueryService` facade
   with admission control, per-query deadlines and row limits, and batch
   execution that shares planning across identical queries.
-- :mod:`repro.server.metrics` — rolling throughput and latency-percentile
-  metrics exposed through :meth:`QueryService.stats`.
 """
 
-from repro.server.metrics import MetricsSnapshot, ServiceMetrics
 from repro.server.plan_cache import PlanCache, PlanCacheStats
 from repro.server.prepared import PreparedQuery
 from repro.server.service import QueryService, ServiceResult
 
 __all__ = [
-    "MetricsSnapshot",
-    "ServiceMetrics",
     "PlanCache",
     "PlanCacheStats",
     "PreparedQuery",

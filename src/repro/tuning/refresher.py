@@ -23,6 +23,7 @@ import time
 from typing import Callable, Optional
 
 from repro.catalogue.construction import resample_catalogue
+from repro.obs.health import thread_alive_check
 
 
 class CatalogueRefresher:
@@ -98,6 +99,9 @@ class CatalogueRefresher:
         return self._thread is not None and self._thread.is_alive()
 
     def start(self) -> None:
+        """Start the thread and make the loop visible: the ``tuning`` stats
+        source and the ``catalogue_refresher`` readiness check live exactly
+        as long as the thread is meant to."""
         if self.running:
             return
         self._stop.clear()
@@ -105,6 +109,11 @@ class CatalogueRefresher:
             target=self._run, name="catalogue-refresher", daemon=True
         )
         self._thread.start()
+        self.db.obs.registry.register_collector("tuning", self.stats)
+        self.db.health.register(
+            "catalogue_refresher",
+            thread_alive_check(lambda: self.running, description="catalogue refresher"),
+        )
 
     def stop(self, wait: bool = True) -> None:
         self._stop.set()
@@ -112,6 +121,9 @@ class CatalogueRefresher:
         if wait and thread is not None:
             thread.join()
         self._thread = None
+        # Refreshing deliberately off is healthy, and its numbers are gone.
+        self.db.health.unregister("catalogue_refresher")
+        self.db.obs.registry.unregister_collector("tuning")
 
     def __enter__(self) -> "CatalogueRefresher":
         self.start()
@@ -223,8 +235,10 @@ class CatalogueRefresher:
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
+        """The loop's numbers (the ``tuning`` stats source), the attached
+        reoptimizer's under ``reoptimizer``."""
         with self._stats_lock:
-            return {
+            out = {
                 "running": self.running,
                 "stale_threshold": self.stale_threshold,
                 "stale_fraction": self.db.catalogue_stale_fraction,
@@ -237,3 +251,6 @@ class CatalogueRefresher:
                 "paced_skips": self.paced_skips,
                 "last_refresh_seconds": self.last_refresh_seconds,
             }
+        if self.reoptimizer is not None:
+            out["reoptimizer"] = self.reoptimizer.stats()
+        return out

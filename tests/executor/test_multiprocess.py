@@ -192,7 +192,7 @@ class TestDatabaseIntegration:
 
 
 class TestServiceIntegration:
-    def test_service_owns_pool_lifecycle(self, random_graph):
+    def test_pool_survives_service_close_and_goes_with_the_database(self, random_graph):
         from repro.server.service import QueryService
 
         db = GraphflowDB(random_graph)
@@ -205,7 +205,14 @@ class TestServiceIntegration:
             assert all(r.status == "ok" for r in results)
             stats = service.stats()
             assert stats["process_pool"]["queries"] == 2
-        assert db._process_pool is None  # close() shut the pool down
+            pool = db._process_pool
+        # The service warmed the database's pool; it is the database's to stop.
+        assert db._process_pool is pool and not pool.closed
+        assert db.execute(
+            cq.triangle(), num_workers=2, execution_mode="process"
+        ).num_matches == serial
+        db.close()
+        assert db._process_pool is None and pool.closed
 
     def test_per_query_mode_override(self, random_graph):
         from repro.server.service import QueryService

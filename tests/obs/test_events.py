@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.api import GraphflowDB
 from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
     EVENT_TYPES,
@@ -185,3 +186,24 @@ class TestConcurrency:
         for worker_id in range(4):
             seen = [e["idx"] for e in events if e["worker"] == worker_id]
             assert seen == list(range(per_thread))
+
+
+class TestDatabaseOwnsTheLogItOpened:
+    def test_close_closes_a_log_opened_from_a_path(self, random_graph, tmp_path):
+        path = str(tmp_path / "events.jsonl")
+        db = GraphflowDB(random_graph, event_log=path)
+        log = db.obs.event_log
+        db.execute("(a)-->(b), (b)-->(c)")
+        assert not log.closed
+        db.close()
+        assert log.closed
+        db.close()  # idempotent
+        assert [e["type"] for e in iter_events(path)] == ["query_finish"]
+
+    def test_close_leaves_a_shared_log_open(self, random_graph, tmp_path):
+        with EventLog(str(tmp_path / "events.jsonl")) as log:
+            with GraphflowDB(random_graph, event_log=log) as db:
+                assert db.obs.event_log is log
+            assert not log.closed
+            log.emit("checkpoint", seq=1)
+            assert log.stats()["dropped"] == 0

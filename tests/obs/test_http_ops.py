@@ -345,6 +345,24 @@ class TestQueryServiceIntegration:
         assert db.health.draining
         assert service.ops_server.closed
 
+    def test_a_source_registered_late_shows_up_everywhere(self, db):
+        """One enumeration of stats sources: registering with the registry
+        is the only wiring db.stats(), service.stats(), /stats and /metrics
+        need."""
+        with QueryService(db, ops_addr=0) as service:
+            sources = set(db.obs.registry.collect())
+            assert {"db", "service", "plan_cache", "health", "traces", "events"} <= sources
+            db.obs.registry.register_collector("late", lambda: {"answer": 42, "note": "hi"})
+            assert db.stats()["late"] == {"answer": 42, "note": "hi"}
+            assert service.stats()["late"]["answer"] == 42
+            status, stats = _get_json(service.ops_server, "/stats")
+            assert status == 200 and stats["late"]["answer"] == 42
+            _, _, body = _get(service.ops_server, "/metrics")
+            assert "graphflow_late_answer 42" in body.decode("utf-8")
+            # Every section of the database's view is in the service's, once.
+            assert set(db.stats()) - {"service"} <= set(service.stats())
+            assert "db" not in service.stats()
+
     def test_drain_flips_readyz_through_service_health(self, db):
         with QueryService(db, ops_addr=0) as service:
             server = service.ops_server

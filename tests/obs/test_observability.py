@@ -22,7 +22,6 @@ from repro.obs.registry import (
 )
 from repro.obs.trace import OperatorStats, QueryTrace, TraceRecorder
 from repro.query import catalog_queries as cq
-from repro.server.metrics import ServiceMetrics
 from repro.server.service import STATUS_OK, QueryService
 
 
@@ -121,6 +120,22 @@ class TestMetricsRegistry:
         assert "graphflow_svc_v 2" in reg.expose_prometheus()
         reg.unregister_collector("svc")
         assert "svc" not in reg.expose_prometheus()
+
+    def test_collect_returns_every_source_once(self):
+        reg = MetricsRegistry()
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return {"v": len(calls)}
+
+        reg.register_collector("counted", counted)
+        reg.register_collector("nested", lambda: {"a": {"b": "text"}})
+        reg.register_collector("broken", lambda: 1 / 0)
+        reg.register_collector("not_a_dict", lambda: 7)
+        assert reg.collect() == {"counted": {"v": 1}, "nested": {"a": {"b": "text"}}}
+        assert calls == [1]  # one call per collect(), strings kept for stats()
+        assert "graphflow_counted_v 2" in reg.expose_prometheus()
 
     def test_prometheus_exposition_schema(self):
         """# HELP/# TYPE headers, cumulative buckets ending at +Inf, and
@@ -224,14 +239,7 @@ class TestTraceRecorder:
         assert rec.get(traces[0].trace_id) is None
         assert rec.get(traces[-1].trace_id) is traces[-1]
 
-    def test_set_capacity_keeps_newest(self):
-        rec = TraceRecorder(capacity=8)
-        for i in range(6):
-            rec.record(_trace(f"q{i}"))
-        rec.set_capacity(2)
-        assert [t.query_name for t in rec.recent()] == ["q4", "q5"]
-        with pytest.raises(ValueError):
-            rec.set_capacity(0)
+    def test_capacity_is_validated(self):
         with pytest.raises(ValueError):
             TraceRecorder(capacity=0)
 
@@ -430,49 +438,6 @@ class TestQueryTraces:
 
 
 # --------------------------------------------------------------------------- #
-# ServiceMetrics edge cases
-# --------------------------------------------------------------------------- #
-class TestServiceMetricsEdgeCases:
-    def test_empty_window_snapshot_is_all_zero(self):
-        snap = ServiceMetrics(window_seconds=60.0).snapshot()
-        assert snap.count == 0
-        assert snap.qps == 0.0
-        assert snap.p50_seconds == snap.p95_seconds == snap.p99_seconds == 0.0
-        assert snap.mean_seconds == 0.0
-        assert len(snap.as_rows()) == 7  # still renderable
-
-    def test_max_samples_truncation_drops_oldest(self):
-        metrics = ServiceMetrics(window_seconds=1e6, max_samples=4)
-        for i in range(10):
-            metrics.record(float(i), timestamp=100.0 + i)
-        snap = metrics.snapshot(timestamp=110.0)
-        assert snap.count == 4
-        # Oldest dropped: only latencies 6..9 remain.
-        assert snap.p50_seconds == 7.0
-        assert snap.mean_seconds == pytest.approx(7.5)
-        assert metrics.total_recorded == 10
-
-    def test_monotonic_timestamp_pruning(self):
-        metrics = ServiceMetrics(window_seconds=60.0)
-        metrics.record(0.010, timestamp=0.0)
-        metrics.record(0.020, timestamp=30.0)
-        assert metrics.snapshot(timestamp=59.0).count == 2
-        # t=0 sample now falls outside [t-60, t]; pruned lazily at snapshot.
-        snap = metrics.snapshot(timestamp=61.0)
-        assert snap.count == 1
-        assert snap.p50_seconds == 0.020
-        # Far future: everything pruned, back to the empty snapshot.
-        assert metrics.snapshot(timestamp=1000.0).count == 0
-
-    def test_qps_span_is_bounded(self):
-        metrics = ServiceMetrics(window_seconds=60.0)
-        for _ in range(5):
-            metrics.record(0.001, timestamp=50.0)  # all at one instant
-        snap = metrics.snapshot(timestamp=50.0)
-        assert math.isfinite(snap.qps) and snap.qps > 0
-
-
-# --------------------------------------------------------------------------- #
 # service integration
 # --------------------------------------------------------------------------- #
 class TestServiceObservability:
@@ -486,20 +451,23 @@ class TestServiceObservability:
         assert trace.status == STATUS_OK
         assert service.trace(trace.trace_id) is trace
 
-    def test_trace_disabled_service(self, db):
-        with QueryService(db, trace=False) as service:
+    def test_trace_disabled_database(self, random_graph):
+        db = GraphflowDB(random_graph, obs=Observability(enabled=False))
+        with QueryService(db) as service:
             service.execute(cq.triangle())
             assert service.recent_traces() == []
 
-    def test_slow_query_log_through_service(self, db):
-        with QueryService(db, slow_query_seconds=0.0) as service:
+    def test_slow_query_log_through_service(self, random_graph):
+        db = GraphflowDB(random_graph, obs=Observability(slow_query_seconds=0.0))
+        with QueryService(db) as service:
             service.execute(cq.triangle())
             service.execute(cq.triangle())
             slow = service.slow_queries()
         assert len(slow) == 2  # threshold 0: everything is slow
 
-    def test_trace_ring_capacity_override(self, db):
-        with QueryService(db, trace_capacity=2) as service:
+    def test_trace_ring_capacity(self, random_graph):
+        db = GraphflowDB(random_graph, obs=Observability(trace_capacity=2))
+        with QueryService(db) as service:
             for _ in range(5):
                 service.execute(cq.triangle())
             assert len(service.recent_traces()) == 2
@@ -509,18 +477,18 @@ class TestServiceObservability:
         with QueryService(db) as service:
             service.execute(cq.triangle())
             text = service.metrics_prometheus()
-        assert "graphflow_service_qps" in text
+        assert "graphflow_service_request_seconds_count 1" in text
         assert "graphflow_service_counters_ok 1" in text
         assert "graphflow_admission_wait_seconds_count 1" in text
         assert "graphflow_traces_recorded 1" in text
 
-    def test_stats_rows_include_observability(self, db):
+    def test_stats_include_observability(self, db):
         with QueryService(db) as service:
             service.execute(cq.triangle())
-            rows = {row["metric"]: row["value"] for row in service.stats_rows()}
-        assert rows["traces recorded"] == "1"
-        assert rows["plans with feedback"] == "1"
-        assert float(rows["max q-error"]) >= 1.0
+            stats = service.stats()
+        assert stats["traces"]["recorded"] == 1
+        assert stats["cardinality_feedback"]["plans_tracked"] == 1
+        assert stats["cardinality_feedback"]["max_q_error"] >= 1.0
 
     def test_stats_consistent_under_concurrent_load(self, db):
         """stats()/metrics_prometheus() must stay coherent while queries and

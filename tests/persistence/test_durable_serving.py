@@ -1,7 +1,7 @@
 """Durability through the serving stack: GraphflowDB + QueryService wiring.
 
 The centrepiece is the kill-and-recover acceptance test: a ``QueryService``
-with ``data_dir`` set is stopped mid-update-stream with *no clean shutdown*
+over a durable database is stopped mid-update-stream with *no clean shutdown*
 (no checkpoint, no store close), reopened from disk, and must serve query
 results identical to an in-memory reference that never restarted.
 """
@@ -50,13 +50,8 @@ class TestKillAndRecover:
 
         db = GraphflowDB(serving_graph)
         db.build_catalogue(z=120)
-        service = QueryService(
-            db,
-            max_concurrent=2,
-            data_dir=str(tmp_path / "store"),
-            wal_sync_every=1,
-            vectorized=vectorized,
-        )
+        db.enable_durability(str(tmp_path / "store"), sync_every=1)
+        service = QueryService(db, max_concurrent=2, vectorized=vectorized)
         for i, (inserts, deletes, labels) in enumerate(batches[:kill_after]):
             result = service.apply_updates(
                 inserts=inserts, deletes=deletes, new_vertex_labels=labels
@@ -96,31 +91,33 @@ class TestKillAndRecover:
 class TestServiceWiring:
     def test_graceful_close_checkpoints(self, serving_graph, tmp_path):
         db = GraphflowDB(serving_graph)
-        service = QueryService(db, data_dir=str(tmp_path / "store"))
+        db.enable_durability(str(tmp_path / "store"))
+        service = QueryService(db)
         service.apply_updates(inserts=[(0, 100, 0)])
         service.close()
+        db.close()
         assert db.durable_store.closed
         reopened = GraphflowDB.open(str(tmp_path / "store"))
         assert reopened.durable_store.recovery.replayed_records == 0
         assert reopened.graph.has_edge(0, 100, 0)
         reopened.close()
 
-    def test_checkpoint_on_close_false_leaves_wal_tail(self, serving_graph, tmp_path):
+    def test_close_without_checkpoint_leaves_wal_tail(self, serving_graph, tmp_path):
         db = GraphflowDB(serving_graph)
-        service = QueryService(
-            db, data_dir=str(tmp_path / "store"), checkpoint_on_close=False
-        )
+        db.enable_durability(str(tmp_path / "store"))
+        service = QueryService(db)
         service.apply_updates(inserts=[(0, 100, 0)])
         service.close()
+        db.close(checkpoint=False)
         reopened = GraphflowDB.open(str(tmp_path / "store"))
         assert reopened.durable_store.recovery.replayed_records == 1
         assert reopened.graph.has_edge(0, 100, 0)
         reopened.close()
 
-    def test_service_does_not_close_external_store(self, serving_graph, tmp_path):
+    def test_service_does_not_close_the_store(self, serving_graph, tmp_path):
         db = GraphflowDB(serving_graph)
         db.enable_durability(str(tmp_path / "store"))
-        service = QueryService(db, data_dir=str(tmp_path / "store"))
+        service = QueryService(db)
         service.close()
         assert not db.durable_store.closed  # the db attached it, the db owns it
         db.close()
@@ -129,15 +126,13 @@ class TestServiceWiring:
     def test_stats_expose_persistence_and_staleness(self, serving_graph, tmp_path):
         db = GraphflowDB(serving_graph)
         db.build_catalogue(z=100)
-        with QueryService(db, data_dir=str(tmp_path / "store")) as service:
+        db.enable_durability(str(tmp_path / "store"))
+        with QueryService(db) as service:
             service.apply_updates(inserts=[(0, 100, 0), (1, 101, 0)])
             stats = service.stats()
             assert stats["persistence"]["last_seq"] == 1
             assert stats["persistence"]["wal_records_since_checkpoint"] == 1
             assert stats["catalogue_stale_fraction"] > 0
-            rows = {row["metric"]: row["value"] for row in service.stats_rows()}
-            assert rows["wal last seq"] == "1"
-            assert "catalogue stale fraction" in rows
         db.close()
 
     def test_compaction_triggers_checkpoint(self, serving_graph, tmp_path):

@@ -135,6 +135,22 @@ class TestPlanProperties:
         assert a.signature() != b.signature()
         assert a.signature() == wco_plan_from_order(q, ("a1", "a2", "a3")).signature()
 
+    def test_signature_of_parallel_labelled_and_unlabelled_edges(self):
+        """Fails at the parent: sorting (a1, fwd, None) against (a1, fwd, 1)
+        raised TypeError."""
+        from dataclasses import replace
+
+        from repro.query.parser import parse_query
+
+        q = parse_query("(a1)-->(a2), (a2)-->(a3), (a1)-->(a3), (a1)-[1]->(a3)")
+        plan = wco_plan_from_order(q, ("a1", "a2", "a3"))
+        signature = plan.signature()
+        assert hash(signature) == hash(plan.signature())
+        root = plan.root
+        flipped = replace(root, descriptors=tuple(reversed(root.descriptors)))
+        assert flipped.descriptors != root.descriptors
+        assert flipped.signature() == root.signature()
+
     def test_describe_mentions_operators(self):
         q = cq.diamond_x()
         plan = wco_plan_from_order(q, ("a1", "a2", "a3", "a4"))

@@ -3,6 +3,7 @@ batch planning reuse, prepared queries, and serving metrics."""
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 
@@ -11,7 +12,7 @@ import pytest
 from repro.api import GraphflowDB
 from repro.errors import AdmissionError, InvalidQueryError
 from repro.query import catalog_queries as cq
-from repro.server.metrics import ServiceMetrics, percentile
+from repro.obs import LATENCY_BUCKETS, Observability
 from tests.conftest import wait_until
 from repro.server.service import (
     STATUS_DEADLINE_EXCEEDED,
@@ -236,31 +237,6 @@ class TestPreparedQueries:
 
 
 class TestMetrics:
-    def test_percentile_nearest_rank(self):
-        values = sorted(float(v) for v in range(1, 101))
-        assert percentile(values, 50) == 50.0
-        assert percentile(values, 95) == 95.0
-        assert percentile(values, 99) == 99.0
-        assert percentile(values, 100) == 100.0
-        with pytest.raises(ValueError):
-            percentile([], 50)
-        with pytest.raises(ValueError):
-            percentile(values, 101)
-
-    def test_rolling_window_prunes_old_samples(self):
-        metrics = ServiceMetrics(window_seconds=10.0)
-        metrics.record(0.5, timestamp=0.0)
-        metrics.record(0.1, timestamp=9.0)
-        snap = metrics.snapshot(timestamp=9.5)
-        assert snap.count == 2
-        snap = metrics.snapshot(timestamp=15.0)  # the t=0 sample aged out
-        assert snap.count == 1
-        assert snap.p50_seconds == 0.1
-
-    def test_empty_snapshot(self):
-        snap = ServiceMetrics().snapshot()
-        assert snap.count == 0 and snap.qps == 0.0
-
     def test_service_stats_shape(self, db):
         with QueryService(db) as service:
             service.execute_batch([cq.triangle()] * 4)
@@ -270,11 +246,111 @@ class TestMetrics:
         assert stats["latency_p50_seconds"] <= stats["latency_p99_seconds"]
         assert stats["counters"][STATUS_OK] == 4
         assert stats["plan_cache"]["hits"] >= 3
+
+    def test_latency_is_read_from_the_registry_histogram(self, db):
+        """One latency instrument: stats() summarises the histogram /metrics
+        exposes, so the two can never disagree."""
+        with QueryService(db) as service:
+            assert service.stats()["window_queries"] == 0
+            assert service.stats()["latency_p99_seconds"] == 0.0
+            results = service.execute_batch([cq.triangle()] * 5)
+            stats = service.stats()
+            exposition = service.metrics_prometheus()
+        assert "graphflow_service_request_seconds_count 5" in exposition
+        assert 'graphflow_service_request_seconds_bucket{le="+Inf"} 5' in exposition
+        assert "graphflow_service_qps" not in exposition
+        assert "graphflow_service_latency" not in exposition
+        assert "graphflow_service_counters_ok 5" in exposition
+        # Percentiles are bucket upper bounds; the mean is exact.
+        for q in ("p50", "p95", "p99"):
+            assert stats[f"latency_{q}_seconds"] in LATENCY_BUCKETS
+        assert stats["latency_p99_seconds"] >= max(r.total_seconds for r in results) / 4.0
+        assert stats["latency_mean_seconds"] == pytest.approx(
+            sum(r.total_seconds for r in results) / 5
+        )
+
+
+class TestServesTheDatabaseItIsHanded:
+    def test_constructor_has_exactly_the_ten_options(self):
+        parameters = list(inspect.signature(QueryService.__init__).parameters)[1:]
+        assert parameters == [
+            "db", "max_concurrent", "max_queue", "default_deadline_seconds",
+            "default_row_limit", "num_workers", "execution_mode", "vectorized",
+            "batch_size", "ops_addr",
+        ]
+
+    def test_service_never_switches_tracing_on(self, random_graph):
+        """Fails at the parent: QueryService(db) set db.obs.enabled = True."""
+        db = GraphflowDB(random_graph, obs=Observability(enabled=False))
+        db.build_catalogue(z=60)
+        with QueryService(db) as service:
+            assert service.execute(cq.triangle()).status == STATUS_OK
+            stats = service.stats()
+        assert db.obs.enabled is False
+        assert db.obs.traces.recent() == []
+        assert stats["traces"]["recorded"] == 0
+        # Request metrics do not depend on tracing.
+        assert stats["counters"][STATUS_OK] == 1
+        assert stats["window_queries"] == 1
+
+    def test_service_leaves_the_trace_configuration_alone(self, random_graph):
+        obs = Observability(trace_capacity=3, slow_query_seconds=0.25)
+        db = GraphflowDB(random_graph, obs=obs)
+        with QueryService(db):
+            pass
+        assert obs.traces.capacity == 3 and obs.traces.slow_seconds == 0.25
+
+    def test_close_leaves_the_database_running(self, db):
+        db.enable_background_compaction()
         with QueryService(db) as service:
             service.execute(cq.triangle())
-            rows = service.stats_rows()
-        metrics_listed = {row["metric"] for row in rows}
-        assert {"qps", "latency p95 (ms)", "plan cache hit rate"} <= metrics_listed
+        assert db.compaction_manager is not None and db.compaction_manager.running
+        db.close()
+        assert db.compaction_manager is None
+
+    def test_database_is_a_context_manager(self, random_graph, tmp_path):
+        with GraphflowDB.open(str(tmp_path / "store"), graph=random_graph) as db:
+            with QueryService(db) as service:
+                assert service.execute(cq.triangle()).status == STATUS_OK
+            assert not db.durable_store.closed
+        assert db.durable_store.closed
+
+
+class TestMalformedQueriesAreOrdinaryRequests:
+    """Each fails at the parent, where QueryParseError escaped submit() on
+    the caller's thread."""
+
+    BAD = "(a)-->"
+
+    def test_submit_returns_an_error_result(self, db):
+        with QueryService(db) as service:
+            result = service.submit(self.BAD).result()
+            assert result.status == STATUS_ERROR
+            assert result.error.startswith("QueryParseError: ")
+            assert result.result is None
+            assert service.counters["submitted"] == 1
+            assert service.counters[STATUS_ERROR] == 1
+
+    def test_execute_traces_the_failure(self, db):
+        with QueryService(db) as service:
+            result = service.execute(self.BAD)
+            trace = service.recent_traces(1)[0]
+        assert result.status == STATUS_ERROR and "QueryParseError" in result.error
+        assert trace.status == STATUS_ERROR
+        assert "QueryParseError" in trace.span("error").attributes["message"]
+
+    def test_execute_batch_returns_the_rest_in_input_order(self, db):
+        good = "(a)-->(b), (b)-->(c)"
+        with QueryService(db) as service:
+            results = service.execute_batch([good, self.BAD, cq.triangle(), self.BAD, good])
+            counters = dict(service.counters)
+        assert [r.status for r in results] == [
+            STATUS_OK, STATUS_ERROR, STATUS_OK, STATUS_ERROR, STATUS_OK,
+        ]
+        assert results[0].num_matches == results[4].num_matches == db.execute(good).num_matches
+        assert results[2].num_matches == db.execute(cq.triangle()).num_matches
+        assert counters["submitted"] == 5
+        assert counters[STATUS_OK] == 3 and counters[STATUS_ERROR] == 2
 
 
 class TestExecuteFlagValidation:

@@ -149,25 +149,22 @@ class TestWiring:
         assert db.compaction_manager is None
         assert not manager.running
 
-    def test_query_service_owns_manager(self):
+    def test_query_service_serves_a_compacting_database(self):
         db = GraphflowDB(_chain_graph())
-        service = QueryService(
-            db,
-            background_compaction=True,
-            compaction_ratio=0.0,
-            compaction_min_delta_edges=2,
-        )
+        manager = db.enable_background_compaction(compact_ratio=0.0, min_delta_edges=2)
+        service = QueryService(db)
         try:
-            assert db.compaction_manager is not None and db.compaction_manager.running
+            assert db.compaction_manager is manager and manager.running
             service.apply_updates(inserts=[(0, i) for i in range(2, 12)])
             assert _wait_until(lambda: db.graph.delta_edges == 0)
             stats = service.stats()
             assert stats["compaction"]["compactions"] >= 1
-            rows = {row["metric"] for row in service.stats_rows()}
-            assert "background compactions" in rows
         finally:
             service.close()
-        assert db.compaction_manager is None
+        # The database enabled it; the database's close() stops it.
+        assert db.compaction_manager is manager and manager.running
+        db.close()
+        assert db.compaction_manager is None and not manager.running
 
     def test_enable_applies_thresholds_to_existing_manager(self):
         db = GraphflowDB(_chain_graph())
@@ -180,13 +177,6 @@ class TestWiring:
         finally:
             db.disable_background_compaction()
 
-    def test_service_does_not_stop_external_manager(self):
-        db = GraphflowDB(_chain_graph())
-        manager = db.enable_background_compaction(compact_ratio=0.0, min_delta_edges=3)
-        service = QueryService(db, background_compaction=True)
-        service.close()
-        assert db.compaction_manager is manager and manager.running
-        db.disable_background_compaction()
 
 
 class TestCompactionPacing:
@@ -251,16 +241,6 @@ class TestCompactionPacing:
         assert db.enable_background_compaction(min_interval_seconds=0.5) is manager
         assert manager.min_interval_seconds == 0.5
         db.disable_background_compaction()
-
-    def test_service_plumbs_min_interval(self):
-        db = GraphflowDB(_chain_graph())
-        service = QueryService(
-            db,
-            background_compaction=True,
-            compaction_min_interval_seconds=7.0,
-        )
-        assert db.compaction_manager.min_interval_seconds == 7.0
-        service.close()
 
 
 class TestCompactionListener:

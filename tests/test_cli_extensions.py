@@ -214,7 +214,7 @@ class TestPersistenceCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "recovered from snapshot-" in out
-        assert "wal last seq" in out
+        assert "persistence.last_seq" in out
         assert "checkpointed durable store" in out
 
 
@@ -297,6 +297,30 @@ class TestStatsWatch:
         assert code == 0
         assert out.count("service stats after") == 2
         assert "service stats after 4 queries" in out
+
+
+class TestStatsTablesAgree:
+    @staticmethod
+    def _metric_names(table: str) -> set:
+        return {line.split("|")[0].strip() for line in table.splitlines() if "|" in line}
+
+    def test_local_and_url_tables_list_the_same_metrics(self, random_graph, capsys):
+        """One table: `stats --queries` prints its own service the way
+        `stats --url` prints a remote one, section for section."""
+        from repro import GraphflowDB, QueryService
+
+        argv = ["stats", "--dataset", "epinions", "--scale", "0.1", "--z", "40"]
+        assert main(argv + ["--queries", "Q1", "--requests", "2"]) == 0
+        local = self._metric_names(capsys.readouterr().out)
+        with GraphflowDB(random_graph) as db, QueryService(db, ops_addr=0) as service:
+            service.execute("(a)-->(b), (b)-->(c), (a)-->(c)")
+            host, port = service.ops_address
+            assert main(["stats", "--url", f"{host}:{port}"]) == 0
+        remote = self._metric_names(capsys.readouterr().out)
+        assert {"graph_version", "plan_cache.hits", "traces.recorded", "counters.ok"} <= local
+        # The remote service additionally reports its own ops endpoint.
+        assert remote - local == {"ops.url", "ops.closed"}
+        assert local <= remote
 
 
 class TestOpsPlaneCLI:

@@ -10,8 +10,8 @@ Covers the tentpole's moving parts end to end:
   or vice versa) in either executor mode,
 * the :class:`Reoptimizer` evicts a drifting cached plan only for a
   sufficiently cheaper one,
-* with ``self_tuning=True`` the :class:`QueryService` closes the loop and
-  the worst-operator q-error after drift beats the tuning-disabled control.
+* a :class:`QueryService` over a database with a running refresher closes
+  the loop: the worst-operator q-error after drift beats the untuned control.
 """
 
 from __future__ import annotations
@@ -398,65 +398,63 @@ class TestReoptimizer:
 # the service closes the loop
 # --------------------------------------------------------------------------- #
 class TestServiceSelfTuning:
-    def _tuned_service(self, db, **overrides):
-        options = dict(
-            self_tuning=True,
-            tuning_stale_threshold=0.15,
-            tuning_qerror_threshold=1.5,
-            tuning_poll_interval_seconds=0.005,
+    def _refresher(self, db):
+        return CatalogueRefresher(
+            db,
+            stale_threshold=0.15,
+            poll_interval_seconds=0.005,
+            reoptimizer=Reoptimizer(db, qerror_threshold=1.5),
         )
-        options.update(overrides)
-        return QueryService(db, **options)
 
     def test_wiring_and_stats_surface(self):
         db = _dynamic_db()
-        with self._tuned_service(db) as service:
-            assert service.catalogue_refresher.running
+        with self._refresher(db) as refresher, QueryService(db) as service:
+            assert refresher.running
             tuning = service.stats()["tuning"]
             assert tuning["stale_threshold"] == 0.15
             assert tuning["reoptimizer"]["qerror_threshold"] == 1.5
-            rows = {row["metric"] for row in service.stats_rows()}
-            assert {"catalogue refreshes", "catalogue epoch", "plan replans", "plan changes"} <= rows
-            assert service.refresh_catalogue_now() is True
-            assert service.reoptimize_now().considered == 0
-        assert not service.catalogue_refresher.running, "close() must stop the refresher"
+            assert {"refreshes", "catalogue_epoch"} <= set(tuning)
+            assert {"replans", "plan_changes"} <= set(tuning["reoptimizer"])
+            assert "catalogue_refresher" in db.health.names()
+            assert "graphflow_tuning_refreshes" in service.metrics_prometheus()
+            assert refresher.refresh_now() is True
+            assert refresher.reoptimizer.run_once().considered == 0
+        assert not refresher.running, "leaving the block must stop the refresher"
+        # stop() takes the loop's stats source and readiness check with it.
+        assert "tuning" not in db.stats()
+        assert "catalogue_refresher" not in db.health.names()
 
-    def test_manual_knobs_require_tuning(self):
+    def test_no_tuning_section_without_a_refresher(self):
         db = _dynamic_db()
         with QueryService(db) as service:
             assert "tuning" not in service.stats()
-            with pytest.raises(RuntimeError):
-                service.refresh_catalogue_now()
-            with pytest.raises(RuntimeError):
-                service.reoptimize_now()
 
     def _drift_qerror(self, self_tuning: bool) -> float:
         """Serve, drift the graph, (maybe) let the loop react, serve again;
         return the final execution's worst-operator q-error."""
         db = _dynamic_db(num_vertices=120, num_edges=360, seed=23)
         q = cq.triangle()
-        service = (
-            self._tuned_service(db)
-            if self_tuning
-            else QueryService(db)
-        )
+        refresher = self._refresher(db)
+        if self_tuning:
+            refresher.start()
         try:
-            assert service.execute(q).status == "ok"
-            _densify(db, k=40)
-            service.execute(q)  # records the post-drift q-error (the signal)
-            if self_tuning:
-                assert wait_until(
-                    lambda: service.catalogue_refresher.stats()["refreshes"] >= 1
-                ), "staleness crossed the threshold but the refresher never fired"
-            final = service.execute(q)
-            assert final.status == "ok"
-            return final.result.trace.max_q_error
+            with QueryService(db) as service:
+                assert service.execute(q).status == "ok"
+                _densify(db, k=40)
+                service.execute(q)  # records the post-drift q-error (the signal)
+                if self_tuning:
+                    assert wait_until(
+                        lambda: refresher.stats()["refreshes"] >= 1
+                    ), "staleness crossed the threshold but the refresher never fired"
+                final = service.execute(q)
+                assert final.status == "ok"
+                return final.result.trace.max_q_error
         finally:
-            service.close()
+            refresher.stop()
 
     def test_tuning_improves_post_drift_qerror(self):
-        """The acceptance scenario: after a drift stream, the self-tuning
-        service's re-sampled estimates beat the stale ones."""
+        """The acceptance scenario: after a drift stream, the re-sampled
+        estimates of a database with the loop running beat the stale ones."""
         untuned = self._drift_qerror(self_tuning=False)
         tuned = self._drift_qerror(self_tuning=True)
         assert untuned >= 1.5, "drift scenario too weak to distinguish tuning"
