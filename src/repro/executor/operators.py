@@ -47,6 +47,11 @@ class ExecutionConfig:
         all other scans read their full edge list.
     output_limit:
         Stop after this many output matches (Appendix C limits output sizes).
+        The batch engine also treats it as the pipeline's demand: the SCAN
+        the root pulls from starts with a batch of this many edges and
+        doubles up to ``batch_size``, so a limited query does work in
+        proportion to its limit.  A HASH-JOIN build side is still built in
+        full.
     deadline:
         Optional absolute ``time.monotonic()`` timestamp.  Operators check it
         periodically while iterating and raise
@@ -63,7 +68,8 @@ class ExecutionConfig:
         are produced may differ.
     batch_size:
         Rows per columnar frame emitted by the batch SCAN operator (and the
-        granularity of deadline checks in vectorized mode).
+        granularity of deadline checks in vectorized mode); under
+        ``output_limit`` the largest frame the SCAN grows to.
 
     How a run is *distributed* is not set here: ``num_workers`` and
     ``execution_mode`` are arguments of :meth:`repro.api.GraphflowDB.execute`,

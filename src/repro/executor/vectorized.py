@@ -8,7 +8,12 @@ columns aligned to the plan node's ``out_vertices`` order.
 
 * :class:`BatchScanOperator` slices edge batches straight out of the graph's
   edge arrays and verifies extra (parallel/reciprocal) query edges with a
-  vectorized membership test over sorted adjacency keys.
+  vectorized membership test over sorted adjacency keys.  Under an
+  ``output_limit`` the SCAN the pipeline pulls from sizes its batches to the
+  demand: the first holds ``output_limit`` edges and each later one doubles
+  up to ``batch_size``.  Like Graphflow's pull-based pipeline (Section 7),
+  a row-limited query then stops after roughly the work its rows need,
+  instead of extending a whole frame first.
 * :class:`BatchExtendIntersectOperator` groups each batch by its
   adjacency-key columns (lexsort + boundary detection, the explicit form of
   ``np.unique(axis=0)``), so the single-entry intersection cache of paper
@@ -223,18 +228,24 @@ class BatchOperator:
 class BatchScanOperator(BatchOperator):
     """Emits edge batches sliced directly from the graph's edge arrays, or
     from ``edges``, a ``(src, dst)`` subset of them: the sampled scan that
-    catalogue construction extends (Section 5.1)."""
+    catalogue construction extends (Section 5.1).
+
+    ``demand``, the rows a row-limited query needs, makes the first batch
+    ``min(batch_size, demand)`` edges and each later one twice the last, up
+    to ``batch_size``; without it every batch is ``batch_size`` edges."""
 
     def __init__(
         self,
         node: ScanNode,
         *args,
         edges: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        demand: Optional[int] = None,
         **kwargs,
     ) -> None:
         super().__init__(node, *args, **kwargs)
         self.scan_node = node
         self._edges = edges
+        self._demand = demand
         query = node.sub_query
         edge = node.edge
         self._extra_edges = [
@@ -253,11 +264,15 @@ class BatchScanOperator(BatchOperator):
         edge = self.scan_node.edge
         n_vertices = self.graph.num_vertices
         batch = max(1, self.config.batch_size)
-        for start in range(0, len(src), batch):
+        size = batch if self._demand is None else max(1, min(batch, self._demand))
+        start = 0
+        while start < len(src):
             self._check_deadline()
             t0 = time.perf_counter()
-            u = src[start:start + batch]
-            v = dst[start:start + batch]
+            u = src[start:start + size]
+            v = dst[start:start + size]
+            start += size
+            size = min(batch, 2 * size)
             mask = np.ones(len(u), dtype=bool)
             if self.config.isomorphism:
                 mask &= u != v
@@ -799,19 +814,25 @@ def build_batch_operator_tree(
     profile: ExecutionProfile,
     config: ExecutionConfig,
     is_root: bool = True,
+    demand: Optional[int] = None,
 ) -> BatchOperator:
-    """Recursively wire batch operators for a plan subtree."""
+    """Recursively wire batch operators for a plan subtree.
+
+    ``demand`` (the query's ``output_limit``) goes down child and probe
+    edges only, so it reaches the SCAN the pipeline pulls rows from -- the
+    one :func:`repro.executor.parallel.primary_scan` finds -- and never a
+    HASH-JOIN build side, which is drained in full whatever the limit."""
     if isinstance(node, ScanNode):
-        return BatchScanOperator(node, graph, profile, config, is_root)
+        return BatchScanOperator(node, graph, profile, config, is_root, demand=demand)
     if isinstance(node, ExtendNode):
-        child = build_batch_operator_tree(node.child, graph, profile, config, is_root=False)
+        child = build_batch_operator_tree(node.child, graph, profile, config, False, demand)
         return BatchExtendIntersectOperator(node, child, graph, profile, config, is_root)
     if isinstance(node, AdaptiveNode):
-        child = build_batch_operator_tree(node.child, graph, profile, config, is_root=False)
+        child = build_batch_operator_tree(node.child, graph, profile, config, False, demand)
         return BatchAdaptiveOperator(node, child, graph, profile, config, is_root)
     if isinstance(node, HashJoinNode):
-        build = build_batch_operator_tree(node.build, graph, profile, config, is_root=False)
-        probe = build_batch_operator_tree(node.probe, graph, profile, config, is_root=False)
+        build = build_batch_operator_tree(node.build, graph, profile, config, False)
+        probe = build_batch_operator_tree(node.probe, graph, profile, config, False, demand)
         return BatchHashJoinOperator(node, build, probe, graph, profile, config, is_root)
     raise PlanError(f"unknown plan node type: {type(node).__name__}")
 
@@ -825,7 +846,10 @@ def execute_plan_vectorized(
     """Run ``plan`` with the batch-at-a-time engine.
 
     Semantics match :func:`repro.executor.pipeline.execute_plan`: deadlines
-    are checked per batch and ``output_limit`` truncates the final frame.
+    are checked per batch, and the run stops as soon as ``output_limit``
+    rows have reached the sink.  The limit is also the pipeline SCAN's
+    demand (:class:`BatchScanOperator`), so a row-limited query costs in
+    proportion to its limit rather than to a ``batch_size`` frame.
     With ``collect`` the root operator's frames are kept; without it the
     root is asked for row counts only (:meth:`BatchOperator.counts`), so the
     final operator's output is never built.  Both record the same profile.
@@ -834,7 +858,9 @@ def execute_plan_vectorized(
 
     config = config or ExecutionConfig(vectorized=True)
     profile = ExecutionProfile()
-    root = build_batch_operator_tree(plan.root, graph, profile, config, is_root=True)
+    root = build_batch_operator_tree(
+        plan.root, graph, profile, config, is_root=True, demand=config.output_limit
+    )
     frames: Optional[List[np.ndarray]] = [] if collect else None
     count = 0
     truncated = False

@@ -283,13 +283,13 @@ class Observability:
         plan_span = trace.span("plan")
         if plan_span is not None:
             self.plan_seconds.labels().observe(plan_span.seconds)
+        # Deadline/row-limit runs stop early, so their operator actuals
+        # undercount: they feed neither the q-error histogram nor the
+        # feedback's q-error aggregates (it tallies them as partial).
         worst = trace.max_q_error
-        if worst == worst:  # not NaN
+        if trace.status == "ok" and worst == worst:  # not NaN
             self.query_q_error.labels().observe(worst)
         if feedback_key is not None and trace.operators:
-            # Deadline/row-limit runs stop early, so their operator actuals
-            # undercount: route them to the partial-execution tally instead
-            # of the q-error aggregates.
             self.feedback.record(
                 feedback_key,
                 trace.query_name,

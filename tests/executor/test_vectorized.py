@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,19 +18,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.leapfrog import LeapfrogTrieJoin
+from repro.executor.adaptive import adapt
 from repro.executor.operators import ExecutionConfig
+from repro.executor.parallel import primary_scan
 from repro.executor.pipeline import count_matches, execute_plan
 from repro.executor.vectorized import (
     BatchExtendIntersectOperator,
+    BatchScanOperator,
     _expansion_segments,
     _ragged_positions,
     build_batch_operator_tree,
 )
 from repro.executor.profile import ExecutionProfile
-from repro.graph.generators import clustered_social, erdos_renyi
+from repro.graph.generators import clustered_social, complete_graph, erdos_renyi, power_law
 from repro.graph.labeling import with_random_vertex_labels
 from repro.planner.plan import (
+    HashJoinNode,
     Plan,
+    ScanNode,
     make_extend,
     make_hash_join,
     make_scan,
@@ -39,6 +45,7 @@ from repro.planner.qvo import enumerate_wco_plans
 from repro.query import catalog_queries as cq
 from repro.query.generator import random_connected_query
 from repro.query.query_graph import QueryGraph
+from repro.storage.dynamic import DynamicGraph
 
 from tests.storage.conftest import build_mutated_pair
 
@@ -567,6 +574,140 @@ class TestBatchModeResourceBounds:
         )
         assert not result.deadline_exceeded
         assert result.num_matches == count_matches(plan, tiny_graph)
+
+
+def _scan_operators(op):
+    """Every SCAN operator of a batch operator tree."""
+    if isinstance(op, BatchScanOperator):
+        yield op
+    for attr in ("child", "build_child", "probe_child"):
+        if hasattr(op, attr):
+            yield from _scan_operators(getattr(op, attr))
+
+
+def _power_law_state(seed, dirty):
+    """A small power-law graph, or a snapshot of it after three write
+    batches (inserts and deletes) that were never compacted."""
+    graph = power_law(48, 360, seed=seed)
+    if not dirty:
+        return graph
+    dynamic = DynamicGraph(graph, auto_compact=False)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        inserts = rng.integers(0, graph.num_vertices, size=(30, 2))
+        dynamic.add_edges([(int(s), int(d)) for s, d in inserts if s != d])
+        deletes = rng.choice(graph.num_edges, size=10, replace=False)
+        dynamic.delete_edges(
+            [(int(graph.edge_src[i]), int(graph.edge_dst[i])) for i in deletes]
+        )
+    snapshot = dynamic.snapshot()
+    assert not snapshot.is_clean
+    return snapshot
+
+
+#: The plans a row limit is checked on: two WCO chains, a HASH-JOIN (whose
+#: build side must not see the limit) and, built per graph, the adaptive
+#: operator over a fixed diamond-X plan.
+ADAPTIVE_DIAMOND_X = "diamond-X+adaptive"
+LIMIT_PLANS = {
+    "triangle": wco_plan_from_order(cq.triangle(), ("a1", "a2", "a3")),
+    "tailed-triangle": wco_plan_from_order(cq.tailed_triangle(), ("a1", "a2", "a3", "a4")),
+    "Q2": dict(JOIN_PLANS)["Q2"],
+    ADAPTIVE_DIAMOND_X: wco_plan_from_order(cq.diamond_x(), ("a2", "a3", "a1", "a4")),
+}
+
+
+class TestRowLimitDemand:
+    """A row limit is the pipeline's demand: the SCAN the root pulls from
+    starts with a batch of ``output_limit`` edges and doubles up to
+    ``batch_size``."""
+
+    def test_a_row_limit_reads_about_its_rows_not_a_frame(self):
+        """Every edge of a complete digraph closes triangles, so ten rows
+        need ten scanned edges.  Extending a whole ``batch_size`` frame
+        first reads the two adjacency lists of each of its edges."""
+        n = 70
+        graph = complete_graph(n)
+        batch = ExecutionConfig().batch_size
+        assert graph.num_edges > 2 * batch
+        plan = LIMIT_PLANS["triangle"]
+        whole_frame_i_cost = batch * 2 * (n - 1)
+        for collect in (False, True):
+            result = execute_plan(
+                plan, graph, ExecutionConfig(output_limit=10, **VEC), collect=collect
+            )
+            assert result.num_matches == 10 and result.truncated
+            assert result.profile.per_operator[plan.root.child.display_name()]["out"] <= 10
+            assert result.profile.intersection_cost < whole_frame_i_cost / 50
+
+    def test_a_limit_of_a_frame_or_more_runs_as_unlimited(self):
+        graph = complete_graph(70)
+        plan = LIMIT_PLANS["triangle"]
+        unlimited = execute_plan(plan, graph, ExecutionConfig(**VEC)).profile
+        total = unlimited.output_matches
+        assert total > ExecutionConfig().batch_size
+        for limit in (total, total + 1):
+            limited = execute_plan(plan, graph, ExecutionConfig(output_limit=limit, **VEC))
+            assert limited.num_matches == total
+            assert limited.profile.batches == unlimited.batches
+            assert limited.profile.per_operator == unlimited.per_operator
+            assert limited.profile.intersection_cost == unlimited.intersection_cost
+
+    @pytest.mark.parametrize("name", list(LIMIT_PLANS))
+    def test_the_demand_reaches_only_the_primary_scan(self, random_graph, name):
+        plan = LIMIT_PLANS[name]
+        if name == ADAPTIVE_DIAMOND_X:
+            plan = adapt(plan, random_graph)
+        root = build_batch_operator_tree(
+            plan.root, random_graph, ExecutionProfile(), ExecutionConfig(**VEC), demand=5
+        )
+        demands = {op.node.display_name(): op._demand for op in _scan_operators(root)}
+        assert demands == {
+            n.display_name(): 5 if n is primary_scan(plan) else None
+            for n in plan.root.iter_nodes()
+            if isinstance(n, ScanNode)
+        }
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        dirty=st.booleans(),
+        name=st.sampled_from(sorted(LIMIT_PLANS)),
+        batch_size=st.sampled_from([1, 7, 97, 2048]),
+        collect=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_limited_runs_return_a_prefix_of_the_answer(
+        self, seed, dirty, name, batch_size, collect
+    ):
+        graph = _power_law_state(seed, dirty)
+        plan = LIMIT_PLANS[name]
+        if name == ADAPTIVE_DIAMOND_X:
+            plan = adapt(plan, graph)
+        build_scan = None
+        if isinstance(plan.root, HashJoinNode):
+            (build_scan,) = [
+                n.display_name() for n in plan.root.build.iter_nodes() if isinstance(n, ScanNode)
+            ]
+        config = ExecutionConfig(batch_size=batch_size, **VEC)
+        full = execute_plan(plan, graph, config, collect=True)
+        total = full.num_matches
+        limits = {1, 7, batch_size - 1, batch_size, batch_size + 1, total - 1, total, total + 1}
+        for limit in sorted(limit for limit in limits if limit >= 1):
+            result = execute_plan(
+                plan, graph, dataclasses.replace(config, output_limit=limit), collect=collect
+            )
+            assert result.num_matches == min(limit, total)
+            assert result.truncated == (limit <= total)
+            assert not result.deadline_exceeded
+            if collect:
+                assert len(result.matches) == result.num_matches
+                assert len(set(result.matches)) == len(result.matches)
+                assert not Counter(result.matches) - Counter(full.matches)
+            if build_scan is not None:
+                assert (
+                    result.profile.per_operator.get(build_scan)
+                    == full.profile.per_operator.get(build_scan)
+                )
 
 
 class TestBatchProfile:

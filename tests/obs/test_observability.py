@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from repro.api import GraphflowDB
+from repro.executor.operators import ExecutionConfig
 from repro.executor.profile import ExecutionProfile
 from repro.obs import Observability
 from repro.obs.feedback import CardinalityFeedback
@@ -435,6 +436,19 @@ class TestQueryTraces:
         assert "graphflow_query_q_error_count 1" in text
         assert "graphflow_db_planner_invocations" in text
         assert "graphflow_plan_cache_misses 1" in text
+
+    def test_row_limited_runs_record_no_q_error(self, db):
+        """A truncated run's actuals count only what it read before it
+        stopped, so its q-error describes the limit, not the estimates."""
+        histogram = db.obs.query_q_error.labels()
+        limited = db.execute(
+            cq.triangle(), config=ExecutionConfig(vectorized=True, output_limit=3)
+        )
+        assert limited.truncated and math.isfinite(limited.trace.max_q_error)
+        assert histogram.count == 0
+        full = db.execute(cq.triangle(), config=ExecutionConfig(vectorized=True))
+        assert full.trace.status == "ok"
+        assert histogram.count == 1
 
 
 # --------------------------------------------------------------------------- #
