@@ -23,8 +23,9 @@ coordinator
    file written once per distinct base object and reused across queries;
 2. serialises the query **once** — plan via
    :func:`repro.planner.serialize.plan_to_dict`, config as primitives, and,
-   for a *dirty* snapshot, the delta as an overlay of sorted
-   ``(src, dst, label)`` triples (bounded by ``delta_ship_threshold``;
+   for a *dirty* snapshot, the delta as an overlay of ``(src, dst, label)``
+   triples, the inserts in the delta's own order (bounded by
+   ``delta_ship_threshold``;
    anything larger raises :class:`ProcessExecutionUnsupported` so the caller
    falls back to in-process execution);
 3. hands the shared coordinator (:func:`repro.executor.parallel.run_morsels`)
@@ -53,11 +54,11 @@ the pool stays usable for later queries.
 
 Determinism: match *counts* are bit-identical to the single-threaded pipeline
 for both engines (each scan edge is executed exactly once across morsels).
-Collected rows from the iterator engine come back in exact serial order
-(except on a dirty snapshot written over several batches: workers rebuild the
-overlay from the *sorted* delta, whose scan order can differ from the
-coordinator's; same rows, another order); the vectorized engine may group
-rows differently within a morsel, exactly as it already does in-process.
+A worker's rebuilt snapshot scans its edges in the coordinator's order, dirty
+or clean, so collected rows come back in the order the thread transport
+returns them for the same ranges: exact serial order from the iterator
+engine; the vectorized engine may group rows differently within a morsel,
+exactly as it already does in-process.
 
 Deadlines ship as absolute ``time.monotonic()`` values, which is correct on
 Linux (``CLOCK_MONOTONIC`` is system-wide, and child processes share the
@@ -212,7 +213,10 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
                         f"{type(exc).__name__}: {exc}",
                     )
                 )
-            except Exception:
+            except (ValueError, OSError):
+                # The result queue is closed (ValueError) or its pipe or
+                # feeder thread is gone (OSError): nobody is left to report
+                # to, so the worker exits.
                 return
 
 
@@ -384,7 +388,7 @@ class MorselProcessPool:
             for _ in self._workers:
                 try:
                     self._task_queue.put(None)
-                except Exception:  # pragma: no cover - queue already broken
+                except (ValueError, OSError):  # pragma: no cover - queue closed or broken
                     break
         for proc in self._workers:
             if proc is None:
@@ -580,8 +584,19 @@ class MorselProcessPool:
         if isinstance(graph, GraphSnapshot):
             base = graph.base
             if not graph.is_clean:
-                inserts = sorted(graph.delta.insert_keys)
-                deletes = sorted(graph.delta.deleted_keys)
+                delta = graph.delta
+                # The inserts in the delta's own order, which is the order
+                # the snapshot's edge scan appends them in: the worker's
+                # rebuilt snapshot then scans, and so emits rows, in the
+                # coordinator's order.
+                inserts = list(
+                    zip(
+                        delta.insert_src.tolist(),
+                        delta.insert_dst.tolist(),
+                        delta.insert_labels.tolist(),
+                    )
+                )
+                deletes = sorted(delta.deleted_keys)
                 tail = graph.vertex_labels[base.num_vertices:]
                 overlay_size = len(inserts) + len(deletes) + len(tail)
                 if overlay_size > self.delta_ship_threshold:

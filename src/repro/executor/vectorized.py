@@ -21,8 +21,9 @@ columns aligned to the plan node's ``out_vertices`` order.
   one per consecutive duplicate.  Extensions for the distinct keys come from
   one candidate pipeline without a per-tuple Python loop: *seed*, then
   *filter the survivors* by each remaining descriptor with a vectorized
-  binary-search membership test (galloping at batch scale), compacting after
-  every filter so a candidate one list rejected is never probed again.  The
+  membership test (a bit filter, then a binary search for what passes it:
+  galloping at batch scale), compacting after every filter so a candidate
+  one list rejected is never probed again.  The
   seeds are either the most selective adjacency list of every key (one ragged
   CSR gather) or, when the child is an E/I whose descriptors are a subset of
   this node's, the child's own extension sets read back off the frame
@@ -51,10 +52,13 @@ the root is asked for counts; every operator below it produces frames.
 Batch-grouping invariants — what the operators assume of their inputs and
 guarantee of their outputs:
 
-* every adjacency structure consumed (``graph.csr(...)`` partitions and
-  ``graph.adjacency_key_array(...)``) has **sorted per-vertex runs** and a
-  **globally sorted key array**; all membership tests are binary searches
-  over them, so any graph-like provider must preserve that ordering;
+* every adjacency structure consumed (``graph.csr(...)`` partitions and the
+  :class:`~repro.graph.intersect.KeySet` each carries,
+  ``graph.adjacency_keys(...)``) has **sorted per-vertex runs** and a
+  **globally sorted key array**; every membership test reads the key set's
+  bit filter first and binary-searches the sorted codes only for the probes
+  the filter lets through, so any graph-like provider must preserve that
+  ordering;
 * within one E/I invocation, rows are lexsorted by their adjacency-key
   columns so equal keys are consecutive, ``group_of_row`` is non-decreasing,
   and the per-group extension lists come back with non-decreasing group ids
@@ -105,7 +109,7 @@ from repro.executor.operators import (
 )
 from repro.executor.profile import ExecutionProfile
 from repro.graph.graph import ANY_LABEL, Direction, Graph
-from repro.graph.intersect import locate_sorted, member_sorted
+from repro.graph.intersect import locate_sorted
 from repro.planner.plan import AdaptiveNode, ExtendNode, HashJoinNode, Plan, PlanNode, ScanNode
 
 _EMPTY_I64 = np.array([], dtype=np.int64)
@@ -278,10 +282,8 @@ class BatchScanOperator(BatchOperator):
                 mask &= u != v
             for extra in self._extra_edges:
                 s, d = (u, v) if extra.src == edge.src else (v, u)
-                keys = self.graph.adjacency_key_array(
-                    Direction.FORWARD, extra.label, ANY_LABEL
-                )
-                mask &= member_sorted(keys, s * n_vertices + d)
+                keys = self.graph.adjacency_keys(Direction.FORWARD, extra.label, ANY_LABEL)
+                mask &= keys.contains(s * n_vertices + d)
             if not mask.all():
                 u, v = u[mask], v[mask]
             frame = np.stack((v, u) if self._reversed else (u, v), axis=1)
@@ -357,10 +359,6 @@ class BatchExtendIntersectOperator(_FrameExpander):
         self._name = node.display_name()
 
     # ------------------------------------------------------------------ #
-    def _adj_keys(self, descriptor: int) -> np.ndarray:
-        _, direction, edge_label = self._resolved[descriptor]
-        return self.graph.adjacency_key_array(direction, edge_label, self._to_label)
-
     def _degrees(self, unique_keys: np.ndarray, descriptors: Sequence[int]) -> np.ndarray:
         """Adjacency-list length per (distinct key, descriptor in ``descriptors``)."""
         degrees = np.empty((len(unique_keys), len(descriptors)), dtype=np.int64)
@@ -386,7 +384,7 @@ class BatchExtendIntersectOperator(_FrameExpander):
                 break
             probe = (unique_keys[:, e] * n_vertices)[groups]
             probe += values
-            keep = np.flatnonzero(member_sorted(self._adj_keys(e), probe))
+            keep = np.flatnonzero(self._csrs[e].keys.contains(probe))
             if len(keep) < len(values):
                 groups, values = groups[keep], values[keep]
         return groups, values
@@ -757,8 +755,8 @@ class BatchHashJoinOperator(BatchOperator):
             mask &= columns[i] != columns[j]
         n_vertices = self.graph.num_vertices
         for src_idx, dst_idx, label in self._filter_edges:
-            keys = self.graph.adjacency_key_array(Direction.FORWARD, label, ANY_LABEL)
-            mask &= member_sorted(keys, columns[src_idx] * n_vertices + columns[dst_idx])
+            keys = self.graph.adjacency_keys(Direction.FORWARD, label, ANY_LABEL)
+            mask &= keys.contains(columns[src_idx] * n_vertices + columns[dst_idx])
         return None if mask.all() else mask
 
     def _run(self, count_only: bool) -> Iterator[Union[np.ndarray, int]]:

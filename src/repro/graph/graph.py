@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import GraphConstructionError
+from repro.graph.intersect import KeySet
 
 # Wildcard label: "any label". Queries with unlabeled vertices/edges use this.
 ANY_LABEL: Optional[int] = None
@@ -55,6 +57,17 @@ class _CSR:
 
     def degree(self, vertex: int) -> int:
         return int(self.indptr[vertex + 1] - self.indptr[vertex])
+
+    @cached_property
+    def keys(self) -> KeySet:
+        """The partition's ``u * num_vertices + w`` codes, one per adjacency
+        pair, as a :class:`KeySet`: ``w in neighbors(u)`` for a whole batch
+        is one ``contains``.  Sorted by construction: pairs are grouped by
+        ascending ``u`` and each run is sorted.  Built on first use and kept
+        with the CSR, so whoever serves this CSR serves these keys."""
+        n = len(self.indptr) - 1
+        degrees = np.diff(self.indptr)
+        return KeySet(np.repeat(np.arange(n, dtype=np.int64), degrees) * n + self.indices)
 
 
 def _build_csr(
@@ -99,11 +112,6 @@ class Graph:
     # Lazily merged wildcard partitions keyed by (edge_label, neighbour_label)
     # where either component may be ANY_LABEL.
     _merged_cache: Dict[Tuple[str, Optional[int], Optional[int]], _CSR] = field(
-        default_factory=dict, repr=False
-    )
-    # Sorted (u * num_vertices + w) key arrays per CSR partition, built lazily
-    # for the vectorized executor's batched membership tests.
-    _adj_key_cache: Dict[Tuple[str, Optional[int], Optional[int]], np.ndarray] = field(
         default_factory=dict, repr=False
     )
 
@@ -268,34 +276,15 @@ class Graph:
             return csr
         return self._merged(direction, edge_label, neighbor_label)
 
-    def adjacency_key_array(
+    def adjacency_keys(
         self,
         direction: Direction,
         edge_label: Optional[int] = ANY_LABEL,
         neighbor_label: Optional[int] = ANY_LABEL,
-    ) -> np.ndarray:
-        """Sorted array of ``u * num_vertices + w`` keys, one per adjacency
-        pair of the filtered partition.
-
-        ``w in neighbors(u, ...)`` becomes a vectorized ``searchsorted``
-        membership test over this array — the batch executor's replacement
-        for per-tuple :meth:`has_edge` calls.  Sorted by construction: the
-        CSR groups pairs by ascending ``u`` and each segment is sorted.
-        """
-        key = (direction.value, edge_label, neighbor_label)
-        cached = self._adj_key_cache.get(key)
-        if cached is not None:
-            return cached
-        csr = self.csr(direction, edge_label, neighbor_label)
-        degrees = np.diff(csr.indptr)
-        keys = (
-            np.repeat(np.arange(self.num_vertices, dtype=np.int64), degrees)
-            * self.num_vertices
-            + csr.indices
-        )
-        keys.setflags(write=False)
-        self._adj_key_cache[key] = keys
-        return keys
+    ) -> KeySet:
+        """The :class:`KeySet` of the partition :meth:`csr` returns: the
+        batch executor's replacement for per-tuple :meth:`has_edge` calls."""
+        return self.csr(direction, edge_label, neighbor_label).keys
 
     def degree(
         self,

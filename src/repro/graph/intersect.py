@@ -18,9 +18,12 @@ Two kernels are provided and :func:`intersect_sorted` picks between them:
 The crossover follows the textbook cost comparison
 ``s * log2(L) < s + L``.
 
-Under the galloping kernel, and under every batch operator of
-:mod:`repro.executor.vectorized`, sits one membership kernel:
-:func:`locate_sorted` / :func:`member_sorted`.
+Under the galloping kernel sits one membership kernel: :func:`locate_sorted`
+/ :func:`member_sorted`.  The batch operators of
+:mod:`repro.executor.vectorized` test membership in a :class:`KeySet`
+instead: the same sorted codes behind a one-hash bit filter, which rejects
+most absent probes before :func:`locate_sorted` binary-searches the rest.
+The answer is exactly :func:`member_sorted`'s; only the work differs.
 """
 
 from __future__ import annotations
@@ -65,6 +68,56 @@ def locate_sorted(sorted_keys: np.ndarray, probe: np.ndarray) -> Tuple[np.ndarra
 def member_sorted(sorted_keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """Vectorized ``probe in sorted_keys`` (boolean mask over ``probe``)."""
     return locate_sorted(sorted_keys, probe)[1]
+
+
+# Fibonacci multiplier (2^64 / golden ratio, odd) for multiply-shift hashing.
+_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+_BITS_PER_KEY = 16
+
+
+class KeySet:
+    """Sorted ``int64`` codes with a one-hash bit filter in front of them.
+
+    The filter has one bit per slot of a power-of-two table of at least
+    ``16 * len(codes)`` slots (2-4 bytes per code); a code sets the bit at
+    the top bits of ``code * _MULTIPLIER`` (multiply-shift).  :meth:`contains`
+    tests that bit first and runs :func:`member_sorted` only on the probes
+    whose bit is set: every code's bit is set, so no member is rejected,
+    and at 16 or more slots per code at most ~6 % of absent probes pass.
+    The bit test is one load per probe; a binary search into 130 k codes is
+    ~17 dependent ones.  Duplicate codes are allowed.
+    """
+
+    __slots__ = ("codes", "_bits", "_shift")
+
+    def __init__(self, codes: np.ndarray) -> None:
+        codes = _as_int64(codes)
+        codes.setflags(write=False)
+        self.codes = codes
+        table_bits = (_BITS_PER_KEY * len(codes) - 1).bit_length()
+        self._shift = np.uint64(64 - table_bits)
+        slots = np.zeros(1 << table_bits, dtype=bool)
+        slots[self._slots(codes)] = True
+        self._bits = np.packbits(slots, bitorder="little")
+
+    def _slots(self, values: np.ndarray) -> np.ndarray:
+        slot = values.view(np.uint64) * _MULTIPLIER
+        slot >>= self._shift
+        return slot
+
+    def contains(self, probe: np.ndarray) -> np.ndarray:
+        """Vectorized ``probe in codes`` (boolean mask over ``probe``)."""
+        probe = _as_int64(probe)
+        if len(self.codes) == 0:
+            return np.zeros(len(probe), dtype=bool)
+        slot = self._slots(probe)
+        # The byte index is below the table size, so its uint64 bits read as
+        # the same int64, which numpy indexes with without a conversion pass.
+        byte = self._bits[(slot >> np.uint64(3)).view(np.int64)]
+        passed = ((byte >> (slot.astype(np.uint8) & np.uint8(7))) & np.uint8(1)).view(bool)
+        candidates = np.flatnonzero(passed)
+        passed[candidates] = member_sorted(self.codes, probe[candidates])
+        return passed
 
 
 def intersect_sorted_gallop(small: np.ndarray, large: np.ndarray) -> np.ndarray:

@@ -419,8 +419,8 @@ class DynamicGraph:
     def csr(self, *args, **kwargs):
         return self.snapshot().csr(*args, **kwargs)
 
-    def adjacency_key_array(self, *args, **kwargs) -> np.ndarray:
-        return self.snapshot().adjacency_key_array(*args, **kwargs)
+    def adjacency_keys(self, *args, **kwargs):
+        return self.snapshot().adjacency_keys(*args, **kwargs)
 
     @property
     def delta_ratio(self) -> float:

@@ -3,7 +3,7 @@
 A :class:`GraphSnapshot` is what queries actually execute against: it pins one
 ``(base Graph, DeltaStore, vertex labels, version)`` quadruple — all immutable
 — and serves the *entire* read API of :class:`repro.graph.graph.Graph`
-(``neighbors`` / ``csr`` / ``adjacency_key_array`` / ``edges`` / ``degree`` /
+(``neighbors`` / ``csr`` / ``adjacency_keys`` / ``edges`` / ``degree`` /
 ``has_edge`` / …) by merging base and delta adjacency on the fly.  Creating a
 snapshot is O(1); in-flight queries, the continuous engine's old/new delta
 terms, and concurrent writers therefore never block each other.
@@ -12,12 +12,13 @@ Reads fall through to the base CSR untouched-vertex-wise: the per-direction
 ``touched`` sets of the delta make the common case (a vertex with no pending
 updates) a single set lookup plus the base's own fast path.
 
-The columnar structures the vectorized executor needs (:meth:`csr` and
-:meth:`adjacency_key_array`) are merged **lazily per partition**: a query
-plan only pays the merge for the ``(direction, edge label, neighbour label)``
-partitions its operators actually touch, a partition the delta never touches
-(:meth:`DeltaStore.touches_partition`) is served as the base's own arrays
-without copying, and merged views are cached copy-on-write on the snapshot —
+The columnar structures the vectorized executor needs (:meth:`csr` and the
+key set it carries, :meth:`adjacency_keys`) are merged **lazily per
+partition**: a query plan only pays the merge for the ``(direction, edge
+label, neighbour label)`` partitions its operators actually touch, a
+partition the delta never touches (:meth:`DeltaStore.touches_partition`) is
+served as the base's own objects without copying, and merged views are
+cached copy-on-write on the snapshot —
 the snapshot itself is immutable, so the cache is a pure memo shared by every
 reader of the pinned version, never mutated state.  This is what lets the
 batch engine run directly on *dirty* snapshots instead of forcing a full CSR
@@ -40,6 +41,7 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.graph.graph import ANY_LABEL, Direction, Graph, _CSR
+from repro.graph.intersect import KeySet
 from repro.storage.delta import DeltaStore
 
 _EMPTY = np.array([], dtype=np.int64)
@@ -78,7 +80,6 @@ class GraphSnapshot:
         self.name = name if name is not None else base.name
         # Lazy caches (safe to race: idempotent pure computations).
         self._csr_cache: Dict[Tuple[str, Optional[int], Optional[int]], _CSR] = {}
-        self._adj_key_cache: Dict[Tuple[str, Optional[int], Optional[int]], np.ndarray] = {}
         self._edge_arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
@@ -365,28 +366,16 @@ class GraphSnapshot:
         order = np.argsort(vertices, kind="stable")
         return _CSR(indptr, values[order])
 
-    def adjacency_key_array(
+    def adjacency_keys(
         self,
         direction: Direction,
         edge_label: Optional[int] = ANY_LABEL,
         neighbor_label: Optional[int] = ANY_LABEL,
-    ) -> np.ndarray:
-        if self._partition_clean(direction, edge_label, neighbor_label):
-            return self.base.adjacency_key_array(direction, edge_label, neighbor_label)
-        key = (direction.value, edge_label, neighbor_label)
-        cached = self._adj_key_cache.get(key)
-        if cached is not None:
-            return cached
-        csr = self.csr(direction, edge_label, neighbor_label)
-        degrees = np.diff(csr.indptr)
-        keys = (
-            np.repeat(np.arange(self.num_vertices, dtype=np.int64), degrees)
-            * self.num_vertices
-            + csr.indices
-        )
-        keys.setflags(write=False)
-        self._adj_key_cache[key] = keys
-        return keys
+    ) -> KeySet:
+        """The key set of :meth:`csr`'s partition, which carries it: a clean
+        partition's is the base's object, a touched one's is built once per
+        snapshot with the merged CSR."""
+        return self.csr(direction, edge_label, neighbor_label).keys
 
     # ------------------------------------------------------------------ #
     # delta accounting (cost-model input)

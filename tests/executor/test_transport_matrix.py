@@ -175,14 +175,10 @@ def test_every_cell_returns_the_serial_result(
     )
     num_morsels = len(ranges)
     assert transport == "serial" or num_morsels > workers
-    # One exception, which predates the coordinator: a worker process rebuilds
-    # a dirty snapshot from its *sorted* delta, and a snapshot written over
-    # several batches scans its inserts in another order.  Same matches, but
-    # neither the row order nor (through the intersection cache) the i-cost
-    # of the coordinator's own snapshot.
-    rebuilt = transport == "process" and graph_name == "dirty"
-    # The iterator engine's rows come back in serial order from every transport.
-    ordered = engine == "iterator" and not rebuilt
+    # The iterator engine's rows come back in serial order from every
+    # transport, on a dirty snapshot too: a worker rebuilds it with the
+    # inserts in the delta's own order, so it scans in the coordinator's.
+    ordered = engine == "iterator"
 
     knobs = dict(ENGINES[engine])
     collect = case != "count"
@@ -235,10 +231,37 @@ def test_every_cell_returns_the_serial_result(
         if collect:
             assert sorted(result.matches) == sorted(serial.matches)
         i_cost = result.profile.intersection_cost
-        if not rebuilt:
-            assert i_cost == _expected_i_cost(plan, graph, engine, serial, ranges)
+        assert i_cost == _expected_i_cost(plan, graph, engine, serial, ranges)
         if transport != "serial":
             assert sum(result.per_worker_work) == i_cost + result.num_matches
+
+
+@pytest.mark.process
+@pytest.mark.parametrize(
+    "plan_name,engine",
+    [(p, e) for p in PLANS for e in ENGINES if p != ADAPTIVE or e == "vectorized"],
+)
+def test_processes_return_the_threads_row_sequence_on_a_dirty_snapshot(
+    graphs, pool, plan_name, engine
+):
+    """Same ranges, same rows in the same sequence, same i-cost: a worker's
+    rebuilt snapshot must scan the multi-batch delta in the coordinator's
+    order, not in sorted order."""
+    graph = graphs["dirty"]
+    delta = graph.delta
+    inserts = list(zip(delta.insert_src.tolist(), delta.insert_dst.tolist()))
+    assert inserts != sorted(inserts), "the delta must not already be in sorted order"
+    plan = PLANS[plan_name]
+    if plan_name == ADAPTIVE:
+        plan = adapt(plan, graph)
+    config = ExecutionConfig(**ENGINES[engine])
+    threads = execute_parallel(
+        plan, graph, num_workers=TRANSPORTS["process"], config=config, collect=True,
+        min_morsel_size=MIN_MORSEL,
+    )
+    processes = pool.execute(plan, graph, config=config, collect=True)
+    assert processes.matches == threads.matches
+    assert processes.profile.intersection_cost == threads.profile.intersection_cost
 
 
 def test_morsel_ranges():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.intersect import (
+    KeySet,
     contains_sorted,
     gallop_search,
     intersect_multiway,
@@ -195,6 +196,72 @@ class TestMembershipKernel:
         probe = np.array(probe, dtype=np.int64)
         members = set(keys.tolist())
         assert member_sorted(keys, probe).tolist() == [p in members for p in probe.tolist()]
+
+
+#: Sorted codes as adjacency key arrays hold them: wildcard merges keep one
+#: entry per edge, so a code may repeat; 0 is a code (vertex 0 -> vertex 0).
+sorted_codes = st.lists(
+    st.integers(min_value=0, max_value=2**40), max_size=80
+).map(lambda xs: np.array(sorted(xs), dtype=np.int64))
+
+
+class TestKeySet:
+    """``KeySet.contains``: the bit filter may only save work, never change
+    an answer, so it must equal plain set membership on every input."""
+
+    @given(
+        sorted_codes,
+        st.lists(st.integers(min_value=-3, max_value=2**40 + 3), max_size=60),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_isin(self, codes, others, data):
+        # Probe every code (members must all pass the filter), its
+        # neighbours, the extremes around the range, code 0, and arbitrary
+        # values.
+        members = codes.tolist()
+        near = [c + d for c in members[:20] for d in (-1, 1)]
+        extremes = [0, -1, 2**62]
+        if members:
+            extremes += [members[0] - 1, members[-1] + 1]
+        probe = members + near + extremes + others
+        probe = data.draw(st.permutations(probe))
+        probe = np.array(probe, dtype=np.int64)
+        assert KeySet(codes).contains(probe).tolist() == np.isin(probe, codes).tolist()
+
+    def test_empty_keys(self):
+        keys = KeySet(np.array([], dtype=np.int64))
+        assert keys.contains(np.array([0, 5], dtype=np.int64)).tolist() == [False, False]
+        assert keys.contains(np.array([], dtype=np.int64)).tolist() == []
+
+    def test_single_key_and_code_zero(self):
+        keys = KeySet(np.array([0], dtype=np.int64))
+        probe = np.array([0, 1, -1, 2**62], dtype=np.int64)
+        assert keys.contains(probe).tolist() == [True, False, False, False]
+
+    def test_duplicate_codes(self):
+        keys = KeySet(np.array([3, 3, 7, 7, 7, 9], dtype=np.int64))
+        probe = np.array([2, 3, 7, 8, 9, 10], dtype=np.int64)
+        assert keys.contains(probe).tolist() == [False, True, True, False, True, False]
+
+    def test_the_filter_spares_most_absent_probes_the_binary_search(self, monkeypatch):
+        import repro.graph.intersect as intersect
+
+        searched = []
+
+        def counting_member_sorted(sorted_keys, probe):
+            searched.append(len(probe))
+            return member_sorted(sorted_keys, probe)
+
+        rng = np.random.default_rng(3)
+        codes = np.unique(rng.integers(0, 2**40, 5000))
+        keys = KeySet(codes)
+        absent = rng.integers(0, 2**40, 20_000)
+        absent = absent[~np.isin(absent, codes)]
+        monkeypatch.setattr(intersect, "member_sorted", counting_member_sorted)
+        assert not keys.contains(absent).any()
+        # 16 or more filter bits per code: ~6 % of absent probes pass.
+        assert sum(searched) < 0.1 * len(absent)
 
 
 class TestHelpers:

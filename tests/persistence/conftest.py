@@ -106,8 +106,8 @@ def assert_graphs_equal(actual, expected) -> None:
             assert np.array_equal(a_csr.indptr, e_csr.indptr)
             assert np.array_equal(a_csr.indices, e_csr.indices)
             assert np.array_equal(
-                actual.adjacency_key_array(direction, edge_label, neighbor_label),
-                expected.adjacency_key_array(direction, edge_label, neighbor_label),
+                actual.adjacency_keys(direction, edge_label, neighbor_label).codes,
+                expected.adjacency_keys(direction, edge_label, neighbor_label).codes,
             )
         for vertex in range(0, expected.num_vertices, 17):
             assert np.array_equal(

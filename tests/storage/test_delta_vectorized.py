@@ -15,8 +15,12 @@ import numpy as np
 import pytest
 
 from repro.api import GraphflowDB
+from repro.executor.operators import ExecutionConfig
+from repro.executor.pipeline import execute_plan
 from repro.graph.builder import graph_from_edges
 from repro.graph.graph import ANY_LABEL, Direction
+from repro.graph.intersect import KeySet, member_sorted
+from repro.planner.plan import Plan, make_hash_join, wco_plan_from_order
 from repro.query import catalog_queries as cq
 from repro.storage import CompactionManager, DynamicGraph, GraphSnapshot
 
@@ -98,13 +102,45 @@ class TestPartitionLaziness:
         assert not snap.delta.touches_partition(Direction.FORWARD, 0, 0)
         base_csr = graph.csr(Direction.FORWARD, 0, 0)
         assert snap.csr(Direction.FORWARD, 0, 0) is base_csr
-        assert snap.adjacency_key_array(Direction.FORWARD, 0, 0) is graph.adjacency_key_array(
+        # The key set too -- codes and bit filter -- is the base's object.
+        assert snap.adjacency_keys(Direction.FORWARD, 0, 0) is graph.adjacency_keys(
+            Direction.FORWARD, 0, 0
+        )
+        assert dynamic.adjacency_keys(Direction.FORWARD, 0, 0) is graph.adjacency_keys(
             Direction.FORWARD, 0, 0
         )
         # The dirty partition is merged (and includes the inserted edge).
         merged = snap.csr(Direction.FORWARD, 1, 0)
         assert merged is not graph.csr(Direction.FORWARD, 1, 0)
         assert 2 in merged.neighbors(0).tolist()
+
+    def test_touched_partition_keys_are_built_once_per_version(self):
+        """A touched partition's key set is built with its merged CSR: once
+        per snapshot, again for the next version, never shared with the
+        base."""
+        graph = graph_from_edges(
+            [(0, 1, 0), (1, 2, 0), (2, 3, 1), (3, 0, 1)],
+            vertex_labels={v: 0 for v in range(4)},
+        )
+        dynamic = DynamicGraph(graph, auto_compact=False)
+        dynamic.add_edges([(0, 2, 1)])
+        first = dynamic.snapshot()
+        keys = first.adjacency_keys(Direction.FORWARD, 1, 0)
+        assert first.adjacency_keys(Direction.FORWARD, 1, 0) is keys
+        assert keys is not graph.adjacency_keys(Direction.FORWARD, 1, 0)
+        assert keys.codes.tolist() == [0 * 4 + 2, 2 * 4 + 3, 3 * 4 + 0]
+        assert keys.contains(np.array([2, 11, 12, 1])).tolist() == [True, True, True, False]
+
+        dynamic.add_edges([(1, 3, 1)])
+        second = dynamic.snapshot()
+        assert second.version > first.version
+        rebuilt = second.adjacency_keys(Direction.FORWARD, 1, 0)
+        assert rebuilt is not keys
+        assert rebuilt.codes.tolist() == [2, 1 * 4 + 3, 11, 12]
+        assert rebuilt.contains(np.array([7])).tolist() == [True]
+        # The pinned older snapshot keeps its own, unchanged.
+        assert first.adjacency_keys(Direction.FORWARD, 1, 0) is keys
+        assert keys.contains(np.array([7])).tolist() == [False]
 
     def test_delta_ratio_accounting(self, mutated):
         dynamic, _ = mutated
@@ -143,6 +179,78 @@ class TestPartitionLaziness:
         monkeypatch.setattr(GraphSnapshot, "_materialized_edges", forbidden)
         src, dst = snap.edges()
         assert src is graph.edge_src and dst is graph.edge_dst
+
+
+def _join_plan(query, build_order, probe_order):
+    def sub(order):
+        return wco_plan_from_order(query.project(order), order).root
+
+    return Plan(query=query, root=make_hash_join(query, sub(build_order), sub(probe_order)))
+
+
+#: Every batch membership site: E/I survivor filters (WCO plans), the SCAN's
+#: extra-edge check (Q6 scans its reciprocal pair first) and the HASH-JOIN
+#: predicate (the Q5 join leaves the a1-a4 edge to it).
+ORACLE_PLANS = {
+    "Q1": wco_plan_from_order(cq.q1(), ("a1", "a2", "a3")),
+    "Q2": _join_plan(cq.q2(), ("a1", "a2", "a4"), ("a3", "a4", "a2")),
+    "Q5": wco_plan_from_order(cq.q5(), ("a1", "a2", "a3", "a4")),
+    "Q5-join": _join_plan(cq.q5(), ("a1", "a2", "a3"), ("a2", "a3", "a4")),
+    "Q6": wco_plan_from_order(cq.q6(), ("a1", "a2", "a3", "a4")),
+    "Q8": _join_plan(cq.q8(), ("a1", "a2", "a3"), ("a3", "a4", "a5")),
+}
+
+
+def _observed(result):
+    """Rows plus every counter the profile keeps, wall-clock aside."""
+    p = result.profile
+    return (
+        result.num_matches,
+        result.matches,
+        p.intersection_cost,
+        p.intermediate_matches,
+        p.output_matches,
+        p.cache_hits,
+        p.cache_misses,
+        p.hash_table_entries,
+        p.hash_probes,
+        p.batches,
+        p.per_operator,
+    )
+
+
+class TestKeySetFilterOracle:
+    """The bit filter in front of every batch membership test changes no
+    answer: with ``KeySet.contains`` patched back to a plain binary search,
+    every plan returns the same rows in the same order with the same
+    i-cost, intermediate matches and per-operator counters."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        dynamic, fresh = build_mutated_pair(rounds=3)
+        snapshot = dynamic.snapshot()
+        assert not snapshot.is_clean and snapshot.delta.num_inserted
+        return {"clean": fresh, "dirty": snapshot}
+
+    @pytest.mark.parametrize("graph_name", ["clean", "dirty"])
+    @pytest.mark.parametrize("plan_name", list(ORACLE_PLANS))
+    def test_same_rows_and_counters_as_plain_binary_search(
+        self, graphs, plan_name, graph_name, monkeypatch
+    ):
+        plan, graph = ORACLE_PLANS[plan_name], graphs[graph_name]
+        config = ExecutionConfig(vectorized=True, batch_size=97)
+        runs = {}
+        for kernel in ("filter", "oracle"):
+            if kernel == "oracle":
+                monkeypatch.setattr(
+                    KeySet, "contains", lambda self, probe: member_sorted(self.codes, probe)
+                )
+            runs[kernel] = [
+                _observed(execute_plan(plan, graph, config, collect=collect))
+                for collect in (True, False)
+            ]
+        assert runs["filter"] == runs["oracle"]
+        assert runs["filter"][0][0] > 0
 
 
 class TestCompactionMidQuery:

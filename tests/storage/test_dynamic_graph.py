@@ -54,8 +54,8 @@ def assert_view_equals_graph(view, ref: Graph, edge_labels=(None, 0, 1), vertex_
             for v in range(ref.num_vertices):
                 assert np.array_equal(got_csr.neighbors(v), ref_csr.neighbors(v))
             assert np.array_equal(
-                view.adjacency_key_array(direction, el, None),
-                ref.adjacency_key_array(direction, el, None),
+                view.adjacency_keys(direction, el, None).codes,
+                ref.adjacency_keys(direction, el, None).codes,
             )
 
 
