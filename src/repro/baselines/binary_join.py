@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional
 
-from repro.errors import OptimizerError
+from repro.errors import OptimizerError, PlanError
 from repro.planner.cost_model import CostModel
 from repro.planner.plan import Plan, PlanNode, make_hash_join, make_scan
 from repro.query.query_graph import QueryGraph
@@ -84,7 +84,7 @@ class BinaryJoinPlanner:
                         )
                         try:
                             node = make_hash_join(sub, build.root, probe.root)
-                        except Exception:
+                        except PlanError:
                             continue
                         cost = (
                             left_cand.cost

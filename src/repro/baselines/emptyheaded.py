@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.ghd import GHD, minimum_width_ghds
-from repro.errors import OptimizerError
+from repro.errors import OptimizerError, PlanError
 from repro.planner.plan import Plan, PlanNode, make_hash_join, wco_plan_from_order
 from repro.planner.qvo import enumerate_orderings, lexicographic_ordering
 from repro.query.query_graph import QueryGraph
@@ -145,7 +145,7 @@ class EmptyHeadedPlanner:
                     return plans
                 try:
                     plan = self._assemble(query, ghd, combo)
-                except Exception:
+                except PlanError:
                     continue
                 plans.append(EmptyHeadedPlan(ghd=ghd, bag_orderings=tuple(combo), plan=plan))
         return plans

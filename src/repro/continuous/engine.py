@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import GraphConstructionError, InvalidQueryError, ReproError
+from repro.errors import GraphConstructionError, InvalidQueryError, PlanError, ReproError
 from repro.executor.pipeline import execute_plan
 from repro.graph.graph import Direction, Graph
 from repro.graph.intersect import intersect_multiway
@@ -222,7 +222,7 @@ class ContinuousQueryEngine:
         for ordering in enumerate_orderings(query):
             try:
                 plan = wco_plan_from_order(query, ordering)
-            except Exception:
+            except PlanError:
                 continue
             return execute_plan(plan, snapshot).num_matches
         raise InvalidQueryError(f"query {query.name} admits no connected ordering")

@@ -15,7 +15,9 @@ columns aligned to the plan node's ``out_vertices`` order.
   a row-limited query then stops after roughly the work its rows need,
   instead of extending a whole frame first.
 * :class:`BatchExtendIntersectOperator` groups each batch by its
-  adjacency-key columns (lexsort + boundary detection, the explicit form of
+  adjacency key, packed into one ``int64`` code per row the way HASH-JOIN
+  packs its join key (a stable sort of the codes, skipped when they already
+  arrive in order, then boundary detection: the explicit form of
   ``np.unique(axis=0)``), so the single-entry intersection cache of paper
   Section 3.1 generalises to one intersection per *distinct* key instead of
   one per consecutive duplicate.  Extensions for the distinct keys come from
@@ -59,11 +61,17 @@ guarantee of their outputs:
   bit filter first and binary-searches the sorted codes only for the probes
   the filter lets through, so any graph-like provider must preserve that
   ordering;
-* within one E/I invocation, rows are lexsorted by their adjacency-key
-  columns so equal keys are consecutive, ``group_of_row`` is non-decreasing,
-  and the per-group extension lists come back with non-decreasing group ids
-  and sorted values — the ragged expansion gathers index directly into that
-  layout;
+* within one E/I invocation, rows are in the order a stable lexsort of
+  their adjacency-key columns gives, so equal keys are consecutive,
+  ``group_of_row`` is non-decreasing, and the per-group extension lists come
+  back with non-decreasing group ids and sorted values — the ragged
+  expansion gathers index directly into that layout.  The packed code
+  ``((k0*n + k1)*n + k2)...`` orders rows as the key columns do, so a frame
+  is sorted by it only when its codes are not already non-decreasing: an
+  E/I emits its rows in key order, extensions ascending, so the next E/I
+  usually receives them sorted.  Keys too wide for one code (over
+  ``_CODE_BITS``, HASH-JOIN's boundary too) are lexsorted column by column;
+  both orders are the same;
 * expansion is chunked (``_expansion_segments``) so no output frame grows far
   beyond ``batch_size`` rows regardless of per-row fanout, bounding peak
   memory multiplicatively through an operator chain;
@@ -114,9 +122,52 @@ from repro.planner.plan import AdaptiveNode, ExtendNode, HashJoinNode, Plan, Pla
 
 _EMPTY_I64 = np.array([], dtype=np.int64)
 
-# Composite hash-join keys are packed into one int64 code; beyond this many
-# bits the operator falls back to a per-row Python hash table.
+# E/I adjacency keys and hash-join keys are packed into one int64 code; beyond
+# this many bits E/I lexsorts the key columns and the hash join falls back to a
+# per-row Python hash table.
 _CODE_BITS = 62
+
+
+def _codes_fit(num_columns: int, n_vertices: int) -> bool:
+    """Whether keys of ``num_columns`` vertex ids pack into one code."""
+    return num_columns * math.log2(max(n_vertices, 2)) < _CODE_BITS
+
+
+def _pack(key_cols: np.ndarray, n_vertices: int) -> np.ndarray:
+    """One ``int64`` code per row, ``((k0*n + k1)*n + k2)...``: codes compare
+    like the rows compare lexicographically."""
+    codes = key_cols[:, 0].copy()
+    for j in range(1, key_cols.shape[1]):
+        codes *= n_vertices
+        codes += key_cols[:, j]
+    return codes
+
+
+def _sort_by_key(
+    frame: np.ndarray, key_idx: np.ndarray, n_vertices: int, packed: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``frame``'s rows ordered by the columns ``key_idx``, rows with equal
+    keys in input order, and their keys: one packed code per row, or under
+    ``packed=False`` the key columns themselves.  Packed codes are sorted only
+    when they are not already non-decreasing, which is how an E/I's frames
+    usually arrive at the next E/I."""
+    key_cols = frame[:, key_idx]
+    if not packed:
+        order = np.lexsort(key_cols[:, ::-1].T)
+        return frame.take(order, axis=0), key_cols[order]
+    codes = _pack(key_cols, n_vertices)
+    if np.any(codes[1:] < codes[:-1]):
+        order = np.argsort(codes, kind="stable")
+        return frame.take(order, axis=0), codes[order]
+    return frame, codes
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """``np.unique(codes)``, without its sort when ``codes`` is already
+    strictly increasing."""
+    if np.any(codes[1:] <= codes[:-1]):
+        return np.unique(codes)
+    return codes
 
 
 def _ragged_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -146,10 +197,12 @@ def _group_runs(
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy()
-    keys = sorted_keys.reshape(n, -1)
     boundary = np.empty(n, dtype=bool)
     boundary[0] = True
-    boundary[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    if sorted_keys.ndim == 1:
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
+    else:
+        boundary[1:] = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
     group_of_row = np.cumsum(boundary) - 1
     starts = np.flatnonzero(boundary)
     counts = np.diff(np.append(starts, n))
@@ -352,6 +405,7 @@ class BatchExtendIntersectOperator(_FrameExpander):
             assert all(idx < len(child.node.out_vertices) - 1 for idx, _, _ in covered)
         self._resolved = resolved
         self._key_idx = np.array([idx for idx, _, _ in resolved], dtype=np.int64)
+        self._codes_fit = _codes_fit(len(resolved), self.graph.num_vertices)
         self._csrs = [
             self.graph.csr(direction, edge_label, self._to_label)
             for _, direction, edge_label in resolved
@@ -445,11 +499,20 @@ class BatchExtendIntersectOperator(_FrameExpander):
         Rows are sorted by the child's key first, so each child key is a run
         of rows, and its extension set is the distinct values of the child's
         to-vertex (the last column) in that run — complete because one input
-        row's expansions never straddle frames (module docstring).
+        row's expansions never straddle frames (module docstring).  The
+        child's key is the leading part of ``keys``: the covered columns, or
+        the packed code with the uncovered descriptors' digits divided off.
         """
         n_vertices = self.graph.num_vertices
-        _, _, child_group_of_row = _group_runs(keys[:, : self._num_covered])
-        codes = np.unique(child_group_of_row * n_vertices + sorted_frame[:, -1])
+        if keys.ndim == 1:
+            child_keys = keys // n_vertices ** (len(self._resolved) - self._num_covered)
+        else:
+            child_keys = keys[:, : self._num_covered]
+        _, _, child_group_of_row = _group_runs(child_keys)
+        # The child expands each input row into ascending values, so when
+        # every child key came from one input row these codes are strictly
+        # increasing already.
+        codes = _distinct(child_group_of_row * n_vertices + sorted_frame[:, -1])
         sibling_group = codes // n_vertices
         sibling_values = codes - sibling_group * n_vertices
         set_sizes = np.bincount(sibling_group)
@@ -475,14 +538,13 @@ class BatchExtendIntersectOperator(_FrameExpander):
         """The expansions of one input frame: output frames, or under
         ``count_only`` the number of rows each would have held."""
         n = frame.shape[0]
-        key_cols = frame[:, self._key_idx]
-        # Sort rows so equal adjacency keys become consecutive, then find the
+        # Order rows so equal adjacency keys become consecutive, then find the
         # group boundaries (np.unique(axis=0) without the overhead).
-        order = np.lexsort(key_cols[:, ::-1].T)
-        sorted_frame = frame.take(order, axis=0)
-        keys = sorted_frame[:, self._key_idx]
+        sorted_frame, keys = _sort_by_key(
+            frame, self._key_idx, self.graph.num_vertices, self._codes_fit
+        )
         starts, group_sizes, group_of_row = _group_runs(keys)
-        unique_keys = keys[starts]
+        unique_keys = sorted_frame[starts][:, self._key_idx]
         num_groups = len(starts)
         if self.config.enable_intersection_cache:
             # Grouping generalises the single-entry cache: every duplicate of
@@ -651,21 +713,14 @@ class BatchHashJoinOperator(BatchOperator):
             {c for pair in self._distinct_pairs for c in pair}
             | {c for src, dst, _ in self._filter_edges for c in (src, dst)}
         )
-        n_vertices = max(self.graph.num_vertices, 2)
-        self._codes_fit = len(build_key_idx) * math.log2(n_vertices) < _CODE_BITS
+        self._codes_fit = _codes_fit(len(build_key_idx), self.graph.num_vertices)
         self._name = node.display_name()
 
     # ------------------------------------------------------------------ #
     def _keys(self, key_cols: np.ndarray) -> np.ndarray:
         """Join keys of a frame: one packed code per row, or the key columns
         themselves when a code would not fit."""
-        if not self._codes_fit:
-            return key_cols
-        codes = key_cols[:, 0].copy()
-        for j in range(1, key_cols.shape[1]):
-            codes *= self.graph.num_vertices
-            codes += key_cols[:, j]
-        return codes
+        return _pack(key_cols, self.graph.num_vertices) if self._codes_fit else key_cols
 
     def _build(self, keep_payload: bool) -> bool:
         """Drain the build child into the sorted table; False when it is empty."""

@@ -73,14 +73,16 @@ class _CSR:
 def _build_csr(
     num_vertices: int, sources: np.ndarray, targets: np.ndarray
 ) -> _CSR:
-    """Build a CSR whose neighbour lists are sorted by vertex id."""
-    order = np.lexsort((targets, sources))
-    sources = sources[order]
-    targets = targets[order]
+    """Build a CSR whose neighbour lists are sorted by vertex id.
+
+    One sort of the ``source * n + target`` codes orders the edges by
+    source, then target, in a fraction of a two-key lexsort's time."""
+    codes = np.sort(sources * num_vertices + targets)
+    sources, targets = np.divmod(codes, num_vertices)
     counts = np.bincount(sources, minlength=num_vertices)
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return _CSR(indptr=indptr, indices=targets.astype(np.int64))
+    return _CSR(indptr=indptr, indices=targets)
 
 
 @dataclass

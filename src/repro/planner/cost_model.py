@@ -62,8 +62,9 @@ class CostConstants:
         The ``w1``/``w2`` HASH-JOIN weights of Section 4.2.
     batch_overhead:
         Fixed cost per ``batch_size``-row frame an operator processes —
-        the vectorized engine's per-batch bookkeeping (grouping, lexsort,
-        boundary detection).  Zero for the iterator pipeline.
+        the vectorized engine's per-batch bookkeeping (packing each row's
+        key into one code, sorting the codes when the frame arrives out of
+        key order, boundary detection).  Zero for the iterator pipeline.
     delta_scan_weight:
         Extra cost per scanned tuple, scaled by the scanned partition's
         delta ratio, when the plan runs against a *dirty*

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import OptimizerError
+from repro.errors import OptimizerError, PlanError
 from repro.planner.cost_model import CostModel
 from repro.planner.plan import (
     Plan,
@@ -73,7 +73,7 @@ class PlanSpaceEnumerator:
             for child in self.plans_for(rest):
                 try:
                     add(make_extend(sub, child, v))
-                except Exception:
+                except PlanError:
                     continue
 
         # Hash joins of plans of two covering sub-queries.
@@ -100,7 +100,7 @@ class PlanSpaceEnumerator:
                         for probe in self.plans_for(right):
                             try:
                                 add(make_hash_join(sub, build, probe))
-                            except Exception:
+                            except PlanError:
                                 continue
                         if len(roots) >= self.max_plans_per_subquery:
                             break

@@ -22,11 +22,16 @@ from repro.executor.adaptive import adapt
 from repro.executor.operators import ExecutionConfig
 from repro.executor.parallel import primary_scan
 from repro.executor.pipeline import count_matches, execute_plan
+import repro.executor.vectorized as vectorized
 from repro.executor.vectorized import (
     BatchExtendIntersectOperator,
     BatchScanOperator,
+    _codes_fit,
+    _distinct,
     _expansion_segments,
+    _group_runs,
     _ragged_positions,
+    _sort_by_key,
     build_batch_operator_tree,
 )
 from repro.executor.profile import ExecutionProfile
@@ -480,8 +485,6 @@ class TestHashJoin:
         """Join keys that stop fitting one int64 code are located through the
         dict instead; both sides of the boundary give the same answers, and
         the dict side's time is on the operator."""
-        import repro.executor.vectorized as vectorized
-
         plan = dict(JOIN_PLANS)[name]
         expected = join_oracle(random_graph, name, plan, isomorphism)
         key_bits = len(plan.root.join_vertices) * math.log2(random_graph.num_vertices)
@@ -589,8 +592,11 @@ def _power_law_state(seed, dirty):
     """A small power-law graph, or a snapshot of it after three write
     batches (inserts and deletes) that were never compacted."""
     graph = power_law(48, 360, seed=seed)
-    if not dirty:
-        return graph
+    return _dirty_snapshot(graph, seed) if dirty else graph
+
+
+def _dirty_snapshot(graph, seed):
+    """A snapshot of ``graph`` after three uncompacted write batches."""
     dynamic = DynamicGraph(graph, auto_compact=False)
     rng = np.random.default_rng(seed)
     for _ in range(3):
@@ -708,6 +714,137 @@ class TestRowLimitDemand:
                     result.profile.per_operator.get(build_scan)
                     == full.profile.per_operator.get(build_scan)
                 )
+
+
+def _largest_packable(num_columns):
+    """The largest vertex count whose ``num_columns``-column keys still pack."""
+    n = int(2 ** (vectorized._CODE_BITS / num_columns))
+    while not _codes_fit(num_columns, n):
+        n -= 1
+    while _codes_fit(num_columns, n + 1):
+        n += 1
+    return n
+
+
+@st.composite
+def _keyed_frames(draw):
+    """A frame, its key columns (any subset, in any order) and a vertex
+    count, small or at the packing boundary."""
+    width = draw(st.integers(min_value=1, max_value=5))
+    num_keys = draw(st.integers(min_value=1, max_value=min(4, width)))
+    key_idx = draw(st.permutations(range(width)))[:num_keys]
+    n = draw(st.sampled_from([1, 2, 7, _largest_packable(num_keys)]))
+    # A few distinct values, the extremes among them, so keys repeat.
+    pool = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=4))
+    rows = draw(st.integers(min_value=0, max_value=24))
+    values = draw(st.lists(st.sampled_from(pool + [0, n - 1]), min_size=rows * width,
+                           max_size=rows * width))
+    frame = np.array(values, dtype=np.int64).reshape(rows, width)
+    arrangement = draw(st.sampled_from(["drawn", "in key order", "reversed"]))
+    if arrangement != "drawn":
+        frame = frame[np.lexsort(frame[:, key_idx[::-1]].T)]
+        if arrangement == "reversed":
+            frame = frame[::-1]
+    return frame, np.array(key_idx, dtype=np.int64), n, arrangement
+
+
+#: WCO plans the packed-key oracle runs: Q5 and Q7 reuse their child's sets.
+PACKING_PLANS = {
+    "Q1": wco_plan_from_order(cq.q1(), ("a1", "a2", "a3")),
+    "Q3": enumerate_wco_plans(cq.q3())[0],
+    "Q5": wco_plan_from_order(cq.q5(), ("a1", "a2", "a3", "a4")),
+    "Q7": wco_plan_from_order(cq.q7(), ("a1", "a2", "a3", "a4", "a5")),
+    "Q8": enumerate_wco_plans(cq.q8())[0],
+    "Q5+adaptive": wco_plan_from_order(cq.q5(), ("a1", "a2", "a3", "a4")),
+}
+
+
+@pytest.fixture(scope="module")
+def packing_graphs(request):
+    social = request.getfixturevalue("social_graph")
+    return {"clean": social, "dirty": _dirty_snapshot(social, seed=11)}
+
+
+class TestPackedKeyGrouping:
+    """E/I orders a frame by one packed code per row, and sorts only frames
+    that are out of order.  Below the packing boundary it lexsorts the key
+    columns, which is the oracle here."""
+
+    @given(case=_keyed_frames())
+    @settings(max_examples=300, deadline=None)
+    def test_packed_grouping_equals_the_lexsort_grouping(self, case):
+        frame, key_idx, n, arrangement = case
+        assert _codes_fit(len(key_idx), n)
+        packed_frame, codes = _sort_by_key(frame, key_idx, n, packed=True)
+        lexsorted_frame, keys = _sort_by_key(frame, key_idx, n, packed=False)
+        assert codes.ndim == 1 and keys.shape == (frame.shape[0], len(key_idx))
+        np.testing.assert_array_equal(packed_frame, lexsorted_frame)
+        for got, expected in zip(_group_runs(codes), _group_runs(keys)):
+            np.testing.assert_array_equal(got, expected)
+        if arrangement == "in key order":
+            assert packed_frame is frame
+
+    @pytest.mark.parametrize("num_columns", [1, 2, 3, 4])
+    def test_the_largest_packable_key_does_not_overflow(self, num_columns):
+        n = _largest_packable(num_columns)
+        largest = np.full((1, num_columns), n - 1, dtype=np.int64)
+        assert int(vectorized._pack(largest, n)[0]) == n ** num_columns - 1
+
+    @pytest.mark.parametrize("batch_size", [97, 2048])
+    @pytest.mark.parametrize("collect", [False, True], ids=["count", "collect"])
+    @pytest.mark.parametrize("state", ["clean", "dirty"])
+    @pytest.mark.parametrize("name", list(PACKING_PLANS))
+    def test_rows_and_profile_equal_the_lexsort_path(
+        self, packing_graphs, monkeypatch, name, state, collect, batch_size
+    ):
+        graph = packing_graphs[state]
+        plan = PACKING_PLANS[name]
+        if name.endswith("+adaptive"):
+            plan = adapt(plan, graph)
+        config = ExecutionConfig(batch_size=batch_size, **VEC)
+
+        def run(code_bits):
+            monkeypatch.setattr(vectorized, "_CODE_BITS", code_bits)
+            root = build_batch_operator_tree(plan.root, graph, ExecutionProfile(), config)
+            chains = [chain for chain, *_ in getattr(root, "_tails", [])] or [[root]]
+            fits = {op._codes_fit for chain in chains for op in _ei_operators(chain[-1])}
+            return fits, execute_plan(plan, graph, config, collect=collect)
+
+        packed_fits, packed = run(62)
+        lexsorted_fits, lexsorted = run(math.floor(math.log2(graph.num_vertices)))
+        assert packed_fits == {True} and lexsorted_fits == {False}
+        assert packed.num_matches == lexsorted.num_matches > 0
+        assert packed.matches == lexsorted.matches
+        assert _counters(packed.profile) == _counters(lexsorted.profile)
+
+    def test_distinct_sorts_only_codes_out_of_order(self):
+        increasing = np.array([1, 4, 9], dtype=np.int64)
+        assert _distinct(increasing) is increasing
+        assert len(_distinct(np.array([], dtype=np.int64))) == 0
+        for codes in ([4, 4, 9], [9, 4, 1], [1, 9, 4, 4]):
+            codes = np.array(codes, dtype=np.int64)
+            np.testing.assert_array_equal(_distinct(codes), np.unique(codes))
+
+    def test_sibling_codes_out_of_order_take_the_unique_route(
+        self, chained_graph, oracle, monkeypatch
+    ):
+        """Rows sharing the child's key but not its input row (a1 sits outside
+        the child's key a2) repeat the child's extensions, so their sibling
+        codes are not strictly increasing."""
+        name, query, order, _ = CHAINED_SHAPES[5]
+        assert name == "non-key-prefix"
+        seen = []
+
+        def spy(codes):
+            seen.append(bool(np.all(codes[1:] > codes[:-1])))
+            return _distinct(codes)
+
+        monkeypatch.setattr(vectorized, "_distinct", spy)
+        plan = wco_plan_from_order(query, order)
+        got = execute_plan(plan, chained_graph, ExecutionConfig(**VEC), collect=True)
+        assert False in seen
+        expected = oracle(chained_graph, name, query, order, False)
+        assert sorted(got.matches) == sorted(expected.matches)
 
 
 class TestBatchProfile:

@@ -181,6 +181,48 @@ class TestGraphValidation:
         assert list(g.neighbors(0, Direction.FORWARD)) == []
 
 
+def _lexsort_csr(num_vertices, sources, targets):
+    """The reference CSR build: a two-key lexsort of the edges."""
+    order = np.lexsort((targets, sources))
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources[order], minlength=num_vertices), out=indptr[1:])
+    return indptr, targets[order]
+
+
+class TestCsrBuild:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_partitions_equal_the_lexsort_build(self, seed):
+        """Parallel edges (same and different labels), self-loops and
+        vertices without edges, over two vertex and two edge labels."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(1, 4 * n))
+        src = rng.integers(0, max(1, n // 2), m)  # the upper half has no out-edges
+        dst = rng.integers(0, n, m)
+        dst[: m // 8] = src[: m // 8]
+        src = np.concatenate([src, src[: m // 4]])
+        dst = np.concatenate([dst, dst[: m // 4]])
+        g = Graph(
+            vertex_labels=rng.integers(0, 2, n),
+            edge_src=src,
+            edge_dst=dst,
+            edge_labels=rng.integers(0, 2, len(src)),
+        )
+        vertex_labels = g.vertex_labels
+        for direction, partitions in (
+            (Direction.FORWARD, g._fwd_partitions),
+            (Direction.BACKWARD, g._bwd_partitions),
+        ):
+            assert partitions
+            for (edge_label, neighbour_label), csr in partitions.items():
+                ends = (src, dst) if direction is Direction.FORWARD else (dst, src)
+                mask = (g.edge_labels == edge_label) & (vertex_labels[ends[1]] == neighbour_label)
+                indptr, indices = _lexsort_csr(n, ends[0][mask], ends[1][mask])
+                assert csr.indptr.dtype == csr.indices.dtype == np.int64
+                np.testing.assert_array_equal(csr.indptr, indptr)
+                np.testing.assert_array_equal(csr.indices, indices)
+
+
 class TestUnfilteredScanFastPath:
     """edges()/count_edges() must short-circuit the all-wildcard case instead
     of allocating full-edge boolean masks (hot in catalogue construction)."""

@@ -182,6 +182,19 @@ class TestFullEnumeration:
                 full_plan, social_graph
             )
 
+    def test_a_bug_in_a_node_constructor_is_not_an_unbuildable_plan(
+        self, social_cost_model, monkeypatch
+    ):
+        """Only ``PlanError`` means "no such plan"; anything else escapes."""
+        import repro.planner.full_enumeration as full_enumeration
+
+        def broken(*args, **kwargs):
+            raise TypeError("make_extend bug")
+
+        monkeypatch.setattr(full_enumeration, "make_extend", broken)
+        with pytest.raises(TypeError, match="make_extend bug"):
+            FullEnumerationOptimizer(social_cost_model).optimize(cq.diamond_x())
+
     def test_all_enumerated_plans_agree_on_counts(self, random_graph):
         q = cq.q2()
         plans = PlanSpaceEnumerator(q).all_plans()
