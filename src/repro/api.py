@@ -53,7 +53,7 @@ from repro.query.isomorphism import isomorphism_mapping
 from repro.query.parser import parse_query
 from repro.query.query_graph import QueryGraph
 from repro.persistence.store import DurableGraphStore
-from repro.server.plan_cache import PlanCache
+from repro.server.plan_cache import PlanCache, PlanKey, plan_key
 from repro.storage.compaction import CompactionManager
 from repro.storage.dynamic import DynamicGraph, normalize_edges
 from repro.storage.snapshot import GraphSnapshot
@@ -774,6 +774,7 @@ class GraphflowDB:
         enable_binary_joins: bool = True,
         use_cache: bool = True,
         vectorized: bool = False,
+        output_limit: Optional[int] = None,
     ) -> Plan:
         """Return the optimizer's plan, consulting the plan cache.
 
@@ -782,56 +783,42 @@ class GraphflowDB:
         renaming) share one optimizer invocation.  Pass ``use_cache=False``
         to force a fresh optimization without touching the cache.  With
         ``vectorized=True`` the plan is priced with the batch engine's
-        per-batch cost constants (and cached under a separate key).
+        per-batch cost constants (and cached under a separate key).  With
+        ``output_limit`` the plan is chosen for a run stopped after that
+        many rows, planned and cached for the limit's power-of-two class.
         """
-        return self._plan(query, full_enumeration, enable_binary_joins, use_cache, vectorized)[0]
+        query = self._as_query(query)
+        key = plan_key(query, full_enumeration, enable_binary_joins, vectorized, output_limit)
+        return self._plan(query, key, use_cache)[0]
 
-    def _plan(
-        self,
-        query: Union[QueryGraph, str],
-        full_enumeration: bool,
-        enable_binary_joins: bool,
-        use_cache: bool,
-        vectorized: bool,
-    ) -> Tuple[Plan, bool]:
+    def _plan(self, query: QueryGraph, key: PlanKey, use_cache: bool) -> Tuple[Plan, bool]:
         """:meth:`plan`, plus whether the plan came out of the cache: True
         unless *this call* ran the optimizer.  A caller that waited on another
         thread's in-flight planning of the same key counts as cached, matching
         the cache's own hit/miss counters."""
-        query = self._as_query(query)
         optimized = False
 
         def compute() -> Plan:
             nonlocal optimized
             optimized = True
-            return self._plan_uncached(query, full_enumeration, enable_binary_joins, vectorized)
+            return self._plan_uncached(query, key)
 
         if not use_cache or self.plan_cache is None:
             return compute(), False
-        key = (query.canonical_key(), full_enumeration, enable_binary_joins, vectorized)
         plan = self.plan_cache.get_or_compute(key, compute)
         return plan, not optimized
 
-    def _plan_uncached(
-        self,
-        query: QueryGraph,
-        full_enumeration: bool = False,
-        enable_binary_joins: bool = True,
-        vectorized: bool = False,
-    ) -> Plan:
-        """Run the optimizer (always), bypassing the plan cache."""
+    def _plan_uncached(self, query: QueryGraph, key: PlanKey) -> Plan:
+        """Run the optimizer (always) for ``key``'s options and limit
+        class, bypassing the plan cache."""
         with self._stats_lock:
             self.planner_invocations += 1
-        cost_model = self.cost_model_for(vectorized)
-        if full_enumeration:
-            optimizer = FullEnumerationOptimizer(
-                cost_model, enable_binary_joins=enable_binary_joins
-            )
-        else:
-            optimizer = DynamicProgrammingOptimizer(
-                cost_model, enable_binary_joins=enable_binary_joins
-            )
-        plan = optimizer.optimize(query)
+        cost_model = self.cost_model_for(key.vectorized)
+        optimizer_type = (
+            FullEnumerationOptimizer if key.full_enumeration else DynamicProgrammingOptimizer
+        )
+        optimizer = optimizer_type(cost_model, enable_binary_joins=key.enable_binary_joins)
+        plan = optimizer.optimize(query, output_limit=key.limit_class)
         # Stamp per-operator cardinality estimates onto the plan so every
         # later execution (including plan-cache hits) can report q-errors.
         plan = annotate_operator_estimates(plan, cost_model)
@@ -911,6 +898,7 @@ class GraphflowDB:
             config = replace(config or ExecutionConfig(), vectorized=vectorized)
         check_execution_mode(execution_mode)
         effective_vectorized = bool(config.vectorized) if config is not None else False
+        key: Optional[PlanKey] = None
         if isinstance(query, Plan):
             plan = query
             query_graph = plan.query
@@ -919,13 +907,12 @@ class GraphflowDB:
         else:
             query_graph = self._as_query(query)
             plan_start = time.perf_counter()
-            plan, plan_cached = self._plan(
+            key = plan_key(
                 query_graph,
-                full_enumeration=False,
-                enable_binary_joins=True,
-                use_cache=True,
                 vectorized=effective_vectorized,
+                output_limit=config.output_limit if config is not None else None,
             )
+            plan, plan_cached = self._plan(query_graph, key, use_cache=True)
             plan_seconds = time.perf_counter() - plan_start
 
         # Queries over a DynamicGraph read a pinned MVCC snapshot, so
@@ -954,10 +941,6 @@ class GraphflowDB:
             )
         trace = None
         if self.obs.enabled:
-            if isinstance(query, Plan):
-                feedback_key = ("plan", plan.signature())
-            else:  # the plan-cache key of the planning above
-                feedback_key = (query_graph.canonical_key(), False, True, effective_vectorized)
             # Which transport ran is read off the result: a process-mode
             # query the pool could not ship comes back as a thread run.
             if result.morsel_records:
@@ -975,7 +958,7 @@ class GraphflowDB:
                 mode=mode,
                 plan_seconds=plan_seconds,
                 plan_cached=plan_cached,
-                feedback_key=feedback_key,
+                cache_key=key,
             )
         return QueryResult(
             query=query_graph,
@@ -1023,9 +1006,13 @@ class GraphflowDB:
         mode: str,
         plan_seconds: float,
         plan_cached: Optional[bool],
-        feedback_key: tuple,
+        cache_key: Optional[PlanKey],
     ) -> QueryTrace:
         """Assemble and record the trace of one executed query.
+
+        ``cache_key`` is the plan-cache key the query was planned under, and
+        keys its cardinality feedback; ``None`` for a pre-built plan, whose
+        feedback is keyed by the plan's signature.
 
         Operator rows join the executor's actual per-operator output counts
         with the estimates annotated on the plan at optimization time; a
@@ -1054,7 +1041,13 @@ class GraphflowDB:
             plan_cached=plan_cached,
             canonical_key=str(query_graph.canonical_key()),
         )
-        trace.add_span("plan", plan_seconds, cached=plan_cached, plan_type=plan.plan_type)
+        # output_limit is the limit class the plan was priced for (None for
+        # an unlimited or pre-built plan): it explains why a limited request
+        # can run a different plan than the same query unlimited.
+        trace.add_span(
+            "plan", plan_seconds, cached=plan_cached, plan_type=plan.plan_type,
+            output_limit=cache_key.limit_class if cache_key is not None else None,
+        )
         exec_attrs = {"mode": mode}
         if result.num_workers > 1:
             exec_attrs["num_workers"] = result.num_workers
@@ -1074,6 +1067,7 @@ class GraphflowDB:
             profile.per_operator, profile.operator_seconds, plan.operator_estimates
         )
         trace.profile = profile.as_dict()
+        feedback_key = cache_key if cache_key is not None else ("plan", plan.signature())
         self.obs.record_query(trace, feedback_key=feedback_key)
         return trace
 

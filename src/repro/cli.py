@@ -25,6 +25,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro import GraphflowDB, datasets
+from repro.executor.operators import ExecutionConfig
 from repro.experiments.harness import format_table
 from repro.experiments.spectrum import generate_spectrum
 from repro.graph.statistics import compute_statistics
@@ -280,6 +281,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     execute_kwargs = dict(
         adaptive=args.adaptive,
         num_workers=args.workers,
+        config=ExecutionConfig(output_limit=args.row_limit),
         vectorized=True if args.vectorized else None,
         execution_mode=args.execution_mode,
     )
@@ -832,6 +834,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="execute N times and show the last trace (N>1 exercises the plan cache)",
+    )
+    trace.add_argument(
+        "--row-limit",
+        type=int,
+        default=None,
+        dest="row_limit",
+        help="stop after this many rows; the plan span shows the limit class it was priced for",
     )
     trace.add_argument("--json", action="store_true", help="emit the trace as JSON")
     trace.set_defaults(func=cmd_trace)

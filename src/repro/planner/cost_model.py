@@ -23,6 +23,13 @@ its own :class:`CostConstants` set.  The iterator constants reproduce the
 paper's original formulas exactly; the vectorized constants shrink
 per-tuple terms and add a small per-batch overhead, which makes the DP
 optimizer price batch-mode plans with per-batch (not per-tuple) costs.
+
+Every cost above is for a run to completion.  A query with an output limit
+stops early, but only in its pipeline: a HASH-JOIN build side is drained in
+full before the first row comes out.  :meth:`CostModel.limited_cost` prices
+that run, and both optimizers rank a limited query's plans by it, so a
+hybrid plan that is cheapest for the whole answer can lose to a WCO plan
+that pipelines its first rows.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import numpy as np
 
 from repro.catalogue.catalogue import SubgraphCatalogue
 from repro.catalogue.estimation import estimate_cardinality, extension_statistics
+from repro.errors import CatalogueError
 from repro.graph.graph import Graph
 from repro.planner.descriptors import AdjListDescriptor
 from repro.planner.plan import ExtendNode, HashJoinNode, Plan, PlanNode, ScanNode
@@ -297,6 +305,34 @@ class CostModel:
         root = plan_or_node.root if isinstance(plan_or_node, Plan) else plan_or_node
         return float(sum(self.operator_cost(n) for n in root.iter_nodes()))
 
+    def limited_cost(self, plan_or_node, limit: Optional[int]) -> float:
+        """What a run stopped after ``limit`` output rows costs.
+
+        Every HASH-JOIN build side reachable down the pipeline is drained in
+        full, so its subtree and the join's build term are charged in full.
+        The pipeline above the primary SCAN stops early, so the rest of
+        :meth:`plan_cost` is charged at ``limit / cardinality(query)``.
+        ``None``, or a limit at or above the estimate, is ``plan_cost``.
+        """
+        root = plan_or_node.root if isinstance(plan_or_node, Plan) else plan_or_node
+        total = self.plan_cost(root)
+        if limit is None or limit >= self.cardinality(root.sub_query):
+            return total
+        blocking = 0.0
+        node = root
+        while node.children():
+            if isinstance(node, HashJoinNode):
+                n_build = self.cardinality(node.build.sub_query)
+                blocking += (
+                    self.plan_cost(node.build)
+                    + self.build_weight * n_build
+                    + self._batch_cost(n_build)
+                )
+                node = node.probe
+            else:
+                node = node.children()[0]
+        return blocking + limit / self.cardinality(root.sub_query) * (total - blocking)
+
     def cost_breakdown(self, plan: Plan) -> CostBreakdown:
         rows = [
             (node._describe_line(), self.operator_cost(node)) for node in plan.root.iter_nodes()
@@ -313,8 +349,8 @@ def annotate_operator_estimates(plan: Plan, cost_model: CostModel) -> Plan:
     q-errors.  Two operators can share a display name (e.g. duplicate SCANs
     of the same query edge in a bushy plan); their estimates are summed,
     matching how the executor sums their counters under one profile key.
-    Failures are swallowed: a plan without annotations simply yields traces
-    without q-errors, never a failed query.
+    A catalogue lookup that fails leaves the plan unannotated: it then
+    yields traces without q-errors, never a failed query.
     """
     estimates: Dict[str, float] = {}
     try:
@@ -323,7 +359,7 @@ def annotate_operator_estimates(plan: Plan, cost_model: CostModel) -> Plan:
             estimates[name] = estimates.get(name, 0.0) + float(
                 cost_model.cardinality(node.sub_query)
             )
-    except Exception:
+    except CatalogueError:
         return plan
     plan.operator_estimates = estimates
     return plan

@@ -68,8 +68,13 @@ class DynamicProgrammingOptimizer:
         self.enumerate_all_wco = enumerate_all_wco
 
     # ------------------------------------------------------------------ #
-    def optimize(self, query: QueryGraph) -> Plan:
-        """Return the cheapest plan for ``query`` under the cost model."""
+    def optimize(self, query: QueryGraph, output_limit: Optional[int] = None) -> Plan:
+        """Return the cheapest plan for ``query`` under the cost model.
+
+        With an ``output_limit`` the DP's winner is compared with the
+        query's cheapest WCO plan by :meth:`CostModel.limited_cost`: a
+        hybrid plan drains its build side in full, a WCO plan stops after
+        the rows asked for.  Sub-plans are still chosen by unlimited cost."""
         if not query.is_connected():
             raise OptimizerError(f"query {query.name} must be connected")
         if query.num_vertices < 2:
@@ -101,9 +106,21 @@ class DynamicProgrammingOptimizer:
                 level = dict(kept)
             best.update(level)
 
-        full = best.get(frozenset(query.vertices))
+        vertices = frozenset(query.vertices)
+        full = best.get(vertices)
         if full is None:
             raise OptimizerError(f"optimizer failed to cover query {query.name}")
+        wco = best_wco.get(vertices)
+        # Every pipelined plan scales by the same fraction, so only a winner
+        # with a HASH-JOIN can lose to the best WCO plan under a limit.
+        if (
+            output_limit is not None
+            and wco is not None
+            and any(isinstance(n, HashJoinNode) for n in full.root.iter_nodes())
+            and self.cost_model.limited_cost(wco.root, output_limit)
+            < self.cost_model.limited_cost(full.root, output_limit)
+        ):
+            full = wco
         return self._finalize(query, full)
 
     # ------------------------------------------------------------------ #

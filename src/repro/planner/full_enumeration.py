@@ -128,7 +128,9 @@ class FullEnumerationOptimizer:
         self.enable_binary_joins = enable_binary_joins
         self.max_plans_per_subquery = max_plans_per_subquery
 
-    def optimize(self, query: QueryGraph) -> Plan:
+    def optimize(self, query: QueryGraph, output_limit: Optional[int] = None) -> Plan:
+        """The plan with the least :meth:`CostModel.limited_cost` under
+        ``output_limit`` (``plan_cost`` without one)."""
         enumerator = PlanSpaceEnumerator(
             query,
             enable_binary_joins=self.enable_binary_joins,
@@ -139,8 +141,8 @@ class FullEnumerationOptimizer:
             raise OptimizerError(f"no plans found for {query.name}")
         best: Optional[Tuple[float, Plan]] = None
         for plan in plans:
-            cost = self.cost_model.plan_cost(plan)
-            plan.estimated_cost = cost
+            plan.estimated_cost = self.cost_model.plan_cost(plan)
+            cost = self.cost_model.limited_cost(plan, output_limit)
             if best is None or cost < best[0]:
                 best = (cost, plan)
         assert best is not None

@@ -17,16 +17,57 @@ Invalidation: the cache must be flushed whenever the statistics that plans
 were costed against change (catalogue rebuild, graph replacement).
 :meth:`invalidate` does that and bumps a generation counter so that an
 in-flight leader cannot re-insert a plan computed against stale statistics.
+
+Row limits: a limited query is planned for its *limit class*, the next power
+of two at or above the limit, and cached under it, so a client paging with
+limits 100 and 120 shares one entry (class 128) and one optimizer run.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, NamedTuple, Optional
 
 from repro.planner.plan import Plan
+from repro.query.query_graph import QueryGraph
+
+
+class PlanKey(NamedTuple):
+    """What a cached plan was planned for: the query's canonical form, the
+    planner options, and the row-limit class (``None`` when unlimited).
+    Cardinality feedback is keyed the same way."""
+
+    canonical_key: Hashable
+    full_enumeration: bool
+    enable_binary_joins: bool
+    vectorized: bool
+    limit_class: Optional[int]
+
+
+def limit_class(output_limit: Optional[int]) -> Optional[int]:
+    """The next power of two at or above ``output_limit`` (100 -> 128)."""
+    if output_limit is None:
+        return None
+    return 1 << max(int(output_limit) - 1, 0).bit_length()
+
+
+def plan_key(
+    query: QueryGraph,
+    full_enumeration: bool = False,
+    enable_binary_joins: bool = True,
+    vectorized: bool = False,
+    output_limit: Optional[int] = None,
+) -> PlanKey:
+    """The one definition of a plan-cache key."""
+    return PlanKey(
+        query.canonical_key(),
+        full_enumeration,
+        enable_binary_joins,
+        vectorized,
+        limit_class(output_limit),
+    )
 
 
 @dataclass

@@ -6,21 +6,24 @@ q-error crossed a threshold.  The :class:`Reoptimizer` walks that list and,
 for each drifting plan still in the cache, runs the optimizer again against
 *current* statistics.  The old plan is evicted only when the new plan's
 estimated cost beats the old plan's cost — both priced by the current cost
-model, so the comparison is apples-to-apples — by a configurable margin;
-otherwise the cached plan stands (its estimates were wrong but its shape is
-still the cheapest known) and only its estimates are refreshed by virtue of
-the re-annotation on the next natural re-plan.
+model for the key's row-limit class, so the comparison is apples-to-apples
+— by a configurable margin; otherwise the cached plan stands (its estimates
+were wrong but its shape is still the cheapest known) and only its
+estimates are refreshed by virtue of the re-annotation on the next natural
+re-plan.
 
 Feedback keys for default planning are exactly the plan-cache keys
-``(canonical_key, full_enumeration, enable_binary_joins, vectorized)``;
-pre-built plans are keyed ``("plan", signature)`` and are skipped — there is
-nothing cached to evict for them.
+(:class:`~repro.server.plan_cache.PlanKey`); pre-built plans are keyed
+``("plan", signature)`` and are skipped — there is nothing cached to evict
+for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
+
+from repro.server.plan_cache import PlanKey
 
 
 @dataclass
@@ -96,7 +99,7 @@ class Reoptimizer:
             return report
         for key, entry in db.obs.feedback.drifting_plans(self.qerror_threshold):
             report.considered += 1
-            if not self._is_plan_cache_key(key):
+            if not isinstance(key, PlanKey):
                 report.skipped_unkeyed += 1
                 continue
             old_plan = cache.peek(key)
@@ -107,17 +110,13 @@ class Reoptimizer:
                 db.obs.feedback.discard(key)
                 report.skipped_uncached += 1
                 continue
-            _, full_enumeration, enable_binary_joins, vectorized = key
             generation = cache.generation
-            cost_model = db.cost_model_for(vectorized)
-            old_cost = cost_model.plan_cost(old_plan)
-            new_plan = db._plan_uncached(
-                old_plan.query,
-                full_enumeration=full_enumeration,
-                enable_binary_joins=enable_binary_joins,
-                vectorized=vectorized,
-            )
-            new_cost = new_plan.estimated_cost
+            cost_model = db.cost_model_for(key.vectorized)
+            new_plan = db._plan_uncached(old_plan.query, key)
+            # Both plans are priced for the key's limit class, as the
+            # optimizer ranked them (plan_cost when unlimited).
+            old_cost = cost_model.limited_cost(old_plan, key.limit_class)
+            new_cost = cost_model.limited_cost(new_plan, key.limit_class)
             changed = (
                 new_cost == new_cost  # not NaN
                 and new_cost < self.cost_margin * old_cost
@@ -185,16 +184,6 @@ class Reoptimizer:
                 scored.append(key)
         for key in scored:
             self._awaiting_after.pop(key, None)
-
-    @staticmethod
-    def _is_plan_cache_key(key) -> bool:
-        return (
-            isinstance(key, tuple)
-            and len(key) == 4
-            and isinstance(key[1], bool)
-            and isinstance(key[2], bool)
-            and isinstance(key[3], bool)
-        )
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:

@@ -400,6 +400,28 @@ class TestQueryTraces:
         # Cached plans keep their estimate annotations: q-errors survive.
         assert math.isfinite(second.max_q_error)
 
+    def test_plan_span_names_the_limit_class_that_priced_the_plan(self, db):
+        q = cq.diamond_x()
+        limited = db.execute(q, config=ExecutionConfig(output_limit=100)).trace
+        unlimited = db.execute(q).trace
+        prebuilt = db.execute(db.plan(q, output_limit=100)).trace
+        assert limited.span("plan").attributes["output_limit"] == 128
+        assert unlimited.span("plan").attributes["output_limit"] is None
+        assert prebuilt.span("plan").attributes["output_limit"] is None
+        assert "output_limit=128" in limited.format()
+
+    def test_trace_cli_prints_the_limit_class(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "trace", "--dataset", "amazon", "--scale", "0.1", "--z", "40",
+            "--query", "Q1", "--vectorized", "--row-limit", "5",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "status=truncated" in out and "matches=5" in out
+        assert "output_limit=8" in out
+
     def test_repeated_executions_feed_cardinality_feedback(self, db):
         q = cq.triangle()
         db.execute(q)

@@ -7,8 +7,9 @@ import threading
 import pytest
 
 from repro.api import GraphflowDB
+from repro.executor.operators import ExecutionConfig
 from repro.query import catalog_queries as cq
-from repro.server.plan_cache import PlanCache
+from repro.server.plan_cache import PlanCache, limit_class, plan_key
 
 
 class TestLruSemantics:
@@ -189,6 +190,46 @@ class TestGraphflowDbIntegration:
         assert result.matches is not None and result.matches
         assert set(result.matches[0]) == {"n1", "n2", "n3"}
 
+    def test_limits_in_one_power_of_two_class_share_one_entry(self, db):
+        q = cq.diamond_x()
+        before = db.planner_invocations
+        first = db.execute(q, config=ExecutionConfig(output_limit=100), collect=True)
+        second = db.execute(q, config=ExecutionConfig(output_limit=120), collect=True)
+        assert db.planner_invocations == before + 1
+        assert second.plan is first.plan
+        assert len(second.matches) == min(120, db.count(q))
+        assert plan_key(q, output_limit=100) == plan_key(q, output_limit=120)
+        assert plan_key(q, output_limit=100).limit_class == 128
+
+    def test_a_limit_and_no_limit_do_not_share(self, db):
+        q = cq.diamond_x()
+        db.plan(q, output_limit=100)
+        before = db.planner_invocations
+        db.plan(q)
+        assert db.planner_invocations == before + 1
+        assert plan_key(q, output_limit=100) in db.plan_cache
+        assert plan_key(q) in db.plan_cache
+
+    def test_one_write_invalidates_limited_and_unlimited_entries(self, db):
+        db.to_dynamic()
+        q = cq.diamond_x()
+        db.plan(q)
+        db.plan(q, output_limit=100)
+        assert len(db.plan_cache) == 2
+        # A guaranteed-effective write: an edge to a brand-new vertex.
+        db.apply_updates(new_vertex_labels=[0], inserts=[(0, db.graph.num_vertices, 0)])
+        assert len(db.plan_cache) == 0
+        before = db.planner_invocations
+        db.plan(q)
+        db.plan(q, output_limit=100)
+        assert db.planner_invocations == before + 2
+
+    @pytest.mark.parametrize(
+        "limit, expected", [(None, None), (0, 1), (1, 1), (2, 2), (3, 4), (100, 128), (128, 128), (129, 256)]
+    )
+    def test_limit_class_is_the_next_power_of_two(self, limit, expected):
+        assert limit_class(limit) == expected
+
     def test_plan_cached_is_this_calls_own_fact(self, db, monkeypatch):
         """``plan_cached`` says whether *this* execute ran the optimizer, not
         whether anyone did meanwhile: thread A sits inside the optimizer on a
@@ -200,10 +241,10 @@ class TestGraphflowDbIntegration:
         inside_optimizer, release = threading.Event(), threading.Event()
 
         class BlockingOptimizer(api.DynamicProgrammingOptimizer):
-            def optimize(self, query):
+            def optimize(self, query, output_limit=None):
                 inside_optimizer.set()
                 assert release.wait(timeout=10.0)
-                return super().optimize(query)
+                return super().optimize(query, output_limit)
 
         monkeypatch.setattr(api, "DynamicProgrammingOptimizer", BlockingOptimizer)
         cold = {}

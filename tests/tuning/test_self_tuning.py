@@ -21,12 +21,14 @@ import time
 
 import pytest
 
+from repro import datasets
 from repro.api import GraphflowDB
 from repro.executor.operators import ExecutionConfig
 from repro.graph.generators import clustered_social, erdos_renyi
 from repro.obs.feedback import CardinalityFeedback
 from repro.obs.trace import OperatorStats
 from repro.query import catalog_queries as cq
+from repro.server.plan_cache import plan_key
 from repro.server.service import QueryService
 from repro.tuning import CatalogueRefresher, Reoptimizer
 from tests.conftest import wait_until
@@ -94,7 +96,7 @@ class TestPartialFeedback:
         db.build_catalogue(h=2, z=60, queries=[cq.triangle()])
         q = cq.triangle()
         db.execute(q)
-        key = (q.canonical_key(), False, True, False)
+        key = plan_key(q)
         before = db.obs.feedback.get(key)
         assert before is not None and before.executions == 1
         snapshot = (before.executions, before.sum_q_error, before.max_q_error, before.last_q_error)
@@ -306,11 +308,11 @@ class TestReoptimizer:
         db = GraphflowDB(clustered_social(150, avg_degree=7, clustering=0.4, seed=8))
         db.build_catalogue(h=3, z=80, queries=[cq.q3()])
         q = cq.q3()
-        best = db._plan_uncached(q)
+        best = db.plan(q, use_cache=False)
         cost_model = db.cost_model_for(False)
         worst = max(enumerate_wco_plans(q), key=lambda p: cost_model.plan_cost(p))
         assert worst.signature() != best.signature()
-        key = (q.canonical_key(), False, True, False)
+        key = plan_key(q)
         db.plan_cache.put(key, worst)
         self._seed_drift(db, key, query_name=q.name)
 
@@ -336,7 +338,7 @@ class TestReoptimizer:
         db.build_catalogue(h=2, z=60, queries=[cq.triangle()])
         q = cq.triangle()
         plan = db.plan(q)  # caches the optimizer's own choice
-        key = (q.canonical_key(), False, True, False)
+        key = plan_key(q)
         assert db.plan_cache.peek(key) is not None
         self._seed_drift(db, key)
         reopt = Reoptimizer(db)
@@ -345,10 +347,29 @@ class TestReoptimizer:
         assert report.plan_changes == 0
         assert db.plan_cache.peek(key) is plan
 
+    def test_a_limited_key_is_compared_by_limited_cost(self):
+        """Unlimited, the hybrid diamond-X plan is the cheapest; under the
+        key's limit class the WCO plan is, and the re-plan installs it."""
+        db = GraphflowDB(datasets.load("amazon", scale=0.25))
+        db.build_catalogue()
+        q = cq.diamond_x()
+        hybrid = db.plan(q, vectorized=True, use_cache=False)
+        assert hybrid.plan_type == "hybrid"
+        key = plan_key(q, vectorized=True, output_limit=100)
+        db.plan_cache.put(key, hybrid)
+        self._seed_drift(db, key, query_name=q.name)
+        report = Reoptimizer(db).run_once()
+        assert report.plan_changes == 1
+        cached = db.plan_cache.peek(key)
+        assert cached.plan_type == "wco"
+        cost_model = db.cost_model_for(True)
+        assert report.details[0]["old_cost"] == cost_model.limited_cost(hybrid, key.limit_class)
+        assert report.details[0]["new_cost"] == cost_model.limited_cost(cached, key.limit_class)
+
     def test_uncached_and_unkeyed_drift_is_skipped(self):
         db = GraphflowDB(erdos_renyi(60, 240, seed=6))
         db.build_catalogue(h=2, z=40, queries=[cq.triangle()])
-        gone_key = (cq.triangle().canonical_key(), False, True, False)
+        gone_key = plan_key(cq.triangle())
         self._seed_drift(db, gone_key)  # nothing cached under this key
         prebuilt_key = ("plan", "SCAN[a->b]")
         self._seed_drift(db, prebuilt_key)
@@ -369,7 +390,7 @@ class TestReoptimizer:
 
         cost_model = db.cost_model_for(False)
         worst = max(enumerate_wco_plans(q), key=lambda p: cost_model.plan_cost(p))
-        key = (q.canonical_key(), False, True, False)
+        key = plan_key(q)
         db.plan_cache.put(key, worst)
         self._seed_drift(db, key, query_name=q.name)
 
