@@ -37,10 +37,12 @@ columns aligned to the plan node's ``out_vertices`` order.
 * :class:`BatchAdaptiveOperator` (Section 6) routes each row of a frame to
   the cheapest of several E/I chains and drives those chains' ``_process``.
 * :class:`BatchHashJoinOperator` sorts the build side by a packed join code
-  and *locates* every probe batch in it: the batch sorted by its own code,
-  one ``searchsorted``, and per hit the bucket of build rows it matches.
-  From there it either fills one preallocated output frame per batch or,
-  for a counting sink, sums the bucket sizes.
+  and *locates* the probe side in it: probe codes sorted, one
+  ``searchsorted``, and per hit the bucket of build rows it matches.  From
+  there it either fills one preallocated output frame per probe batch or,
+  for a counting sink, sums the bucket sizes over runs of probe codes as
+  long as the table (the sort-merge form of the join: one pass over the
+  table per run instead of one per batch).
 
 Match *counts* are identical to the iterator pipeline on every plan; only the
 order in which matches are produced may differ (E/I sorts each batch by its
@@ -49,7 +51,10 @@ materialise matches: the sink drives the root through
 :meth:`BatchOperator.counts`, and E/I and HASH-JOIN answer it without
 assembling the frames they would have produced — the paper's SINK, for which
 the hash-join cost ``w1*n1 + w2*n2`` (Section 4.2) has no output term.  Only
-the root is asked for counts; every operator below it produces frames.
+the root is asked for counts; every operator below it produces frames.  A
+count needs no frame chunking, so a counting HASH-JOIN without predicates
+yields one count per probe run rather than one per would-be frame: its
+``batches`` counter is the one that differs from a collecting run.
 
 Batch-grouping invariants — what the operators assume of their inputs and
 guarantee of their outputs:
@@ -664,22 +669,29 @@ class BatchHashJoinOperator(BatchOperator):
     """Hash join over columnar batches.
 
     The build side is reduced to its join keys, packed into one ``int64`` code
-    per row and sorted; runs of equal codes are the table's buckets.  One
-    *locate* step serves every probe frame: sort the frame by its join code,
-    binary-search the distinct build codes once, and keep, per hit, the
-    bucket it landed in.  Two consumers read that:
+    per row and sorted; runs of equal codes are the table's buckets.  The
+    probe side is *located* in that table: its join codes sorted, one
+    ``searchsorted`` against the distinct build codes, and per hit the bucket
+    it landed in.  Two consumers read that:
 
-    * :meth:`counts` (the plan's root under ``collect=False``) sums the bucket
-      sizes.  No output row exists, and the build side keeps no payload.
-    * :meth:`frames` writes ``probe row x bucket`` into one preallocated
-      frame, column by column.
+    * :meth:`counts` (the plan's root under ``collect=False``) with no
+      predicate to evaluate sums the bucket sizes.  It locates the probe side
+      in *runs* of at least as many codes as the table has buckets, so one
+      sort and one ``searchsorted`` of sorted needles walk the table once per
+      run (the sort-merge form of the join), and yields one count per run.
+      No output row exists, and the build side keeps neither payload nor
+      bucket starts.
+    * :meth:`frames` locates one probe frame at a time and writes
+      ``probe row x bucket`` into one preallocated frame, column by column.
 
     Predicates over the joined row (pairwise distinctness across the two
     sides under ``isomorphism``, query edges neither child covers) are
     evaluated on the expanded 1-D columns they read, before anything is
-    filled; under :meth:`counts` those are the only columns expanded.  Each
-    side arrives pairwise distinct already, so only probe x payload pairs are
-    compared.
+    filled; a counting sink with predicates expands those columns only, frame
+    by frame like :meth:`frames`.  Each side arrives pairwise distinct
+    already, so only probe x payload pairs are compared, and of those only
+    the ones whose probe column is not a join key: a key column equals a
+    build key column, which no payload column of its row can equal.
 
     Join keys whose packed width would overflow 62 bits are kept as rows and
     located through a Python dict (unreachable for realistic graph sizes, kept
@@ -703,6 +715,7 @@ class BatchHashJoinOperator(BatchOperator):
             [
                 (i, self._probe_width + j)
                 for i in range(self._probe_width)
+                if i not in probe_key_idx
                 for j in range(len(build_payload_idx))
             ]
             if self.config.isomorphism
@@ -744,12 +757,13 @@ class BatchHashJoinOperator(BatchOperator):
         else:
             order = np.argsort(keys) if self._codes_fit else np.lexsort(keys[:, ::-1].T)
             keys = keys[order]
+        starts, self._table_counts, _ = _group_runs(keys)
         if keep_payload:
-            # One contiguous array per payload column: the fill gathers them
-            # one at a time.
+            # One contiguous array per payload column, and where each bucket
+            # begins in them: the fill gathers the columns one at a time.
             self._payload = np.ascontiguousarray(np.concatenate(payload_parts)[order].T)
-        self._table_starts, self._table_counts, _ = _group_runs(keys)
-        unique_keys = keys[self._table_starts]
+            self._table_starts = starts
+        unique_keys = keys[starts]
         if self._codes_fit:
             self._unique_codes = unique_keys
         else:
@@ -757,35 +771,26 @@ class BatchHashJoinOperator(BatchOperator):
         self.profile.record_operator_time(self._name, time.perf_counter() - t0)
         return True
 
-    def _locate(
-        self, probe_frame: np.ndarray, keep_rows: bool
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """The probe rows that hit (None unless ``keep_rows``) and the bucket
-        of the sorted build side each of them hit."""
-        keys = self._keys(probe_frame[:, self._probe_key_idx])
-        order = None
+    def _lookup(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The bucket of every join key (``loc``) and whether it has one
+        (``hit``).  Packed codes are binary-searched, fastest in sorted order:
+        sorted needles walk the table front to back."""
         if self._codes_fit:
-            # Sorted needles walk the table front to back: against a table
-            # of 1 M codes a 2,048-row batch locates in 0.38 ms, 1.0 ms in
-            # arrival order.
-            if keep_rows:
-                order = np.argsort(keys)
-                keys = keys[order]
-            else:
-                keys.sort()
-            loc, hit = locate_sorted(self._unique_codes, keys)
-        else:
-            loc = np.array(
-                [self._bucket_of_key.get(tuple(key), -1) for key in keys.tolist()],
-                dtype=np.int64,
-            )
-            hit = loc >= 0
+            return locate_sorted(self._unique_codes, keys)
+        loc = np.array(
+            [self._bucket_of_key.get(tuple(key), -1) for key in keys.tolist()],
+            dtype=np.int64,
+        )
+        return loc, loc >= 0
+
+    def _locate(self, probe_frame: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The probe rows that hit and the bucket of the sorted build side
+        each of them hit."""
+        keys = self._keys(probe_frame[:, self._probe_key_idx])
+        order = np.argsort(keys) if self._codes_fit else None
+        loc, hit = self._lookup(keys if order is None else keys[order])
         hits = np.flatnonzero(hit)
-        buckets = loc[hits]
-        rows = None
-        if keep_rows:
-            rows = probe_frame[hits if order is None else order[hits]]
-        return rows, buckets
+        return probe_frame[hits if order is None else order[hits]], loc[hits]
 
     def _expanded_columns(
         self, rows: np.ndarray, buckets: np.ndarray, counts: np.ndarray, wanted: Sequence[int]
@@ -815,10 +820,10 @@ class BatchHashJoinOperator(BatchOperator):
         return None if mask.all() else mask
 
     def _run(self, count_only: bool) -> Iterator[Union[np.ndarray, int]]:
-        # Nothing reads an expanded column when the sink only counts and no
-        # predicate has to be evaluated.
-        expand = not count_only or bool(self._predicate_columns)
-        if not self._build(keep_payload=expand):
+        """Locate probe frame by probe frame and expand every hit: output
+        frames or, under ``count_only``, how many expanded rows pass the
+        predicates."""
+        if not self._build(keep_payload=True):
             return
         width = len(self.node.out_vertices)
         wanted = self._predicate_columns if count_only else range(width)
@@ -827,18 +832,17 @@ class BatchHashJoinOperator(BatchOperator):
             self._check_deadline()
             t0 = time.perf_counter()
             self.profile.hash_probes += probe_frame.shape[0]
-            rows, buckets = self._locate(probe_frame, keep_rows=expand)
+            rows, buckets = self._locate(probe_frame)
             match_counts = self._table_counts[buckets]
             # Chunk the expansion so heavily duplicated join keys cannot blow
             # up a single output frame (same bound as the E/I operator).
             for lo, hi in _expansion_segments(match_counts, cap):
                 counts = match_counts[lo:hi]
                 total = int(counts.sum())
-                if expand:
-                    columns = self._expanded_columns(rows[lo:hi], buckets[lo:hi], counts, wanted)
-                    keep = self._predicate_mask(columns, total)
-                    if keep is not None:
-                        total = int(np.count_nonzero(keep))
+                columns = self._expanded_columns(rows[lo:hi], buckets[lo:hi], counts, wanted)
+                keep = self._predicate_mask(columns, total)
+                if keep is not None:
+                    total = int(np.count_nonzero(keep))
                 if total == 0:
                     continue
                 if count_only:
@@ -854,11 +858,56 @@ class BatchHashJoinOperator(BatchOperator):
                 t0 = time.perf_counter()
             self.profile.record_operator_time(self._name, time.perf_counter() - t0)
 
+    def _probe_runs(self, run_length: int) -> Iterator[np.ndarray]:
+        """The probe side's join keys in runs of at least ``run_length`` keys
+        (the last run may be shorter)."""
+        parts: List[np.ndarray] = []
+        buffered = 0
+        for probe_frame in self.probe_child.frames():
+            self._check_deadline()
+            t0 = time.perf_counter()
+            self.profile.hash_probes += probe_frame.shape[0]
+            parts.append(self._keys(probe_frame[:, self._probe_key_idx]))
+            buffered += probe_frame.shape[0]
+            self.profile.record_operator_time(self._name, time.perf_counter() - t0)
+            if buffered >= run_length:
+                # The frames' keys are let go before the run is located.
+                run = np.concatenate(parts)
+                parts, buffered = [], 0
+                yield run
+        if parts:
+            yield np.concatenate(parts)
+
+    def _count_runs(self) -> Iterator[int]:
+        """Σ bucket sizes over the probe side, one count per run of probe
+        keys.  A run holds at least as many keys as the table has buckets,
+        so sorting it and binary-searching the table with it is one pass over
+        the table per run, not one per frame.  A row-limited query still
+        locates each probe frame as it arrives: there the SCAN sizes the
+        frames to the limit, and buffering would undo that."""
+        if not self._build(keep_payload=False):
+            return
+        run_length = (
+            1
+            if self.config.output_limit is not None
+            else max(self.config.batch_size, len(self._table_counts))
+        )
+        for keys in self._probe_runs(run_length):
+            t0 = time.perf_counter()
+            if self._codes_fit:
+                keys.sort()
+            loc, hit = self._lookup(keys)
+            total = int(self._table_counts[loc].sum(where=hit))
+            self.profile.record_operator_time(self._name, time.perf_counter() - t0)
+            if total:
+                self._account_frame(self._name, total)
+                yield total
+
     def frames(self) -> Iterator[np.ndarray]:
         return self._run(count_only=False)
 
     def counts(self) -> Iterator[int]:
-        return self._run(count_only=True)
+        return self._run(count_only=True) if self._predicate_columns else self._count_runs()
 
 
 def build_batch_operator_tree(
@@ -905,7 +954,8 @@ def execute_plan_vectorized(
     proportion to its limit rather than to a ``batch_size`` frame.
     With ``collect`` the root operator's frames are kept; without it the
     root is asked for row counts only (:meth:`BatchOperator.counts`), so the
-    final operator's output is never built.  Both record the same profile.
+    final operator's output is never built.  Both record the same profile,
+    except the ``batches`` of a HASH-JOIN root that counts in probe runs.
     """
     from repro.executor.pipeline import ExecutionResult
 

@@ -48,7 +48,9 @@ class CatalogueRefresher:
     event_sink:
         Optional ``(event_type, **fields)`` callable
         (:meth:`~repro.obs.Observability.emit_event` matches); receives a
-        ``catalogue_refresh`` event per installed refresh.
+        ``catalogue_refresh`` event per installed refresh.  It must not
+        raise: it is called bare, and an exception propagates out of
+        :meth:`refresh_now`.  The default, ``emit_event``, never does.
     reoptimizer:
         Optional :class:`~repro.tuning.reoptimize.Reoptimizer` run at the
         end of every poll cycle.
@@ -212,18 +214,15 @@ class CatalogueRefresher:
             obs.tuning_catalogue_refreshes_total.labels().inc()
             obs.tuning_refresh_seconds.labels().observe(seconds)
         if self.event_sink is not None:
-            try:
-                self.event_sink(
-                    "catalogue_refresh",
-                    seconds=round(seconds, 6),
-                    epoch=self.db.catalogue.epoch if self.db.catalogue is not None else 0,
-                    entries=fresh.num_entries,
-                    cas_retries=retries,
-                    locked_fallback=locked,
-                    refreshes=refreshes,
-                )
-            except Exception:
-                pass
+            self.event_sink(
+                "catalogue_refresh",
+                seconds=round(seconds, 6),
+                epoch=self.db.catalogue.epoch if self.db.catalogue is not None else 0,
+                entries=fresh.num_entries,
+                cas_retries=retries,
+                locked_fallback=locked,
+                refreshes=refreshes,
+            )
         return True
 
     def _next_seed(self) -> int:

@@ -62,7 +62,9 @@ class Reoptimizer:
         a marginally cheaper plan is not worth churning the cache for.
     event_sink:
         Optional ``(event_type, **fields)`` callable; receives one
-        ``plan_replan`` event per re-planned key.
+        ``plan_replan`` event per re-planned key.  It must not raise: it is
+        called bare, and an exception propagates out of :meth:`run_once`.
+        The default, :meth:`~repro.obs.Observability.emit_event`, never does.
     """
 
     def __init__(
@@ -152,17 +154,14 @@ class Reoptimizer:
             # whatever plan is now cached.
             db.obs.feedback.discard(key)
             if self.event_sink is not None:
-                try:
-                    self.event_sink(
-                        "plan_replan",
-                        query=entry.query_name,
-                        last_q_error=round(entry.last_q_error, 4),
-                        old_cost=round(old_cost, 2),
-                        new_cost=round(new_cost, 2) if new_cost == new_cost else None,
-                        changed=changed,
-                    )
-                except Exception:
-                    pass
+                self.event_sink(
+                    "plan_replan",
+                    query=entry.query_name,
+                    last_q_error=round(entry.last_q_error, 4),
+                    old_cost=round(old_cost, 2),
+                    new_cost=round(new_cost, 2) if new_cost == new_cost else None,
+                    changed=changed,
+                )
         return report
 
     # ------------------------------------------------------------------ #

@@ -25,6 +25,7 @@ from repro.executor.pipeline import count_matches, execute_plan
 import repro.executor.vectorized as vectorized
 from repro.executor.vectorized import (
     BatchExtendIntersectOperator,
+    BatchHashJoinOperator,
     BatchScanOperator,
     _codes_fit,
     _distinct,
@@ -384,11 +385,20 @@ JOIN_PLANS = [
 JOIN_IDS = [name for name, _ in JOIN_PLANS]
 
 
-def _counters(profile):
-    """Every counter of a profile; of the timings only which operators have one."""
+def _counters(profile, plan=None):
+    """Every counter of a profile; of the timings only which operators have one.
+
+    With ``plan``, a HASH-JOIN root's ``batches`` and the profile's total are
+    left out.  A counting sink without predicates reads that join one count
+    per run of probe keys, a run as long as the table, where the
+    materialising join yields one frame per ``batch_size`` output rows.
+    Every other counter is the same in the two modes."""
     counters = dataclasses.asdict(profile)
     del counters["elapsed_seconds"]
     counters["operator_seconds"] = sorted(counters["operator_seconds"])
+    if plan is not None and isinstance(plan.root, HashJoinNode):
+        del counters["batches"]
+        del counters["per_operator"][plan.root.display_name()]["batches"]
     return counters
 
 
@@ -433,7 +443,7 @@ class TestHashJoin:
         assert sorted(collected.matches) == expected
         assert counted.num_matches == collected.num_matches == len(expected)
         assert counted.matches is None
-        assert _counters(counted.profile) == _counters(collected.profile)
+        assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
 
     @pytest.mark.parametrize("isomorphism", [False, True], ids=["hom", "iso"])
     @pytest.mark.parametrize("name,plan", JOIN_PLANS, ids=JOIN_IDS)
@@ -447,16 +457,19 @@ class TestHashJoin:
             assert sorted(collected.matches) == expected
             assert counted.num_matches == len(expected)
 
-    @pytest.mark.parametrize("name", ["Q8", "two-scan-triangle"])
+    @pytest.mark.parametrize("name", JOIN_IDS)
     def test_count_mode_honours_output_limit(self, random_graph, name):
         plan = dict(JOIN_PLANS)[name]
         total = execute_plan(plan, random_graph, ExecutionConfig(**VEC)).num_matches
-        assert total > 10
-        for limit in (5, total - 1, total, total + 1):
-            counted, collected = self._both_modes(plan, random_graph, output_limit=limit)
-            assert counted.num_matches == collected.num_matches == min(limit, total)
-            assert counted.truncated == collected.truncated == (limit <= total)
-            assert not counted.deadline_exceeded
+        assert total > 5
+        for batch_size in (1, 2048):
+            for limit in (5, total - 1, total, total + 1):
+                counted, collected = self._both_modes(
+                    plan, random_graph, output_limit=limit, batch_size=batch_size
+                )
+                assert counted.num_matches == collected.num_matches == min(limit, total)
+                assert counted.truncated == collected.truncated == (limit <= total)
+                assert not counted.deadline_exceeded
 
     def test_count_mode_honours_an_expired_deadline(self, random_graph):
         result = execute_plan(
@@ -497,7 +510,7 @@ class TestHashJoin:
             counted, collected = self._both_modes(plan, random_graph, isomorphism=isomorphism)
             assert sorted(collected.matches) == expected
             assert counted.num_matches == len(expected)
-            assert _counters(counted.profile) == _counters(collected.profile)
+            assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
             assert counted.profile.operator_seconds[plan.root.display_name()] > 0
 
     @given(
@@ -540,9 +553,66 @@ class TestHashJoin:
         )
         assert sorted(collected.matches) == sorted(iterator.matches)
         assert counted.num_matches == iterator.num_matches
-        assert _counters(counted.profile) == _counters(collected.profile)
+        assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
         if not isomorphism:
             assert counted.num_matches == LeapfrogTrieJoin(graph).count(query).num_matches
+
+    @pytest.mark.parametrize("name,plan", JOIN_PLANS, ids=JOIN_IDS)
+    def test_distinctness_skips_the_pairs_the_join_key_implies(self, random_graph, name, plan):
+        """A probe key column equals a build key column, which no payload
+        column of the same pairwise-distinct build row can equal: only the
+        other probe columns are compared with the payload."""
+        op = build_batch_operator_tree(
+            plan.root, random_graph, ExecutionProfile(), ExecutionConfig(isomorphism=True, **VEC)
+        )
+        while not isinstance(op, BatchHashJoinOperator):
+            op = op.child
+        probe_keys = set(op._probe_key_idx.tolist())
+        assert not any(i in probe_keys for i, _ in op._distinct_pairs)
+        others = op._probe_width - len(probe_keys)
+        assert len(op._distinct_pairs) == others * len(op._build_payload_idx)
+        if name == "Q2":  # HASH-JOIN[a2,a4]: only a3 != a1 is left
+            assert len(op._distinct_pairs) == 1
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        index=st.integers(min_value=0, max_value=len(JOIN_PLANS) - 1),
+        batch_size=st.sampled_from([1, 3, 2048]),
+        dirty=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_counting_runs_agree_on_random_graphs(self, seed, index, batch_size, dirty):
+        """Counted == collected == LFTJ whether the probe side spans many
+        runs, one run, or ends in a partial one, on clean and dirty
+        snapshots."""
+        graph = erdos_renyi(40, 320, seed=seed)
+        if dirty:
+            graph = _dirty_snapshot(graph, seed)
+        name, plan = JOIN_PLANS[index]
+        counted, collected = self._both_modes(plan, graph, batch_size=batch_size)
+        assert counted.num_matches == collected.num_matches
+        assert counted.num_matches == LeapfrogTrieJoin(graph).count(plan.query).num_matches
+        assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 2048])
+    def test_dict_located_runs_count_the_same(self, random_graph, join_oracle, batch_size):
+        """Runs located through the > 62-bit dict count what packed runs do,
+        and either way a run is at least as long as the table."""
+        plan = dict(JOIN_PLANS)["Q2"]
+        expected = len(join_oracle(random_graph, "Q2", plan, False))
+        config = ExecutionConfig(batch_size=batch_size, **VEC)
+        counters = []
+        for fits in (True, False):
+            profile = ExecutionProfile()
+            root = build_batch_operator_tree(plan.root, random_graph, profile, config)
+            root._codes_fit = fits
+            assert sum(root.counts()) == expected
+            assert hasattr(root, "_unique_codes") == fits
+            assert not hasattr(root, "_table_starts")
+            runs = profile.per_operator[root._name]["batches"]
+            assert runs <= math.ceil(profile.hash_probes / len(root._table_counts)) + 1
+            counters.append(_counters(profile))
+        assert counters[0] == counters[1]
 
 
 class TestBatchModeResourceBounds:

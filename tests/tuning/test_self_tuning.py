@@ -136,6 +136,19 @@ class TestCatalogueRefresher:
         assert fields["entries"] == db.catalogue.num_entries
         assert fields["epoch"] == db.catalogue.epoch
 
+    def test_a_raising_event_sink_propagates(self):
+        """The sink is called bare: it is the sink's job not to raise, as the
+        default ``emit_event``'s."""
+
+        def sink(event_type, **fields):
+            raise RuntimeError("sink failed")
+
+        db = _dynamic_db()
+        epoch_before = db.catalogue.epoch
+        with pytest.raises(RuntimeError, match="sink failed"):
+            CatalogueRefresher(db, event_sink=sink).refresh_now()
+        assert db.catalogue.epoch > epoch_before  # installed before the event
+
     def test_refresh_invalidates_plan_cache_and_cost_models(self):
         db = _dynamic_db()
         plan_before = db.plan(cq.triangle())
@@ -332,6 +345,18 @@ class TestReoptimizer:
         assert events[0][1]["changed"] is True
         assert reopt.stats()["replans"] == 1
         assert reopt.stats()["plan_changes"] == 1
+
+    def test_a_raising_event_sink_propagates(self):
+        def sink(event_type, **fields):
+            raise RuntimeError("sink failed")
+
+        db = GraphflowDB(erdos_renyi(100, 600, seed=6))
+        db.build_catalogue(h=2, z=60, queries=[cq.triangle()])
+        q = cq.triangle()
+        db.plan(q)
+        self._seed_drift(db, plan_key(q))
+        with pytest.raises(RuntimeError, match="sink failed"):
+            Reoptimizer(db, event_sink=sink).run_once()
 
     def test_already_optimal_plan_is_kept(self):
         db = GraphflowDB(erdos_renyi(100, 600, seed=6))
