@@ -8,10 +8,12 @@ the descriptors ``A`` and (ii) how many extensions carrying the target label
 the intersection yields.  The averages become the ``|A|`` and ``mu`` columns.
 
 The WCO plan runs on the batch operators of :mod:`repro.executor.vectorized`,
-the engine that executes queries: its SCAN is handed the sampled edges, and
-one more E/I with the entry's descriptors does the measuring.  Both averages
-are integer sums divided by the number of sampled matches, so an entry is a
-function of the graph, the triple, ``z`` and the ``rng`` state alone.
+the engine that executes queries, with a query's default configuration and
+frame size: its SCAN is handed the sampled edges, and one more E/I with the
+entry's descriptors does the measuring, one count per frame of sampled
+matches.  Both averages are integer sums divided by the number of sampled
+matches, so an entry is a function of the graph, the triple, ``z`` and the
+``rng`` state alone, whatever the framing.
 """
 
 from __future__ import annotations
@@ -33,16 +35,6 @@ from repro.query.query_graph import QueryEdge, QueryGraph
 # --------------------------------------------------------------------------- #
 # sampling machinery
 # --------------------------------------------------------------------------- #
-#: Rows per frame of a sampling run, a quarter of a query's default.  An E/I
-#: gathers the smallest adjacency list of every distinct key of a frame before
-#: it intersects; on a skewed graph that was 0.5 M candidates (an 18 MiB
-#: transient) for one 2,048-row frame of sampled 2-paths, inside a planner
-#: that otherwise allocates next to nothing.  At 512 rows the process's peak
-#: RSS is what it was with the per-tuple sampler, and the nine cold plans of
-#: the benchmark's ``plan_cold`` take at most 0.1 s longer (of 0.7 s).
-SAMPLING_BATCH_SIZE = 512
-
-
 def _measuring_node(
     child: PlanNode,
     sub_query: QueryGraph,
@@ -92,7 +84,7 @@ def sample_subquery_matches(
 
     scan, *extends = wco_plan_from_order(sub_query, ordering).root.iter_nodes()
     # Homomorphism semantics, as the plans being priced; nothing here is a root.
-    config = ExecutionConfig(vectorized=True, batch_size=SAMPLING_BATCH_SIZE)
+    config = ExecutionConfig(vectorized=True)
     wiring = (graph, ExecutionProfile(), config, False)
     src, dst = scan_edge_arrays(scan, graph, config)
     if len(src) > z:

@@ -27,10 +27,11 @@ columns aligned to the plan node's ``out_vertices`` order.
   galloping at batch scale), compacting after every filter so a candidate
   one list rejected is never probed again.  The
   seeds are either the most selective adjacency list of every key (one ragged
-  CSR gather) or, when the child is an E/I whose descriptors are a subset of
-  this node's, the child's own extension sets read back off the frame
-  (*prefix-intersection reuse*: the batch form of the cache hit on
-  ``N(a1) ∩ N(a2)`` that a chained E/I would otherwise recompute).
+  CSR gather) or, when the child is an E/I that intersected two or more
+  lists, all of them among this node's, the child's own extension sets read
+  back off the frame (*prefix-intersection reuse*: the batch form of the
+  cache hit on ``N(a1) ∩ N(a2)`` that a chained E/I would otherwise
+  recompute).
   Isomorphism violations are filtered with broadcast compares against the
   prefix columns, and the ``(prefix x extension)`` product is expanded with
   ``np.repeat`` + ragged gathers.
@@ -52,9 +53,10 @@ materialise matches: the sink drives the root through
 assembling the frames they would have produced — the paper's SINK, for which
 the hash-join cost ``w1*n1 + w2*n2`` (Section 4.2) has no output term.  Only
 the root is asked for counts; every operator below it produces frames.  A
-count needs no frame chunking, so a counting HASH-JOIN without predicates
-yields one count per probe run rather than one per would-be frame: its
-``batches`` counter is the one that differs from a collecting run.
+count needs no frame chunking, so a counting E/I without isomorphism yields
+one count per input frame and a counting HASH-JOIN without predicates one
+per probe run, rather than one per would-be frame: the root's ``batches``
+counter is the one that differs from a collecting run.
 
 Batch-grouping invariants — what the operators assume of their inputs and
 guarantee of their outputs:
@@ -77,9 +79,10 @@ guarantee of their outputs:
   usually receives them sorted.  Keys too wide for one code (over
   ``_CODE_BITS``, HASH-JOIN's boundary too) are lexsorted column by column;
   both orders are the same;
-* expansion is chunked (``_expansion_segments``) so no output frame grows far
-  beyond ``batch_size`` rows regardless of per-row fanout, bounding peak
-  memory multiplicatively through an operator chain;
+* expansion into built frames is chunked (``_expansion_segments``) so no
+  output frame grows far beyond ``batch_size`` rows regardless of per-row
+  fanout, bounding peak memory multiplicatively through an operator chain;
+  a count builds no frame and is not chunked;
 * **one input row's expansions never straddle frames**: the chunking splits
   on row boundaries only, and a row whose own fanout exceeds the cap is a
   segment (and a frame) of its own.  Prefix-intersection reuse relies on
@@ -390,12 +393,17 @@ class BatchExtendIntersectOperator(_FrameExpander):
         self._to_label = node.to_vertex_label
         # Prefix-intersection reuse (seed source (b)): the child's columns are
         # a prefix of this node's input columns, so equal resolved descriptors
-        # name the same adjacency lists.  The covered descriptors move to the
-        # front, which makes the child's key the primary sort key of a frame.
+        # name the same adjacency lists.  Only a child that intersected two or
+        # more lists is worth reading back: a one-list child's set is that
+        # list, which the smallest-list seed already weighs against the
+        # others, and reading it off the frame would seed every row from it.
+        # The covered descriptors move to the front, which makes the child's
+        # key the primary sort key of a frame.
         self._num_covered = 0
         if (
             self.config.enable_intersection_cache
             and isinstance(child, BatchExtendIntersectOperator)
+            and len(child._resolved) >= 2
             and child._to_label == self._to_label
             and set(child._resolved) <= set(resolved)
         ):
@@ -569,6 +577,13 @@ class BatchExtendIntersectOperator(_FrameExpander):
             if len(groups)
             else np.zeros(num_groups, dtype=np.int64)
         )
+        if count_only and not self.config.isomorphism:
+            # A count builds no frame, so it needs no chunking: one count per
+            # input frame, each row weighted by its group's extensions.
+            total = int(counts_per_group @ group_sizes)
+            if total:
+                yield total
+            return
         row_counts = counts_per_group[group_of_row]
         if int(row_counts.sum()) == 0:
             return
@@ -583,9 +598,6 @@ class BatchExtendIntersectOperator(_FrameExpander):
             counts = row_counts[lo:hi]
             total = int(counts.sum())
             if total == 0:
-                continue
-            if count_only and not self.config.isomorphism:
-                yield total
                 continue
             # The distinctness filter reads every column, so under isomorphism
             # a counting sink still has the frame built and takes its size.
@@ -955,7 +967,9 @@ def execute_plan_vectorized(
     With ``collect`` the root operator's frames are kept; without it the
     root is asked for row counts only (:meth:`BatchOperator.counts`), so the
     final operator's output is never built.  Both record the same profile,
-    except the ``batches`` of a HASH-JOIN root that counts in probe runs.
+    except the root's ``batches``: an E/I root without isomorphism counts
+    once per input frame and a HASH-JOIN root without predicates once per
+    probe run, where collecting yields one frame per ``batch_size`` rows.
     """
     from repro.executor.pipeline import ExecutionResult
 

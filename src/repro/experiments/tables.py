@@ -22,6 +22,7 @@ from repro.baselines.postgres_estimator import IndependenceEstimator
 from repro.catalogue.construction import build_catalogue
 from repro.catalogue.estimation import estimate_cardinality
 from repro.catalogue.qerror import q_error, qerror_distribution
+from repro.errors import OptimizerError
 from repro.executor.adaptive import execute_adaptive
 from repro.executor.operators import ExecutionConfig
 from repro.executor.parallel import execute_parallel
@@ -274,7 +275,7 @@ def table12_cfl_comparison(
             for query in queries:
                 try:
                     plan = optimizer.optimize(query)
-                except Exception:
+                except OptimizerError:
                     plan = wco_plan_from_order(query, enumerate_orderings(query, limit=1)[0])
                 gf = execute_plan(plan, graph, config)
                 gf_times.append(gf.profile.elapsed_seconds)

@@ -2,8 +2,10 @@
 (``tests/catalogue/sampler_oracle.py``): same sampled edges for the same
 ``rng`` state, integer sums, so ``(sizes, mu, n)`` must be *equal*."""
 
+import functools
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import datasets
 from repro.api import GraphflowDB
 from repro.catalogue import construction
 from repro.catalogue.construction import (
@@ -19,6 +22,7 @@ from repro.catalogue.construction import (
     extension_triples_for_query,
     measure_extension,
 )
+from repro.executor.operators import ExecutionConfig
 from repro.graph.builder import graph_from_edges
 from repro.graph.graph import Graph
 from repro.planner.descriptors import AdjListDescriptor
@@ -101,7 +105,7 @@ class TestBatchSamplerEqualsOracle:
         # unlabelled shapes and above it on the labelled one.
         z=st.sampled_from(["few", "below", "at", "above"]),
         # One match per frame, a few, and every match of these graphs in one.
-        batch_size=st.sampled_from([1, 7, construction.SAMPLING_BATCH_SIZE]),
+        batch_size=st.sampled_from([1, 7, 2048]),
     )
     @settings(max_examples=60, deadline=None)
     def test_every_triple(self, seed, shape, dirty, z, batch_size):
@@ -110,7 +114,10 @@ class TestBatchSamplerEqualsOracle:
              "above": graph.num_edges + 7}[z]
         triples = extension_triples_for_query(SHAPES[shape], h=3)
         assert triples
-        with mock.patch.object(construction, "SAMPLING_BATCH_SIZE", batch_size):
+        # The sampler runs at the query default frame size; it imports the
+        # config class when called, so patching it here reframes the run.
+        framed = functools.partial(ExecutionConfig, batch_size=batch_size)
+        with mock.patch("repro.executor.operators.ExecutionConfig", framed):
             for sub, descriptors, to_label in triples:
                 got, expected = _both(graph, sub, descriptors, to_label, z, seed)
                 assert got == expected, (sub, descriptors, to_label)
@@ -152,6 +159,29 @@ class TestBatchSamplerEqualsOracle:
             assert (entry.avg_list_sizes, entry.mu, entry.num_samples) == (
                 other.avg_list_sizes, other.mu, other.num_samples,
             )
+
+
+class TestSamplingMemory:
+    def test_a_hub_entry_stays_small(self):
+        """Q3's ``(a1->a2->a4; a1->, a2->, a4<-)`` entry: the child E/I reads
+        one list, N(a2).  Reading that set back off a frame instead of
+        seeding from the smallest list made every row through a hub ``a2``
+        gather all of N(a2), a transient of 21 MiB per 2,048-row frame."""
+        graph = datasets.load("livejournal", scale=1)
+        q3 = cq.q3()
+        sub = q3.project(["a1", "a2", "a4"])
+        descriptors = [AdjListDescriptor.for_extension(e, "a3") for e in q3.edges_touching("a3")]
+        measure_extension(graph, sub, descriptors, None, 1000, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            _, mu, n = measure_extension(
+                graph, sub, descriptors, None, 1000, np.random.default_rng(1)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n > 0 and mu > 0
+        assert peak <= 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestEdgeCountStatistics:

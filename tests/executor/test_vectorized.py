@@ -161,12 +161,22 @@ CHAINED_SHAPES = [
         ("a1", "a2", "a3", "a4"),
         1,
     ),
-    # a1 is a prefix column outside the child's key (a2): many rows share one
-    # child key, and under isomorphism each of them had a different value
-    # removed from the shared set.
+    # a4's lists cover the child's (a3's) one list N(a2), but a one-list
+    # child's set is that list: a4 seeds from the smallest of its own lists
+    # instead of reading N(a2) back off the frame.
     (
         "non-key-prefix",
         QueryGraph([("a1", "a2"), ("a2", "a3"), ("a2", "a4"), ("a3", "a4")]),
+        ("a1", "a2", "a3", "a4"),
+        0,
+    ),
+    # The same with a child that intersects: a4 reads a3's N+(a2) ∩ N-(a2)
+    # back.  a1 is a prefix column outside that key, so many rows share one
+    # child key, and under isomorphism each of them had a different value
+    # removed from the shared set.
+    (
+        "non-key-prefix-intersected",
+        QueryGraph([("a1", "a2"), ("a2", "a3"), ("a3", "a2"), ("a2", "a4"), ("a4", "a2")]),
         ("a1", "a2", "a3", "a4"),
         1,
     ),
@@ -255,7 +265,7 @@ class TestChainedExtendIntersect:
 
     @pytest.mark.parametrize("cache", [True, False], ids=["cache", "nocache"])
     @pytest.mark.parametrize("isomorphism", [False, True], ids=["hom", "iso"])
-    @pytest.mark.parametrize("name,query,order,reusing", CHAINED_SHAPES[:6], ids=CHAINED_IDS[:6])
+    @pytest.mark.parametrize("name,query,order,reusing", CHAINED_SHAPES[:7], ids=CHAINED_IDS[:7])
     def test_dirty_snapshot(
         self, dirty_pair, oracle, name, query, order, reusing, isomorphism, cache
     ):
@@ -321,34 +331,64 @@ class TestChainedExtendIntersect:
         isomorphism=st.booleans(),
         cache=st.booleans(),
         batch_size=st.sampled_from([1, 3, 2048]),
+        dirty=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_random_queries_on_random_graphs(
-        self, seed, num_vertices, avg_degree, labelled, isomorphism, cache, batch_size
+        self, seed, num_vertices, avg_degree, labelled, isomorphism, cache, batch_size, dirty
     ):
+        """Collected == iterator == LFTJ on every plan, and on the first one
+        counted == collected with every counter but the root's ``batches``
+        equal (``_counters``)."""
         graph = erdos_renyi(24, 170, seed=seed)
         if labelled:
             graph = with_random_vertex_labels(graph, 2, seed=seed)
+        if dirty:
+            graph = _dirty_snapshot(graph, seed)
         query = random_connected_query(
             num_vertices, avg_degree=avg_degree, seed=seed, num_vertex_labels=2 if labelled else 1
         )
         lftj = LeapfrogTrieJoin(graph)
-        for plan in enumerate_wco_plans(query)[:3]:
+        config = ExecutionConfig(
+            vectorized=True, isomorphism=isomorphism,
+            enable_intersection_cache=cache, batch_size=batch_size,
+        )
+        for i, plan in enumerate(enumerate_wco_plans(query)[:3]):
             iterator = execute_plan(
                 plan, graph, ExecutionConfig(isomorphism=isomorphism), collect=True
             )
-            got = execute_plan(
-                plan,
-                graph,
-                ExecutionConfig(
-                    vectorized=True, isomorphism=isomorphism,
-                    enable_intersection_cache=cache, batch_size=batch_size,
-                ),
-                collect=True,
-            )
+            got = execute_plan(plan, graph, config, collect=True)
             assert sorted(got.matches) == sorted(iterator.matches)
+            if i == 0:
+                counted = execute_plan(plan, graph, config)
+                assert counted.num_matches == got.num_matches
+                assert _counters(counted.profile, plan) == _counters(got.profile, plan)
             if not isomorphism:
                 assert got.num_matches == lftj.count(query, ordering=plan.qvo()).num_matches
+
+    @pytest.mark.parametrize("batch_size", [3, 64])
+    def test_a_count_is_one_per_input_frame(self, chained_graph, oracle, batch_size):
+        """A count builds no frame, so a counting E/I root without
+        isomorphism yields at most one count per frame its child yields,
+        where collecting yields one frame per ``batch_size`` output rows."""
+        name, query, order, _ = CHAINED_SHAPES[0]
+        plan = wco_plan_from_order(query, order)
+        config = ExecutionConfig(batch_size=batch_size, **VEC)
+        expected = oracle(chained_graph, name, query, order, False).num_matches
+
+        def batches(collect):
+            profile = ExecutionProfile()
+            root = build_batch_operator_tree(plan.root, chained_graph, profile, config)
+            rows = [out.shape[0] for out in root.frames()] if collect else list(root.counts())
+            assert sum(rows) == expected
+            return (
+                profile.per_operator[root._name]["batches"],
+                profile.per_operator[root.child._name]["batches"],
+            )
+
+        counted, child_frames = batches(collect=False)
+        collected, _ = batches(collect=True)
+        assert counted <= child_frames < collected
 
 
 def _join_plan(query, build_order, probe_order, extend_to=()):
@@ -388,17 +428,18 @@ JOIN_IDS = [name for name, _ in JOIN_PLANS]
 def _counters(profile, plan=None):
     """Every counter of a profile; of the timings only which operators have one.
 
-    With ``plan``, a HASH-JOIN root's ``batches`` and the profile's total are
-    left out.  A counting sink without predicates reads that join one count
-    per run of probe keys, a run as long as the table, where the
-    materialising join yields one frame per ``batch_size`` output rows.
-    Every other counter is the same in the two modes."""
+    With ``plan``, the root's ``batches`` and the profile's total are left
+    out.  A count needs no frame chunking: a counting sink reads a HASH-JOIN
+    root without predicates one count per run of probe keys, a run as long
+    as the table, and an E/I root without isomorphism one count per input
+    frame, where the materialising root yields one frame per ``batch_size``
+    output rows.  Every other counter is the same in the two modes."""
     counters = dataclasses.asdict(profile)
     del counters["elapsed_seconds"]
     counters["operator_seconds"] = sorted(counters["operator_seconds"])
-    if plan is not None and isinstance(plan.root, HashJoinNode):
+    if plan is not None:
         del counters["batches"]
-        del counters["per_operator"][plan.root.display_name()]["batches"]
+        counters["per_operator"].get(plan.root.display_name(), {}).pop("batches", None)
     return counters
 
 
@@ -901,8 +942,8 @@ class TestPackedKeyGrouping:
         """Rows sharing the child's key but not its input row (a1 sits outside
         the child's key a2) repeat the child's extensions, so their sibling
         codes are not strictly increasing."""
-        name, query, order, _ = CHAINED_SHAPES[5]
-        assert name == "non-key-prefix"
+        name = "non-key-prefix-intersected"
+        query, order, _ = {shape[0]: shape[1:] for shape in CHAINED_SHAPES}[name]
         seen = []
 
         def spy(codes):

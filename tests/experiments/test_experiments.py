@@ -3,6 +3,7 @@
 import pytest
 
 from repro.catalogue.construction import build_catalogue
+from repro.errors import OptimizerError
 from repro.executor.operators import ExecutionConfig
 from repro.experiments import tables
 from repro.experiments.harness import ExperimentRow, format_table, speedup, timed
@@ -145,6 +146,30 @@ class TestTableRunners:
         for row in rows:
             assert row["graphflow_avg_s"] > 0
             assert row["cfl_avg_s"] > 0
+
+    @pytest.mark.parametrize("error", [OptimizerError, TypeError])
+    def test_table12_falls_back_only_when_the_optimizer_gives_up(
+        self, small_graph, monkeypatch, error
+    ):
+        """An ``OptimizerError`` gets the query a WCO plan; anything else is a
+        bug and reaches the caller."""
+
+        def optimize(self, query, **kwargs):
+            raise error("no plan")
+
+        monkeypatch.setattr(DynamicProgrammingOptimizer, "optimize", optimize)
+        small = dict(
+            query_vertex_counts=(4,),
+            queries_per_set=1,
+            output_limit=200,
+            num_vertex_labels=1,
+            catalogue_z=60,
+        )
+        if error is OptimizerError:
+            assert len(tables.table12_cfl_comparison(small_graph, **small)) == 2
+        else:
+            with pytest.raises(TypeError, match="no plan"):
+                tables.table12_cfl_comparison(small_graph, **small)
 
     def test_table13_rows(self, small_graph):
         rows = tables.table13_neo4j_comparison(
