@@ -147,14 +147,16 @@ def table9_emptyheaded_comparison(
                     eh_bad = eh.plan(query)
                     bad = execute_plan(eh_bad.plan, run_graph)
                     row["eh_bad_s"] = bad.profile.elapsed_seconds
-                except Exception as exc:  # GHD may not exist (paper: TL / Mem)
+                # No GHD or no valid bag ordering (OptimizerError), or the
+                # paper's "Mem" cell (MemoryError); anything else is a bug.
+                except (OptimizerError, MemoryError) as exc:
                     row["eh_bad_s"] = float("nan")
                     row["eh_note"] = type(exc).__name__
                 try:
                     eh_good = eh.plan_with_good_orderings(query, cost_model)
                     good = execute_plan(eh_good.plan, run_graph)
                     row["eh_good_s"] = good.profile.elapsed_seconds
-                except Exception as exc:
+                except (OptimizerError, MemoryError) as exc:
                     row["eh_good_s"] = float("nan")
                     row["eh_note"] = type(exc).__name__
                 rows.append(row)

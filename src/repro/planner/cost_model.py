@@ -178,9 +178,10 @@ class CostModel:
         descriptors: Sequence[AdjListDescriptor],
         to_label: Optional[int],
     ) -> Tuple[List[float], float]:
-        """``(|A|, mu)`` of one extension (cached: the DP re-costs every
-        ordering of every sub-query from scratch, and each lookup
-        canonicalises its key over all vertex permutations).  Every caller
+        """``(|A|, mu)`` of one extension (cached: many prefixes of the
+        DP's walk, and its other two cases, extend the same sub-query by the
+        same descriptors, and each catalogue lookup canonicalises its key
+        over all vertex permutations).  Every caller
         is handed the cached list itself; it is not theirs to change."""
         key = (sub_query, tuple(descriptors), to_label)
         stats = self._extension_stats_cache.get(key)

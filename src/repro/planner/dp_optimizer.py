@@ -7,7 +7,11 @@ producing ``Q_k``:
 (i)   the cheapest *WCO plan* of ``Q_k`` over all query-vertex orderings
       (enumerated exhaustively for queries up to ``large_query_threshold``
       vertices, because the best WCO plan for ``Q_k`` may extend a non-optimal
-      plan for ``Q_{k-1}`` when that makes the intersection cache effective),
+      plan for ``Q_{k-1}`` when that makes the intersection cache effective).
+      Every ordering of every sub-query is a connected prefix of some
+      ordering of the whole query, and a WCO node's cost depends only on its
+      prefix, so one walk over the query's connected prefixes builds and
+      costs each prefix once and yields this plan for every ``Q_k`` at once,
 (ii)  extending the best stored plan of some ``Q_{k-1}`` by one query vertex
       with an E/I operator,
 (iii) hash-joining the best stored plans of two smaller sub-queries whose
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.errors import OptimizerError, PlanError
 from repro.planner.cost_model import CostModel
@@ -38,9 +42,7 @@ from repro.planner.plan import (
     make_extend,
     make_hash_join,
     make_scan,
-    wco_plan_from_order,
 )
-from repro.planner.qvo import enumerate_orderings
 from repro.query.query_graph import QueryGraph
 
 
@@ -180,20 +182,65 @@ class DynamicProgrammingOptimizer:
     def _best_wco_per_subquery(
         self, query: QueryGraph
     ) -> Dict[FrozenSet[str], _Candidate]:
-        """Case (i): the cheapest WCO plan for every connected sub-query."""
+        """Case (i): the cheapest WCO plan for every connected sub-query.
+
+        A WCO plan's nodes are the prefixes of its ordering, and a node's cost
+        depends only on its prefix, so one depth-first walk over the connected
+        prefixes of ``query`` costs each prefix once and offers every prefix of
+        three or more vertices to its vertex set.  Equal costs go to the
+        ordering that enumerating the vertex set's projection on its own
+        (:func:`repro.planner.qvo.enumerate_orderings`) would meet first."""
         best: Dict[FrozenSet[str], _Candidate] = {}
-        for k in range(3, query.num_vertices + 1):
-            for vset in self._connected_subsets(query, k):
-                sub = query.project(vset)
-                for ordering in enumerate_orderings(sub):
-                    try:
-                        plan = wco_plan_from_order(sub, ordering)
-                    except PlanError:
-                        continue
-                    cost = self.cost_model.plan_cost(plan)
-                    existing = best.get(vset)
-                    if existing is None or cost < existing.cost:
-                        best[vset] = _Candidate(root=plan.root, cost=cost)
+        ranks: Dict[FrozenSet[str], Tuple] = {}
+        # One projection per vertex set, shared by every node over that set.
+        induced: Dict[FrozenSet[str], QueryGraph] = {}
+        neighbors = {v: query.neighbors(v) for v in query.vertices}
+
+        def rank(node: PlanNode) -> Tuple:
+            # Where enumerate_orderings(node.sub_query) meets this ordering:
+            # first vertex by its position in the projection, second by
+            # name, the rest by position again.
+            position = node.sub_query.vertices.index
+            order = node.out_vertices
+            return (position(order[0]), order[1]) + tuple(position(v) for v in order[2:])
+
+        def scans() -> Iterator[Tuple[PlanNode, float, FrozenSet[str]]]:
+            for first in query.vertices:
+                for second in sorted(neighbors[first]):
+                    edge = query.edges_between(first, second)[0]
+                    scan = make_scan(query, edge, reverse=edge.src != first)
+                    yield scan, float(self.cost_model.scan_cost(scan)), frozenset((first, second))
+
+        def extensions(
+            node: PlanNode, cost: float, members: FrozenSet[str]
+        ) -> Iterator[Tuple[PlanNode, float, FrozenSet[str]]]:
+            for v in query.vertices:
+                if v not in members and not neighbors[v].isdisjoint(members):
+                    grown = members | {v}
+                    sub = induced.get(grown)
+                    if sub is None:
+                        sub = induced[grown] = query.project(grown)
+                    child = make_extend(query, node, v, sub)
+                    yield child, float(cost + self.cost_model.extend_cost(child)), grown
+
+        # Depth first, each node built and costed just before it is visited.
+        # A stack, not a recursive closure: that would refer to itself and
+        # keep the cost model, and the graph under it, alive until the next
+        # full garbage collection.
+        stack = [scans()]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                continue
+            node, cost, members = step
+            existing = best.get(members)
+            if len(members) >= 3 and (existing is None or cost <= existing.cost):
+                key = rank(node)
+                if existing is None or cost < existing.cost or key < ranks[members]:
+                    best[members] = _Candidate(root=node, cost=cost)
+                    ranks[members] = key
+            stack.append(extensions(node, cost, members))
         return best
 
     def _best_plan_for_subset(

@@ -341,10 +341,17 @@ def make_scan(query: QueryGraph, edge: QueryEdge, reverse: bool = False) -> Scan
     return ScanNode(sub_query=sub, out_vertices=order, edge=edge)
 
 
-def make_extend(query: QueryGraph, child: PlanNode, to_vertex: str) -> ExtendNode:
+def make_extend(
+    query: QueryGraph,
+    child: PlanNode,
+    to_vertex: str,
+    sub_query: Optional[QueryGraph] = None,
+) -> ExtendNode:
     """Create the E/I node extending ``child`` to ``to_vertex``, deriving the
     descriptors from every query edge between ``to_vertex`` and the child's
-    vertices (the projection constraint keeps all of them)."""
+    vertices (the projection constraint keeps all of them).  A caller that
+    already holds the projection of ``query`` onto the node's vertices passes
+    it as ``sub_query``."""
     prior = set(child.out_vertices)
     descriptors = tuple(
         sorted(
@@ -360,9 +367,10 @@ def make_extend(query: QueryGraph, child: PlanNode, to_vertex: str) -> ExtendNod
         raise PlanError(
             f"cannot extend to {to_vertex}: no query edge connects it to {sorted(prior)}"
         )
-    sub = query.project(list(child.out_vertices) + [to_vertex])
+    if sub_query is None:
+        sub_query = query.project(list(child.out_vertices) + [to_vertex])
     return ExtendNode(
-        sub_query=sub,
+        sub_query=sub_query,
         out_vertices=tuple(child.out_vertices) + (to_vertex,),
         child=child,
         to_vertex=to_vertex,

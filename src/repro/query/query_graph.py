@@ -239,7 +239,13 @@ class QueryGraph:
         return self._canonical_order
 
     def edge_key_set(self) -> FrozenSet[Tuple[str, str, Optional[int]]]:
-        return frozenset((e.src, e.dst, e.label) for e in self._edges)
+        """The edges as ``(src, dst, label)`` triples (memoised, like
+        :meth:`canonical_key`)."""
+        cached = getattr(self, "_edge_key_set", None)
+        if cached is None:
+            cached = frozenset((e.src, e.dst, e.label) for e in self._edges)
+            self._edge_key_set = cached
+        return cached
 
     def structurally_equal(self, other: "QueryGraph") -> bool:
         """Equality of vertex sets, labels, and edge sets (names matter)."""
@@ -250,15 +256,27 @@ class QueryGraph:
         )
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, QueryGraph) and self.structurally_equal(other)
+        if self is other:
+            return True
+        return (
+            isinstance(other, QueryGraph)
+            and hash(self) == hash(other)
+            and self.structurally_equal(other)
+        )
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                self.edge_key_set(),
-                frozenset(self._vertex_labels.items()),
-            )
-        )
+        # Memoised: cost-model memos hash every sub-query they look up.
+        cached = getattr(self, "_hash", None)
+        if cached is None:
+            cached = hash((self.edge_key_set(), frozenset(self._vertex_labels.items())))
+            self._hash = cached
+        return cached
+
+    def __getstate__(self) -> Dict:
+        # A str hash differs between processes, so the memo does not travel.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def __repr__(self) -> str:
         return f"QueryGraph({self.name!r}, vertices={self.num_vertices}, edges={list(self._edges)})"

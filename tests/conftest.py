@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
@@ -11,6 +11,8 @@ import pytest
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import clustered_social, complete_graph, erdos_renyi
 from repro.graph.graph import Graph
+from repro.planner.plan import wco_plan_from_order
+from repro.planner.qvo import enumerate_orderings
 from repro.query.query_graph import QueryGraph
 
 
@@ -109,6 +111,29 @@ def brute_force_count(
 
     backtrack(0, {})
     return count
+
+
+# --------------------------------------------------------------------------- #
+# reference WCO enumeration (DP case (i))
+# --------------------------------------------------------------------------- #
+def reference_best_wco(cost_model, query: QueryGraph) -> Dict:
+    """The cheapest WCO plan of every connected sub-query of ``query``, found
+    one sub-query at a time: every ordering of the sub-query's projection is
+    built and costed from scratch, and the first one seen wins a tie.
+    Returns ``{vertex set: (cost, root)}``."""
+    best = {}
+    for k in range(3, query.num_vertices + 1):
+        for subset in combinations(query.vertices, k):
+            if not query.connected_projection_exists(subset):
+                continue
+            vset = frozenset(subset)
+            sub = query.project(vset)
+            for ordering in enumerate_orderings(sub):
+                plan = wco_plan_from_order(sub, ordering)
+                cost = cost_model.plan_cost(plan)
+                if vset not in best or cost < best[vset][0]:
+                    best[vset] = (cost, plan.root)
+    return best
 
 
 # --------------------------------------------------------------------------- #

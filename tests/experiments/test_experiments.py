@@ -121,6 +121,27 @@ class TestTableRunners:
         for row in rows:
             assert row["graphflow_s"] > 0
 
+    def test_table9_records_a_missing_eh_plan(self, small_graph, monkeypatch):
+        def no_ghd(self, query, *args):
+            raise OptimizerError(f"no GHD found for {query.name}")
+
+        monkeypatch.setattr(tables.EmptyHeadedPlanner, "plan", no_ghd)
+        rows = tables.table9_emptyheaded_comparison(
+            {"g": small_graph}, query_names=("Q1",), edge_label_counts=(1,), catalogue_z=60
+        )
+        assert rows[0]["eh_bad_s"] != rows[0]["eh_bad_s"]  # NaN
+        assert rows[0]["eh_note"] == "OptimizerError"
+
+    def test_table9_lets_a_bug_in_the_eh_planner_escape(self, small_graph, monkeypatch):
+        def broken(self, query, *args):
+            raise TypeError("eh.plan bug")
+
+        monkeypatch.setattr(tables.EmptyHeadedPlanner, "plan", broken)
+        with pytest.raises(TypeError, match="eh.plan bug"):
+            tables.table9_emptyheaded_comparison(
+                {"g": small_graph}, query_names=("Q1",), edge_label_counts=(1,), catalogue_z=60
+            )
+
     def test_table10_and_11(self, small_graph):
         rows10 = tables.table10_catalogue_sample_size(
             small_graph, z_values=(50, 200), num_queries=6, query_vertices=4

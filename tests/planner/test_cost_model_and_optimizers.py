@@ -3,18 +3,51 @@ optimizer: plan validity, correctness of the chosen plans, and the qualitative
 properties the paper claims (cache-consciousness, hybrid plans for multi-cycle
 queries, i-cost ranking plans consistently with runtimes)."""
 
+import gc
+import weakref
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalogue.construction import build_catalogue
 from repro.executor.pipeline import count_matches, execute_plan
-from repro.planner.cost_model import CostModel, calibrate_hash_join_weights
+from repro.graph.labeling import with_random_labels
+from repro.planner.cost_model import (
+    ITERATOR_COST_CONSTANTS,
+    VECTORIZED_COST_CONSTANTS,
+    CostModel,
+    calibrate_hash_join_weights,
+)
 from repro.planner.dp_optimizer import DynamicProgrammingOptimizer
 from repro.planner.full_enumeration import FullEnumerationOptimizer, PlanSpaceEnumerator
 from repro.planner.plan import wco_plan_from_order
-from repro.planner.qvo import enumerate_wco_plans
+from repro.planner.qvo import enumerate_orderings, enumerate_wco_plans
 from repro.query import catalog_queries as cq
+from repro.query.generator import random_connected_query
 
-from tests.conftest import brute_force_count
+from tests.conftest import brute_force_count, reference_best_wco
+
+CONSTANT_SETS = [ITERATOR_COST_CONSTANTS, VECTORIZED_COST_CONSTANTS]
+
+
+def walk_costing(cost_model, query):
+    """``DynamicProgrammingOptimizer._best_wco_per_subquery`` on ``query``, and
+    how often it asked ``cost_model`` for each E/I's cost, by ordering prefix."""
+    costed = Counter()
+    extend_cost = cost_model.extend_cost
+
+    def counting(node):
+        costed[node.out_vertices] += 1
+        return extend_cost(node)
+
+    cost_model.extend_cost = counting
+    try:
+        best = DynamicProgrammingOptimizer(cost_model)._best_wco_per_subquery(query)
+    finally:
+        del cost_model.extend_cost
+    return best, costed
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +182,85 @@ class TestDPOptimizer:
         assert plan.plan_type in ("hybrid", "wco")
 
 
+@pytest.fixture(scope="module")
+def labeled_social(request):
+    """The social graph with two edge and two vertex labels, and its catalogue."""
+    graph = with_random_labels(
+        request.getfixturevalue("social_graph"), num_edge_labels=2, num_vertex_labels=2, seed=5
+    )
+    return graph, build_catalogue(graph, z=100)
+
+
+class TestWCOWalk:
+    """Case (i) of the DP walks the query's connected prefixes once; it must
+    pick exactly what enumerating every sub-query on its own picks."""
+
+    def check(self, graph, catalogue, constants, query):
+        expected = reference_best_wco(CostModel(graph, catalogue, constants=constants), query)
+        walked, costed = walk_costing(CostModel(graph, catalogue, constants=constants), query)
+        assert walked.keys() == expected.keys()
+        for vset, (cost, root) in expected.items():
+            assert walked[vset].cost == cost, sorted(vset)
+            assert walked[vset].root.signature() == root.signature(), sorted(vset)
+        prefixes = {
+            ordering[:k]
+            for ordering in enumerate_orderings(query)
+            for k in range(3, query.num_vertices + 1)
+        }
+        assert set(costed) == prefixes
+        assert set(costed.values()) == {1}
+        return sum(costed.values())
+
+    @pytest.mark.parametrize("constants", CONSTANT_SETS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("query_name", [f"Q{i}" for i in range(1, 14)])
+    def test_paper_queries(self, social_graph, social_cost_model, constants, query_name):
+        self.check(social_graph, social_cost_model.catalogue, constants, cq.get(query_name))
+
+    def test_five_clique_costs_each_prefix_once(self, social_graph, social_cost_model):
+        """5·4·3 + 5·4·3·2 + 5! = 300 prefixes, where costing every ordering
+        of every sub-query from scratch asks for 660 E/I costs."""
+        assert self.check(
+            social_graph, social_cost_model.catalogue, ITERATOR_COST_CONSTANTS, cq.q7()
+        ) == 300
+
+    def test_planning_leaves_no_reference_cycle(self, social_graph, social_cost_model):
+        """A cost model holds the graph it was built on, a dirty snapshot
+        after writes; it must go when planning is done, not when the cyclic
+        garbage collector next runs."""
+        model = CostModel(social_graph, social_cost_model.catalogue)
+        alive = weakref.ref(model)
+        gc.disable()
+        try:
+            DynamicProgrammingOptimizer(model).optimize(cq.diamond_x())
+            del model
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("constants", CONSTANT_SETS, ids=lambda c: c.name)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        num_vertices=st.integers(min_value=3, max_value=6),
+        avg_degree=st.floats(min_value=1.5, max_value=4.0),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        num_edge_labels=st.integers(min_value=1, max_value=2),
+        num_vertex_labels=st.integers(min_value=1, max_value=2),
+    )
+    def test_random_queries(
+        self, labeled_social, constants, num_vertices, avg_degree, seed,
+        num_edge_labels, num_vertex_labels,
+    ):
+        query = random_connected_query(
+            num_vertices,
+            avg_degree=avg_degree,
+            seed=seed,
+            num_edge_labels=num_edge_labels,
+            num_vertex_labels=num_vertex_labels,
+        )
+        graph, catalogue = labeled_social
+        self.check(graph, catalogue, constants, query)
+
+
 class TestFullEnumeration:
     def test_enumerator_contains_all_wco_plans(self):
         q = cq.diamond_x()
@@ -194,6 +306,18 @@ class TestFullEnumeration:
         monkeypatch.setattr(full_enumeration, "make_extend", broken)
         with pytest.raises(TypeError, match="make_extend bug"):
             FullEnumerationOptimizer(social_cost_model).optimize(cq.diamond_x())
+
+    def test_a_bug_in_a_node_constructor_escapes_the_dp(self, social_cost_model, monkeypatch):
+        """The DP twin of the test above: its walk builds only valid
+        prefixes, so it has nothing to catch."""
+        import repro.planner.dp_optimizer as dp_optimizer
+
+        def broken(*args, **kwargs):
+            raise TypeError("make_extend bug")
+
+        monkeypatch.setattr(dp_optimizer, "make_extend", broken)
+        with pytest.raises(TypeError, match="make_extend bug"):
+            DynamicProgrammingOptimizer(social_cost_model).optimize(cq.diamond_x())
 
     def test_all_enumerated_plans_agree_on_counts(self, random_graph):
         q = cq.q2()

@@ -1,9 +1,15 @@
 """Tests for the query model, parser, and query library."""
 
+import pickle
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InvalidQueryError, QueryParseError
 from repro.query import catalog_queries as cq
+from repro.query.generator import random_connected_query
 from repro.query.parser import format_query, parse_query
 from repro.query.query_graph import QueryEdge, QueryGraph
 
@@ -97,6 +103,65 @@ class TestQueryGraph:
         assert e.other("a2") == "a1"
         with pytest.raises(KeyError):
             e.other("a3")
+
+
+random_queries = st.builds(
+    random_connected_query,
+    num_vertices=st.integers(min_value=2, max_value=6),
+    avg_degree=st.floats(min_value=1.5, max_value=5.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    num_edge_labels=st.integers(min_value=1, max_value=2),
+    num_vertex_labels=st.integers(min_value=1, max_value=2),
+)
+
+
+def unmemoised_hash(q: QueryGraph) -> int:
+    """The hash before it was memoised, recomputed from the edges."""
+    edges = frozenset((e.src, e.dst, e.label) for e in q.edges)
+    return hash((edges, frozenset(q.vertex_labels.items())))
+
+
+class TestHashAndEquality:
+    """``hash`` and ``==`` are memoised / short-circuited; they must still
+    mean structural equality."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_queries, st.data())
+    def test_hash_and_eq_agree_with_structural_equality(self, q, data):
+        renaming = dict(zip(q.vertices, data.draw(st.permutations(q.vertices))))
+        family = [q, q.rename_vertices(renaming), q.rename_vertices({})]
+        for k in range(2, q.num_vertices + 1):
+            for subset in combinations(q.vertices, k):
+                if q.connected_projection_exists(subset):
+                    family.append(q.project(subset))
+        for a in family:
+            assert hash(a) == unmemoised_hash(a)
+            for b in family:
+                assert (a == b) == a.structurally_equal(b)
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_queries)
+    def test_name_is_not_part_of_the_hash(self, q):
+        before = hash(q)
+        copy = QueryGraph(q.edges, vertex_labels=q.vertex_labels, name="other")
+        q.name = "renamed"
+        assert hash(q) == before == hash(copy)
+        assert q == copy
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_queries)
+    def test_projection_onto_every_vertex_is_the_query(self, q):
+        full = q.project(q.vertices)
+        assert full == q and hash(full) == hash(q)
+
+    def test_pickled_copy_rehashes(self):
+        q = cq.q8()
+        hash(q)
+        copy = pickle.loads(pickle.dumps(q))
+        assert "_hash" not in copy.__dict__
+        assert copy == q and hash(copy) == hash(q)
 
 
 class TestParser:
