@@ -44,7 +44,7 @@ from repro.obs.health import (
     thread_alive_check,
 )
 from repro.obs.trace import QueryTrace, operator_stats_from_profile
-from repro.planner.cost_model import CostModel, annotate_operator_estimates, constants_for
+from repro.planner.cost_model import CostModel, annotate_operator_estimates
 from repro.planner.dp_optimizer import DynamicProgrammingOptimizer
 from repro.planner.full_enumeration import FullEnumerationOptimizer
 from repro.planner.plan import Plan
@@ -127,8 +127,9 @@ class GraphflowDB:
         self.graph = graph
         self.catalogue = catalogue
         self.schema = schema
-        # One cost model per execution mode (iterator / vectorized constants).
-        self._cost_models: dict = {}
+        # Built lazily against the current statistics; dropped whenever the
+        # catalogue or the graph changes (see cost_model).
+        self._cost_model: Optional[CostModel] = None
         # Plans are cached by canonical query form so repeated (possibly
         # vertex-renamed) queries skip the DP optimizer; pass 0 to disable.
         self.plan_cache: Optional[PlanCache] = (
@@ -447,7 +448,7 @@ class GraphflowDB:
             if self.catalogue is not None:
                 fresh.epoch = self.catalogue.epoch + 1
             self.catalogue = fresh
-            self._cost_models = {}
+            self._cost_model = None
             # Cached plans were costed against the old catalogue; flush them.
             if self.plan_cache is not None:
                 self.plan_cache.invalidate()
@@ -481,7 +482,7 @@ class GraphflowDB:
                 return False
             catalogue.epoch = expected_epoch + 1
             self.catalogue = catalogue
-            self._cost_models = {}
+            self._cost_model = None
             if self.plan_cache is not None:
                 self.plan_cache.invalidate()
             return True
@@ -500,7 +501,7 @@ class GraphflowDB:
             )
         self.graph = graph
         self.catalogue = None
-        self._cost_models = {}
+        self._cost_model = None
         self.graph_version = graph.version if isinstance(graph, DynamicGraph) else 0
         if self.plan_cache is not None:
             self.plan_cache.invalidate()
@@ -717,8 +718,8 @@ class GraphflowDB:
         graph = self.graph
         if self.catalogue is not None and (inserted or deleted):
             self.catalogue.apply_edge_delta(inserted, deleted, graph.vertex_labels)
-        # Cost models cache cardinalities derived from the old statistics.
-        self._cost_models = {}
+        # The cost model caches cardinalities derived from the old statistics.
+        self._cost_model = None
         if self.plan_cache is not None:
             self.plan_cache.invalidate()
         self.graph_version = (
@@ -734,13 +735,9 @@ class GraphflowDB:
 
     @property
     def cost_model(self) -> CostModel:
-        return self.cost_model_for(vectorized=False)
-
-    def cost_model_for(self, vectorized: bool) -> CostModel:
-        """The per-execution-mode cost model (batch-aware constants when
-        ``vectorized``), built lazily against the current statistics."""
-        key = "vectorized" if vectorized else "iterator"
-        model = self._cost_models.get(key)
+        """The cost model every plan is priced with, built lazily against
+        the current statistics (building the catalogue first if needed)."""
+        model = self._cost_model
         if model is None:
             if self.catalogue is None:
                 # Built outside _stats_lock: build_catalogue swaps state under
@@ -749,12 +746,10 @@ class GraphflowDB:
                 # write lock.  A racing double-build is benign (last wins).
                 self.build_catalogue(z=200)
             with self._stats_lock:
-                model = self._cost_models.get(key)
+                model = self._cost_model
                 if model is None:
-                    model = CostModel(
-                        self._read_graph(), self.catalogue, constants=constants_for(vectorized)
-                    )
-                    self._cost_models[key] = model
+                    model = CostModel(self._read_graph(), self.catalogue)
+                    self._cost_model = model
         return model
 
     # ------------------------------------------------------------------ #
@@ -773,7 +768,7 @@ class GraphflowDB:
         full_enumeration: bool = False,
         enable_binary_joins: bool = True,
         use_cache: bool = True,
-        vectorized: bool = False,
+        vectorized: Optional[bool] = None,
         output_limit: Optional[int] = None,
     ) -> Plan:
         """Return the optimizer's plan, consulting the plan cache.
@@ -782,13 +777,16 @@ class GraphflowDB:
         options, so isomorphic queries (same shape and labels under vertex
         renaming) share one optimizer invocation.  Pass ``use_cache=False``
         to force a fresh optimization without touching the cache.  With
-        ``vectorized=True`` the plan is priced with the batch engine's
-        per-batch cost constants (and cached under a separate key).  With
         ``output_limit`` the plan is chosen for a run stopped after that
         many rows, planned and cached for the limit's power-of-two class.
+
+        A plan does not depend on the executor that runs it: every plan is
+        priced with the one cost model (:attr:`cost_model`).  ``vectorized``
+        is accepted and ignored, because the benchmark in ``bench/`` still
+        passes it; it goes when that benchmark changes (ROADMAP item 5).
         """
         query = self._as_query(query)
-        key = plan_key(query, full_enumeration, enable_binary_joins, vectorized, output_limit)
+        key = plan_key(query, full_enumeration, enable_binary_joins, output_limit)
         return self._plan(query, key, use_cache)[0]
 
     def _plan(self, query: QueryGraph, key: PlanKey, use_cache: bool) -> Tuple[Plan, bool]:
@@ -796,6 +794,10 @@ class GraphflowDB:
         unless *this call* ran the optimizer.  A caller that waited on another
         thread's in-flight planning of the same key counts as cached, matching
         the cache's own hit/miss counters."""
+        if self.catalogue is None:
+            # Built before the cache lookup: building it flushes the cache,
+            # which would drop the plan computed below.
+            self.build_catalogue(z=200)
         optimized = False
 
         def compute() -> Plan:
@@ -813,7 +815,7 @@ class GraphflowDB:
         class, bypassing the plan cache."""
         with self._stats_lock:
             self.planner_invocations += 1
-        cost_model = self.cost_model_for(key.vectorized)
+        cost_model = self.cost_model
         optimizer_type = (
             FullEnumerationOptimizer if key.full_enumeration else DynamicProgrammingOptimizer
         )
@@ -857,31 +859,36 @@ class GraphflowDB:
     ) -> QueryResult:
         """Plan (if needed) and execute a query.
 
+        The plan is the same whichever executor runs it.  By default the
+        batch-at-a-time (columnar) engine runs it; ``vectorized=False`` (or
+        ``config.vectorized=False``) runs the tuple-at-a-time reference
+        executor instead, with the same match counts.
+
         Parameters
         ----------
         adaptive:
             Re-pick query-vertex orderings per partial match at runtime
             (Section 6): :func:`repro.executor.adaptive.adapt` replaces the
             plan's chain of two or more E/I operators by one adaptive
-            operator.  Only the batch engine has it, so this implies
-            ``vectorized=True``; the rewritten plan otherwise runs like any
+            operator.  Only the batch engine has it, so this overrides
+            ``vectorized=False``; the rewritten plan otherwise runs like any
             other (``collect``, ``num_workers``, ``execution_mode``).
         collect:
             Materialise matches (as dictionaries keyed by query vertex name).
             With ``num_workers > 1`` the per-morsel frames are merged in
-            range order under ``config.output_limit`` (the iterator engine
-            then reproduces the serial row order exactly; the vectorized
+            range order under ``config.output_limit`` (the reference
+            executor then reproduces the serial row order exactly; the batch
             engine may group rows differently, as it already does serially).
         num_workers:
             When > 1, execute with the morsel-parallel executor.
         config:
-            Execution knobs (:class:`ExecutionConfig`): engine, frame size
+            Execution knobs (:class:`ExecutionConfig`): executor, frame size
             (``batch_size``), output limit, deadline, ...
         vectorized:
-            When True, run the batch-at-a-time (columnar) engine instead of
-            the tuple-at-a-time pipeline; composes with ``collect`` and
-            ``num_workers > 1`` (each morsel executes vectorized).
-            Overrides ``config.vectorized`` when given.
+            Which executor runs the plan: the batch engine (True, the
+            default) or the tuple-at-a-time reference executor (False).
+            Composes with ``collect`` and ``num_workers > 1``.  Overrides
+            ``config.vectorized`` when given.
         execution_mode:
             ``"thread"`` (default) or ``"process"`` — how ``num_workers > 1``
             distributes morsels.  Process mode runs them across the
@@ -892,12 +899,12 @@ class GraphflowDB:
             to thread execution for that query.
             Ignored when ``num_workers <= 1``.
         """
+        config = config or ExecutionConfig()
         if adaptive:
             vectorized = True
         if vectorized is not None:
-            config = replace(config or ExecutionConfig(), vectorized=vectorized)
+            config = replace(config, vectorized=vectorized)
         check_execution_mode(execution_mode)
-        effective_vectorized = bool(config.vectorized) if config is not None else False
         key: Optional[PlanKey] = None
         if isinstance(query, Plan):
             plan = query
@@ -907,17 +914,13 @@ class GraphflowDB:
         else:
             query_graph = self._as_query(query)
             plan_start = time.perf_counter()
-            key = plan_key(
-                query_graph,
-                vectorized=effective_vectorized,
-                output_limit=config.output_limit if config is not None else None,
-            )
+            key = plan_key(query_graph, output_limit=config.output_limit)
             plan, plan_cached = self._plan(query_graph, key, use_cache=True)
             plan_seconds = time.perf_counter() - plan_start
 
         # Queries over a DynamicGraph read a pinned MVCC snapshot, so
         # concurrent writers cannot change the matches mid-execution.  The
-        # vectorized engine runs on the snapshot directly: its columnar CSR
+        # batch engine runs on the snapshot directly: its columnar CSR
         # gathers read lazily merged per-partition views, so a dirty graph
         # never forces a synchronous compaction onto the query path.
         exec_graph = self._read_graph()
@@ -950,7 +953,7 @@ class GraphflowDB:
             elif adaptive:
                 mode = "adaptive"
             else:
-                mode = "vectorized" if effective_vectorized else "iterator"
+                mode = "vectorized" if config.vectorized else "iterator"
             trace = self._record_query_trace(
                 query_graph,
                 plan,
@@ -1016,7 +1019,7 @@ class GraphflowDB:
 
         Operator rows join the executor's actual per-operator output counts
         with the estimates annotated on the plan at optimization time; a
-        truncated iterator run may have produced no per-operator accounting
+        truncated reference-executor run may have produced no per-operator accounting
         (generators only finalise their counters when fully drained), in
         which case the trace simply carries no operator rows and the
         execution contributes no cardinality feedback.

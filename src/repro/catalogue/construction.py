@@ -84,7 +84,7 @@ def sample_subquery_matches(
 
     scan, *extends = wco_plan_from_order(sub_query, ordering).root.iter_nodes()
     # Homomorphism semantics, as the plans being priced; nothing here is a root.
-    config = ExecutionConfig(vectorized=True)
+    config = ExecutionConfig()
     wiring = (graph, ExecutionProfile(), config, False)
     src, dst = scan_edge_arrays(scan, graph, config)
     if len(src) > z:

@@ -200,7 +200,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     db = _load_db(args)
     names = [n.strip() for n in args.queries.split(",") if n.strip()]
     workload = [_resolve_query(names[i % len(names)]) for i in range(args.requests)]
-    with QueryService(db, vectorized=args.vectorized) as service:
+    with QueryService(db) as service:
         iteration = 0
         while True:
             service.execute_batch(workload)
@@ -282,7 +282,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         adaptive=args.adaptive,
         num_workers=args.workers,
         config=ExecutionConfig(output_limit=args.row_limit),
-        vectorized=True if args.vectorized else None,
         execution_mode=args.execution_mode,
     )
     result = db.execute(query, **execute_kwargs)
@@ -314,7 +313,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         query,
         adaptive=args.adaptive,
         num_workers=args.workers,
-        vectorized=True if args.vectorized else None,
         execution_mode=args.execution_mode,
     )
     mode = result.trace.mode if result.trace is not None else "?"
@@ -456,7 +454,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         default_row_limit=args.row_limit,
         num_workers=args.workers,
         execution_mode=args.execution_mode,
-        vectorized=args.vectorized,
         ops_addr=ops_addr,
     ) as service:
         if service.ops_server is not None:
@@ -768,9 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--requests", type=int, default=8, help="workload size for --queries mode"
     )
-    stats.add_argument(
-        "--vectorized", action="store_true", help="serve the workload vectorized"
-    )
     stats.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     stats.add_argument(
         "--url",
@@ -825,11 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--workers", type=int, default=1)
     add_execution_mode(trace)
     trace.add_argument(
-        "--vectorized",
-        action="store_true",
-        help="execute with the batch-at-a-time (columnar) engine",
-    )
-    trace.add_argument(
         "--repeat",
         type=int,
         default=1,
@@ -850,11 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--query", required=True, help="Q1..Q14, a demo query name, or a pattern string")
     run.add_argument("--adaptive", action="store_true")
     run.add_argument("--workers", type=int, default=1)
-    run.add_argument(
-        "--vectorized",
-        action="store_true",
-        help="execute with the batch-at-a-time (columnar) engine",
-    )
     add_execution_mode(run)
     run.set_defaults(func=cmd_run)
 
@@ -935,11 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="no_plan_cache",
         help="disable the plan cache (re-optimize every request, for comparison)",
-    )
-    serve.add_argument(
-        "--vectorized",
-        action="store_true",
-        help="serve queries with the batch-at-a-time (columnar) engine",
     )
     serve.add_argument(
         "--workers", type=int, default=1, help="morsel workers per query (1 = serial)"

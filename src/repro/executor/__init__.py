@@ -1,8 +1,9 @@
-"""Volcano-style plan execution: SCAN, EXTEND/INTERSECT, HASH-JOIN, SINK
-operators, runtime profiling (i-cost, intermediate matches, cache hits),
-adaptive query-vertex-ordering selection (a plan rewrite run by the batch
-engine), a vectorized batch-at-a-time engine exchanging columnar morsels, and one morsel coordinator (``parallel``) with a
-thread and a process (``multiprocess``) transport.  Every engine returns an
+"""Plan execution: the batch-at-a-time engine (``vectorized``) that runs
+every plan by default, the Volcano-style tuple-at-a-time reference executor
+(``operators``), runtime profiling (i-cost, intermediate matches, cache
+hits), adaptive query-vertex-ordering selection (a plan rewrite run by the
+batch engine), and one morsel coordinator (``parallel``) with a thread and a
+process (``multiprocess``) transport.  Every executor returns an
 :class:`ExecutionResult`."""
 
 from repro.executor.profile import ExecutionProfile

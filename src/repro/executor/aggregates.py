@@ -7,22 +7,26 @@ raw list of matches.  They want *aggregates*: how many cliques touch each
 vertex, which accounts participate in the most cycles, how many distinct
 (buyer, seller) pairs appear in a fraud pattern.
 
-This module provides streaming aggregation over a plan's output.  Matches are
-consumed directly from the operator tree (they are never materialized in a
-list), so aggregations run in memory proportional to the number of *groups*
-rather than the number of matches — the same reason the paper's SINK operator
-counts rather than collects.
+This module provides streaming aggregation over a plan's output.  The batch
+engine's root operator hands over one columnar frame at a time and each frame
+is grouped as it arrives (matches are never collected in a list), so
+aggregations run in memory proportional to the number of *groups* plus one
+frame rather than the number of matches — the same reason the paper's SINK
+operator counts rather than collects.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import PlanError
-from repro.executor.operators import ExecutionConfig, build_operator_tree
+from repro.executor.operators import ExecutionConfig
 from repro.executor.profile import ExecutionProfile
+from repro.executor.vectorized import build_batch_operator_tree
 from repro.graph.graph import Graph
 from repro.planner.plan import Plan
 
@@ -68,6 +72,24 @@ def _column_positions(plan: Plan, vertices: Sequence[str]) -> List[int]:
     return positions
 
 
+def _match_frames(
+    plan: Plan, graph: Graph, config: ExecutionConfig, profile: ExecutionProfile
+) -> Iterator[np.ndarray]:
+    """The plan's matches as batch-engine frames (columns in the root's
+    ``out_vertices`` order), cut off after ``config.output_limit`` rows."""
+    root = build_batch_operator_tree(
+        plan.root, graph, profile, config, is_root=True, demand=config.output_limit
+    )
+    remaining = config.output_limit
+    for frame in root.frames():
+        if remaining is not None:
+            if frame.shape[0] >= remaining:
+                yield frame[:remaining]
+                return
+            remaining -= frame.shape[0]
+        yield frame
+
+
 def group_count(
     plan: Plan,
     graph: Graph,
@@ -78,22 +100,21 @@ def group_count(
 
     Example: grouping the triangle query by ``a1`` gives, for every data
     vertex, the number of triangles in which it plays the role of ``a1``.
+    The plan runs on the batch engine whatever ``config.vectorized`` says.
     """
     if not group_by:
         raise PlanError("group_count requires at least one group-by query vertex")
     config = config or ExecutionConfig()
     profile = ExecutionProfile()
     positions = _column_positions(plan, group_by)
-    root = build_operator_tree(plan.root, graph, profile, config, is_root=True)
     counts: Dict[Tuple[int, ...], int] = {}
     total = 0
     start = time.perf_counter()
-    for match in root:
-        key = tuple(match[i] for i in positions)
-        counts[key] = counts.get(key, 0) + 1
-        total += 1
-        if config.output_limit is not None and total >= config.output_limit:
-            break
+    for frame in _match_frames(plan, graph, config, profile):
+        keys, sizes = np.unique(frame[:, positions], axis=0, return_counts=True)
+        for key, size in zip(map(tuple, keys.tolist()), sizes.tolist()):
+            counts[key] = counts.get(key, 0) + size
+        total += frame.shape[0]
     profile.elapsed_seconds = time.perf_counter() - start
     return AggregateResult(
         plan=plan,
@@ -143,16 +164,16 @@ def per_vertex_participation(
     """For every data vertex, the number of matches it participates in
     (counted once per match even if it fills several query vertices)."""
     config = config or ExecutionConfig()
-    profile = ExecutionProfile()
-    root = build_operator_tree(plan.root, graph, profile, config, is_root=True)
     participation: Dict[int, int] = {}
-    total = 0
-    for match in root:
-        for vertex_id in set(match):
-            participation[vertex_id] = participation.get(vertex_id, 0) + 1
-        total += 1
-        if config.output_limit is not None and total >= config.output_limit:
-            break
+    for frame in _match_frames(plan, graph, config, ExecutionProfile()):
+        # Sorting each row puts a vertex's repeats side by side; keeping the
+        # first of each run counts every vertex once per match.
+        rows = np.sort(frame, axis=1)
+        first = np.ones(rows.shape, dtype=bool)
+        first[:, 1:] = rows[:, 1:] != rows[:, :-1]
+        vertices, sizes = np.unique(rows[first], return_counts=True)
+        for vertex_id, size in zip(vertices.tolist(), sizes.tolist()):
+            participation[vertex_id] = participation.get(vertex_id, 0) + size
     return participation
 
 

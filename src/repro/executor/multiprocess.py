@@ -33,7 +33,7 @@ coordinator
    :class:`~repro.executor.parallel.MorselOutcome` per range, discarding
    stale messages from abandoned attempts by query id.  Range sizing and the
    fold of counts, rows (in range order, which equals the serial scan order
-   for the iterator engine), limits and profiles are the coordinator's, the
+   for the reference executor), limits and profiles are the coordinator's, the
    same code the thread transport runs under.
 
 Every task also carries its enqueue timestamp and every result a compact
@@ -52,12 +52,12 @@ worker that dies mid-query is respawned and the query retried once under a
 fresh id; a second death raises :class:`~repro.errors.WorkerPoolError` while
 the pool stays usable for later queries.
 
-Determinism: match *counts* are bit-identical to the single-threaded pipeline
-for both engines (each scan edge is executed exactly once across morsels).
+Determinism: match *counts* are bit-identical to the single-threaded run
+for both executors (each scan edge is executed exactly once across morsels).
 A worker's rebuilt snapshot scans its edges in the coordinator's order, dirty
 or clean, so collected rows come back in the order the thread transport
-returns them for the same ranges: exact serial order from the iterator
-engine; the vectorized engine may group rows differently within a morsel,
+returns them for the same ranges: exact serial order from the reference
+executor; the batch engine may group rows differently within a morsel,
 exactly as it already does in-process.
 
 Deadlines ship as absolute ``time.monotonic()`` values, which is correct on

@@ -1,4 +1,10 @@
-"""Physical operators.
+"""The tuple-at-a-time reference executor, plus the execution config and
+the column-resolution helpers both executors share.
+
+The batch engine of :mod:`repro.executor.vectorized` runs every plan by
+default.  The operators here run one only when a caller asks for
+``vectorized=False``; the tests and ``bench expected`` use them as an
+independent reference for the batch engine's match counts.
 
 The executor follows Graphflow's Volcano-style pipeline (Section 7): SCAN
 leaves emit matched data edges as 2-matches, EXTEND/INTERSECT (E/I) operators
@@ -60,15 +66,17 @@ class ExecutionConfig:
         rows.  :func:`repro.executor.pipeline.execute_plan` converts the
         exception into a partial (truncated) result.
     vectorized:
-        Execute with the batch-at-a-time engine of
-        :mod:`repro.executor.vectorized`: operators exchange 2-D ``int64``
-        frames of bound tuples instead of per-tuple Python generators, which
-        removes interpreter overhead from the hot path.  Match counts are
-        identical to the iterator pipeline; only the order in which matches
-        are produced may differ.
+        Which executor runs the plan.  True (the default) is the
+        batch-at-a-time engine of :mod:`repro.executor.vectorized`:
+        operators exchange 2-D ``int64`` frames of bound tuples instead of
+        per-tuple Python generators, which removes interpreter overhead from
+        the hot path.  False is the tuple-at-a-time reference executor of
+        this module.  Match counts are identical; only the order in which
+        matches are produced may differ.  The plan, and its cost, are the
+        same either way.
     batch_size:
         Rows per columnar frame emitted by the batch SCAN operator (and the
-        granularity of deadline checks in vectorized mode); under
+        granularity of deadline checks in the batch engine); under
         ``output_limit`` the largest frame the SCAN grows to.
 
     How a run is *distributed* is not set here: ``num_workers`` and
@@ -83,7 +91,7 @@ class ExecutionConfig:
     scan_range_vertices: Optional[Tuple[str, ...]] = None
     output_limit: Optional[int] = None
     deadline: Optional[float] = None
-    vectorized: bool = False
+    vectorized: bool = True
     batch_size: int = 2048
 
 

@@ -13,8 +13,8 @@ speed-up (total work over the busiest worker's), which is what the paper's
 near-linear scaling measures on a JVM.  The process transport is
 :class:`repro.executor.multiprocess.MorselProcessPool`.  Either way a range
 executes through :func:`repro.executor.pipeline.execute_plan` with the
-caller's config, so ``config.vectorized`` makes every worker process its
-morsel as columnar frames (and NumPy kernels release the GIL).
+caller's config, so under the batch engine (the default) every worker
+processes its morsel as columnar frames (and NumPy kernels release the GIL).
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def run_morsels(
     """Partition ``scan``, let ``transport`` execute the ranges (it returns
     their outcomes in range order), and fold them into one result.
 
-    Rows concatenate in range order, so the iterator engine reproduces the
+    Rows concatenate in range order, so the reference executor reproduces the
     serial row order exactly.  A global output limit cannot be partitioned
     across morsels: each morsel stops at the limit on its own and the merged
     count and rows are capped here.

@@ -15,8 +15,9 @@ from repro.planner.plan import Plan
 
 @dataclass
 class ExecutionResult:
-    """The outcome of running one plan on one graph, whichever engine ran it
-    (iterator, vectorized, or morsels of either on threads or processes)."""
+    """The outcome of running one plan on one graph, whichever executor ran it
+    (the batch engine, the reference executor, or morsels of either on
+    threads or processes)."""
 
     plan: Plan
     num_matches: int
@@ -77,16 +78,18 @@ def execute_plan(
     ----------
     config:
         Execution knobs (intersection cache, isomorphism semantics, scan range,
-        output limit).  A default config is used when omitted.  When
-        ``config.vectorized`` is set the batch-at-a-time engine of
-        :mod:`repro.executor.vectorized` runs instead of the tuple-at-a-time
-        pipeline (identical match counts; match order may differ).
+        output limit).  A default config is used when omitted.  The
+        batch-at-a-time engine of :mod:`repro.executor.vectorized` runs the
+        plan unless ``config.vectorized`` is False, which runs the
+        tuple-at-a-time reference executor of
+        :mod:`repro.executor.operators` (identical match counts; match order
+        may differ).
     collect:
         When True the matches themselves are materialised (tuples of vertex ids
         in the plan root's ``out_vertices`` order); otherwise only counted.
-        The iterator pipeline counts the tuples its root yields; the
-        vectorized engine asks its root operator for row counts, so the last
-        operator's output frames are never assembled.
+        The batch engine asks its root operator for row counts, so the last
+        operator's output frames are never assembled; the reference executor
+        counts the tuples its root yields.
     """
     config = config or ExecutionConfig()
     if config.vectorized:

@@ -40,7 +40,7 @@ class ExecutionProfile:
     elapsed_seconds: float = 0.0
     per_operator: Dict[str, Dict[str, int]] = field(default_factory=dict)
     # Busy seconds spent inside each operator's own frame processing
-    # (vectorized mode only; the iterator pipeline interleaves operators in
+    # (batch engine only; the reference executor interleaves operators in
     # one generator chain, so per-operator time is not separable there).
     # Unlike `elapsed_seconds` this is a *work* quantity: `merge` sums it, so
     # after a parallel run an operator's busy seconds can legitimately exceed

@@ -1,6 +1,7 @@
-"""Batch-at-a-time (morsel/columnar) plan execution.
+"""Batch-at-a-time (morsel/columnar) plan execution: the engine every plan
+runs on by default.
 
-The iterator pipeline in :mod:`repro.executor.operators` processes one bound
+The reference executor in :mod:`repro.executor.operators` processes one bound
 tuple per Python ``yield``, so interpreter overhead — not intersection cost —
 dominates runtimes.  The operators here exchange 2-D ``int64`` NumPy frames
 instead: each frame holds a batch of partial matches, one row per match, with
@@ -45,7 +46,7 @@ columns aligned to the plan node's ``out_vertices`` order.
   long as the table (the sort-merge form of the join: one pass over the
   table per run instead of one per batch).
 
-Match *counts* are identical to the iterator pipeline on every plan; only the
+Match *counts* are identical to the reference executor on every plan; only the
 order in which matches are produced may differ (E/I sorts each batch by its
 adjacency-key columns, HASH-JOIN by its join code).  Counting queries never
 materialise matches: the sink drives the root through
@@ -973,7 +974,7 @@ def execute_plan_vectorized(
     """
     from repro.executor.pipeline import ExecutionResult
 
-    config = config or ExecutionConfig(vectorized=True)
+    config = config or ExecutionConfig()
     profile = ExecutionProfile()
     root = build_batch_operator_tree(
         plan.root, graph, profile, config, is_root=True, demand=config.output_limit

@@ -102,8 +102,8 @@ def generate_spectrum(
     ``chosen_plan`` marks the optimizer's pick inside the spectrum.  With
     ``adaptive=True`` each plan is executed with adaptive ordering selection
     (the Figure 8 variant) -- on the batch engine, the only one with the
-    adaptive operator, so the fixed spectrum it is compared with has to be
-    generated with ``config=ExecutionConfig(vectorized=True)`` as well.
+    adaptive operator, so the fixed spectrum it is compared with has to run
+    on the batch engine as well (the default ``config``).
     """
     config = config or ExecutionConfig()
     plans: List[Plan] = list(enumerate_wco_plans(query))

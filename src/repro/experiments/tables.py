@@ -380,7 +380,7 @@ def figure8_adaptive_rows(
     (Figure 8), both on the batch engine: the adaptive operator exists only
     there, and across engines the comparison would measure the engines."""
     catalogue = build_catalogue(graph, z=catalogue_z)
-    config = ExecutionConfig(vectorized=True)
+    config = ExecutionConfig()
     rows: List[Dict] = []
     plans = enumerate_wco_plans(query)[:max_plans]
     for plan in plans:

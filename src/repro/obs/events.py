@@ -141,8 +141,7 @@ class EventLog:
 
     def rotated_paths(self) -> List[str]:
         """Existing backup files, oldest first."""
-        paths = [f"{self.path}.{i}" for i in range(self.backups, 0, -1)]
-        return [p for p in paths if os.path.exists(p)]
+        return _backup_paths(self.path)
 
     def stats(self) -> dict:
         with self._lock:
@@ -196,11 +195,28 @@ def _iter_file(path: str) -> Iterator[dict]:
                 yield record
 
 
+def _backup_paths(path: str) -> List[str]:
+    """The rotated backups ``<path>.<N>`` that exist next to ``path``, oldest
+    (highest ``N``) first.  They are read off the directory listing, so no
+    backup count caps them and a gap left mid-rotation does not end them."""
+    directory, name = os.path.split(path)
+    prefix = name + "."
+    try:
+        entries = os.listdir(directory or ".")
+    except FileNotFoundError:
+        return []
+    numbered = sorted(
+        (int(entry[len(prefix):]), entry)
+        for entry in entries
+        if entry.startswith(prefix) and entry[len(prefix):].isdecimal()
+    )
+    return [os.path.join(directory, entry) for _, entry in reversed(numbered)]
+
+
 def iter_events(
     path: str,
     types: Optional[Sequence[str]] = None,
     include_rotated: bool = True,
-    max_backups: int = 16,
 ) -> Iterator[dict]:
     """Yield records oldest-first across rotated backups then the active file.
 
@@ -208,10 +224,7 @@ def iter_events(
     crash tail) are skipped silently.
     """
     wanted = set(types) if types else None
-    paths: List[str] = []
-    if include_rotated:
-        backups = [f"{path}.{i}" for i in range(1, max_backups + 1)]
-        paths.extend(reversed([p for p in backups if os.path.exists(p)]))
+    paths = _backup_paths(path) if include_rotated else []
     paths.append(path)
     for file_path in paths:
         for record in _iter_file(file_path):
@@ -219,7 +232,7 @@ def iter_events(
                 yield record
 
 
-def _open_rotation_successor(path: str, old_ino: int, max_backups: int = 16):
+def _open_rotation_successor(path: str, old_ino: int):
     """Open the file that follows the one holding ``old_ino`` in the rotated
     chain ``<path>.N … <path>.1, <path>`` (oldest → newest), or ``None``
     when the old file fell out of retention (the follower then resumes at
@@ -230,7 +243,7 @@ def _open_rotation_successor(path: str, old_ino: int, max_backups: int = 16):
     retried a few times before giving up."""
     for _ in range(4):
         entries = []
-        for candidate in [f"{path}.{i}" for i in range(max_backups, 0, -1)] + [path]:
+        for candidate in _backup_paths(path) + [path]:
             try:
                 entries.append((candidate, os.stat(candidate).st_ino))
             except OSError:

@@ -14,10 +14,10 @@ long-running service holds a fixed amount of trace memory; traces slower
 than a configurable threshold are additionally retained in a separate
 slow-query ring and emitted through the ``repro.obs.slowlog`` logger.
 
-Timing semantics: span durations are **busy seconds** of that stage.  In
-vectorized mode the per-operator seconds come from
+Timing semantics: span durations are **busy seconds** of that stage.  On
+the batch engine the per-operator seconds come from
 :attr:`repro.executor.profile.ExecutionProfile.operator_seconds` (each
-operator's own frame processing); the iterator pipeline interleaves
+operator's own frame processing); the reference executor interleaves
 operators in one generator chain, so per-operator durations are not
 separable there and operator rows carry cardinalities only.
 """
@@ -96,7 +96,7 @@ class QueryTrace:
     kind: str = "query"  # "query" | "update"
     trace_id: int = 0
     status: str = "ok"
-    mode: str = "iterator"
+    mode: str = "vectorized"
     started_at: float = 0.0  # wall clock (time.time())
     total_seconds: float = 0.0
     num_matches: int = 0

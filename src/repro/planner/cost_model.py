@@ -15,14 +15,14 @@ that smaller prefix instead of once per input tuple (Section 5.2, estimation
 2).  Setting ``cache_conscious=False`` gives the cache-oblivious model the
 paper compares against.
 
-The model is also *execution-mode aware*: the tuple-at-a-time iterator
-pipeline and the vectorized batch engine have very different per-tuple
-overheads (the batch engine amortises interpreter cost over whole frames and
-shares one intersection per distinct adjacency-key group), so each mode gets
-its own :class:`CostConstants` set.  The iterator constants reproduce the
-paper's original formulas exactly; the vectorized constants shrink
-per-tuple terms and add a small per-batch overhead, which makes the DP
-optimizer price batch-mode plans with per-batch (not per-tuple) costs.
+Every plan is priced with one constant set, :data:`COST_CONSTANTS`, set for
+the batch engine that runs the plans (Section 4.2 fits the hash-join weights
+to the engine; :func:`calibrate_hash_join_weights` shows how).  That engine
+amortises interpreter cost over whole frames and shares one intersection per
+distinct adjacency-key group, so per-tuple terms are small and every frame
+pays a fixed per-batch overhead.  A plan, its cost and its plan-cache entry
+therefore do not depend on which executor runs it.
+``CostModel(constants=...)`` prices under another set, for tests.
 
 Every cost above is for a run to completion.  A query with an output limit
 stops early, but only in its pipeline: a HASH-JOIN build side is drained in
@@ -47,13 +47,10 @@ from repro.planner.descriptors import AdjListDescriptor
 from repro.planner.plan import ExtendNode, HashJoinNode, Plan, PlanNode, ScanNode
 from repro.query.query_graph import QueryGraph
 
-DEFAULT_BUILD_WEIGHT = 2.0
-DEFAULT_PROBE_WEIGHT = 1.0
-
 
 @dataclass(frozen=True)
 class CostConstants:
-    """Per-execution-mode operator cost constants (all in i-cost units).
+    """Operator cost constants (all in i-cost units).
 
     Attributes
     ----------
@@ -62,61 +59,39 @@ class CostConstants:
     intersect_weight:
         Cost per adjacency-list element an E/I operator reads.
     emit_weight:
-        Cost per output tuple an E/I operator materialises (0 for the
-        iterator pipeline, whose output cost is folded into the downstream
-        operator's input; non-zero for the batch engine, which physically
-        builds each frame with ``np.repeat`` expansions).
+        Cost per output tuple an E/I operator materialises (the batch engine
+        physically builds each frame with ``np.repeat`` expansions).
     build_weight / probe_weight:
         The ``w1``/``w2`` HASH-JOIN weights of Section 4.2.
     batch_overhead:
-        Fixed cost per ``batch_size``-row frame an operator processes —
-        the vectorized engine's per-batch bookkeeping (packing each row's
-        key into one code, sorting the codes when the frame arrives out of
-        key order, boundary detection).  Zero for the iterator pipeline.
+        Fixed cost per ``batch_size``-row frame an operator processes: the
+        batch engine's per-frame bookkeeping (packing each row's key into one
+        code, sorting the codes when the frame arrives out of key order,
+        boundary detection).
     delta_scan_weight:
         Extra cost per scanned tuple, scaled by the scanned partition's
         delta ratio, when the plan runs against a *dirty*
         :class:`~repro.storage.snapshot.GraphSnapshot`: the batch engine
         serves dirty partitions through lazily merged CSR views, and the
         merge (plus the lost base-array cache reuse) costs roughly in
-        proportion to the overlay share of the partition.  Zero for the
-        iterator pipeline, whose per-vertex merge path is already priced by
-        its much larger per-tuple constants.
+        proportion to the overlay share of the partition.
     """
 
-    name: str
-    scan_weight: float = 1.0
+    scan_weight: float = 0.25
     intersect_weight: float = 1.0
-    emit_weight: float = 0.0
-    build_weight: float = DEFAULT_BUILD_WEIGHT
-    probe_weight: float = DEFAULT_PROBE_WEIGHT
-    batch_overhead: float = 0.0
-    delta_scan_weight: float = 0.0
+    emit_weight: float = 0.02
+    build_weight: float = 0.6
+    probe_weight: float = 0.25
+    batch_overhead: float = 4.0
+    delta_scan_weight: float = 1.5
 
 
-#: Reproduces the paper's iterator formulas bit-for-bit.
-ITERATOR_COST_CONSTANTS = CostConstants(name="iterator")
-
-#: Batch-engine constants: per-tuple scan/probe work is amortised over
-#: columnar frames (the measured batch-executor speedups are 3-12x on
-#: scan/probe-dominated plans), intersections still dominate but are shared
-#: per distinct adjacency key, and every frame pays a small fixed overhead.
-VECTORIZED_COST_CONSTANTS = CostConstants(
-    name="vectorized",
-    scan_weight=0.25,
-    intersect_weight=1.0,
-    emit_weight=0.02,
-    build_weight=0.6,
-    probe_weight=0.25,
-    batch_overhead=4.0,
-    delta_scan_weight=1.5,
-)
-
-
-def constants_for(vectorized: bool) -> CostConstants:
-    """The constant set matching an execution mode flag (as plumbed from
-    :class:`repro.executor.operators.ExecutionConfig.vectorized`)."""
-    return VECTORIZED_COST_CONSTANTS if vectorized else ITERATOR_COST_CONSTANTS
+#: The one constant set every plan is priced with: per-tuple scan/probe work
+#: is amortised over columnar frames (the measured batch-executor speedups
+#: are 3-12x on scan/probe-dominated plans), intersections still dominate but
+#: are shared per distinct adjacency key, and every frame pays a small fixed
+#: overhead.
+COST_CONSTANTS = CostConstants()
 
 
 @dataclass
@@ -142,7 +117,7 @@ class CostModel:
     ) -> None:
         self.graph = graph
         self.catalogue = catalogue
-        self.constants = constants if constants is not None else ITERATOR_COST_CONSTANTS
+        self.constants = constants if constants is not None else COST_CONSTANTS
         # Explicit weights (e.g. from calibrate_hash_join_weights) override
         # the constant set.
         self.build_weight = build_weight if build_weight is not None else self.constants.build_weight
@@ -197,8 +172,8 @@ class CostModel:
     # ------------------------------------------------------------------ #
     def _batch_cost(self, tuples: float) -> float:
         """Fixed per-frame overhead for processing ``tuples`` rows in
-        ``batch_size``-row frames (0 under the iterator constants)."""
-        if self.constants.batch_overhead == 0.0 or tuples <= 0:
+        ``batch_size``-row frames."""
+        if tuples <= 0:
             return 0.0
         batches = float(np.ceil(tuples / self.batch_size))
         return batches * self.constants.batch_overhead
@@ -212,7 +187,7 @@ class CostModel:
         overlay share of that partition — partitions the delta never touched
         cost exactly what they cost on a flat CSR.
         """
-        if self.constants.delta_scan_weight == 0.0 or count <= 0:
+        if count <= 0:
             return 0.0
         ratio_fn = getattr(self.graph, "partition_delta_ratio", None)
         if ratio_fn is None:
@@ -230,7 +205,7 @@ class CostModel:
     def scan_cost(self, node: ScanNode) -> float:
         """A SCAN costs its output cardinality (the selectivity of the label
         on the scanned query edge — the DP's base case), weighted by the
-        execution mode's per-tuple scan constant, plus a per-partition
+        per-tuple scan constant, plus a per-partition
         surcharge when scanning a dirty snapshot's lazily merged views."""
         edge = node.edge
         count = self.catalogue.edge_count(
@@ -274,11 +249,8 @@ class CostModel:
                     # vertex, bounded by the number of graph vertices.
                     multiplier = min(multiplier, float(self.graph.num_vertices))
         cost = multiplier * total_list_size * self.constants.intersect_weight
-        if self.constants.emit_weight or self.constants.batch_overhead:
-            input_cardinality = self.cardinality(child_query)
-            output_cardinality = self.cardinality(node.sub_query)
-            cost += output_cardinality * self.constants.emit_weight
-            cost += self._batch_cost(input_cardinality)
+        cost += self.cardinality(node.sub_query) * self.constants.emit_weight
+        cost += self._batch_cost(self.cardinality(child_query))
         return cost
 
     def hash_join_cost(self, node: HashJoinNode) -> float:
@@ -379,9 +351,9 @@ def calibrate_hash_join_weights(
     We execute a handful of WCO plans to learn how much wall-clock time one
     i-cost unit represents, then execute hash-join plans, convert their times
     into i-cost units, and least-squares fit ``w1 * n1 + w2 * n2``.
-    Falls back to the defaults when there is not enough signal.
+    Falls back to :data:`COST_CONSTANTS`' weights when there is not enough
+    signal.
     """
-    from repro.executor.operators import ExecutionConfig
     from repro.executor.pipeline import execute_plan
     from repro.planner.plan import make_hash_join, make_scan, wco_plan_from_order
     from repro.query import catalog_queries
@@ -394,13 +366,13 @@ def calibrate_hash_join_weights(
         orderings = enumerate_orderings(query, limit=2)
         for ordering in orderings:
             plan = wco_plan_from_order(query, ordering)
-            result = execute_plan(plan, graph, ExecutionConfig())
+            result = execute_plan(plan, graph)
             if result.profile.intersection_cost > 0:
                 icost_time.append(
                     (float(result.profile.intersection_cost), result.profile.elapsed_seconds)
                 )
     if not icost_time:
-        return DEFAULT_BUILD_WEIGHT, DEFAULT_PROBE_WEIGHT
+        return COST_CONSTANTS.build_weight, COST_CONSTANTS.probe_weight
     seconds_per_icost = float(
         np.median([t / c for c, t in icost_time if c > 0]) or 1e-9
     )
@@ -419,11 +391,11 @@ def calibrate_hash_join_weights(
         converted = result.profile.elapsed_seconds / seconds_per_icost
         rows.append((n1, n2, converted))
     if not rows:
-        return DEFAULT_BUILD_WEIGHT, DEFAULT_PROBE_WEIGHT
+        return COST_CONSTANTS.build_weight, COST_CONSTANTS.probe_weight
     a = np.array([[r[0], r[1]] for r in rows])
     b = np.array([r[2] for r in rows])
     solution, *_ = np.linalg.lstsq(a, b, rcond=None)
     w1, w2 = float(solution[0]), float(solution[1])
     if not np.isfinite(w1) or not np.isfinite(w2) or w1 <= 0 or w2 <= 0:
-        return DEFAULT_BUILD_WEIGHT, DEFAULT_PROBE_WEIGHT
+        return COST_CONSTANTS.build_weight, COST_CONSTANTS.probe_weight
     return w1, w2

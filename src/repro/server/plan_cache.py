@@ -3,7 +3,8 @@
 The optimizer's DP over connected sub-queries is by far the most expensive
 part of serving a small query on a warm graph, and it depends only on the
 query's *shape* (structure plus labels), the catalogue, and the planner
-options — not on how the query's vertices are named.  The cache therefore
+options — not on how the query's vertices are named, nor on which executor
+runs the plan.  The cache therefore
 keys plans by :meth:`repro.query.query_graph.QueryGraph.canonical_key`
 combined with the planner options, so ``(a1)->(a2)->(a3)`` and
 ``(b7)->(b2)->(b9)`` share one entry.
@@ -42,7 +43,6 @@ class PlanKey(NamedTuple):
     canonical_key: Hashable
     full_enumeration: bool
     enable_binary_joins: bool
-    vectorized: bool
     limit_class: Optional[int]
 
 
@@ -57,7 +57,6 @@ def plan_key(
     query: QueryGraph,
     full_enumeration: bool = False,
     enable_binary_joins: bool = True,
-    vectorized: bool = False,
     output_limit: Optional[int] = None,
 ) -> PlanKey:
     """The one definition of a plan-cache key."""
@@ -65,7 +64,6 @@ def plan_key(
         query.canonical_key(),
         full_enumeration,
         enable_binary_joins,
-        vectorized,
         limit_class(output_limit),
     )
 

@@ -119,14 +119,13 @@ class QueryService:
         back to in-process thread execution per query.  A submission can
         override the mode per query.
     vectorized / batch_size:
-        Default execution mode for served queries: when ``vectorized`` is
-        True, plans run through the batch-at-a-time (columnar) engine with
-        ``batch_size``-row frames instead of the tuple-at-a-time pipeline.
-        Vectorized reads run on the pinned snapshot directly (dirty or not)
+        Which executor runs served queries: the batch-at-a-time (columnar)
+        engine with ``batch_size``-row frames (True, the default) or the
+        tuple-at-a-time reference executor (False).  Either runs the same
+        plan.  Batch reads run on the pinned snapshot directly (dirty or not)
         — serving a dynamic graph never compacts on the query path.
-        Deadline and row-limit semantics are unchanged (deadlines are checked
-        per batch; the final frame is truncated to the row limit).  A
-        submission can override the mode per query.
+        Deadlines are checked per batch; the final frame is truncated to the
+        row limit.
     ops_addr:
         When set, start the HTTP ops plane (:class:`~repro.obs.http.OpsServer`)
         alongside the service: an int port, a ``"port"`` / ``"host:port"``
@@ -153,7 +152,7 @@ class QueryService:
         default_row_limit: Optional[int] = None,
         num_workers: int = 1,
         execution_mode: str = "thread",
-        vectorized: bool = False,
+        vectorized: bool = True,
         batch_size: int = 2048,
         ops_addr: Optional[Union[int, str, Tuple[str, int]]] = None,
     ) -> None:
@@ -260,7 +259,6 @@ class QueryService:
         deadline_seconds: Optional[float] = None,
         row_limit: Optional[int] = None,
         num_workers: Optional[int] = None,
-        vectorized: Optional[bool] = None,
         execution_mode: Optional[str] = None,
         _block: bool = False,
     ) -> "Future[ServiceResult]":
@@ -285,7 +283,6 @@ class QueryService:
                 deadline_seconds if deadline_seconds is not None else self.default_deadline_seconds,
                 row_limit if row_limit is not None else self.default_row_limit,
                 num_workers if num_workers is not None else self.num_workers,
-                vectorized if vectorized is not None else self.vectorized,
                 execution_mode if execution_mode is not None else self.execution_mode,
             )
         except BaseException:
@@ -303,7 +300,6 @@ class QueryService:
         adaptive: bool = False,
         deadline_seconds: Optional[float] = None,
         row_limit: Optional[int] = None,
-        vectorized: Optional[bool] = None,
         execution_mode: Optional[str] = None,
     ) -> List[ServiceResult]:
         """Execute a batch, sharing planning across identical query shapes.
@@ -323,7 +319,6 @@ class QueryService:
                 adaptive=adaptive,
                 deadline_seconds=deadline_seconds,
                 row_limit=row_limit,
-                vectorized=vectorized,
                 execution_mode=execution_mode,
                 _block=True,
             )
@@ -405,7 +400,6 @@ class QueryService:
         deadline_seconds: Optional[float],
         row_limit: Optional[int],
         num_workers: int,
-        vectorized: bool,
         execution_mode: str,
     ) -> ServiceResult:
         start = time.monotonic()
@@ -424,7 +418,7 @@ class QueryService:
                 config = ExecutionConfig(
                     output_limit=row_limit,
                     deadline=deadline,
-                    vectorized=vectorized,
+                    vectorized=self.vectorized,
                     batch_size=self.batch_size,
                 )
                 result = self.db.execute(

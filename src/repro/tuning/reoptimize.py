@@ -113,7 +113,7 @@ class Reoptimizer:
                 report.skipped_uncached += 1
                 continue
             generation = cache.generation
-            cost_model = db.cost_model_for(key.vectorized)
+            cost_model = db.cost_model
             new_plan = db._plan_uncached(old_plan.query, key)
             # Both plans are priced for the key's limit class, as the
             # optimizer ranked them (plan_cost when unlimited).

@@ -233,7 +233,7 @@ class TestMemoLifetime:
         db = GraphflowDB(social_graph)
         db.build_catalogue(z=60)
         db.plan(cq.diamond_x(), use_cache=False)
-        model = db.cost_model_for(vectorized=False)
+        model = db.cost_model
         assert model._extension_stats_cache
         return db, model
 
@@ -249,7 +249,7 @@ class TestMemoLifetime:
     def test_write_drops_the_memo(self, social_graph):
         db, model = self._planned(social_graph)
         db.apply_updates(inserts=[(0, social_graph.num_vertices - 1)])
-        fresh = db.cost_model_for(vectorized=False)
+        fresh = db.cost_model
         assert fresh is not model and not fresh._extension_stats_cache
 
     def test_installed_catalogue_is_what_a_fresh_model_reads(self, social_graph):
@@ -262,7 +262,7 @@ class TestMemoLifetime:
         refreshed = build_catalogue(social_graph, z=60)
         refreshed.put(sub, descriptors, to_label, sizes, mu + 1000.0, 1)
         assert db.install_refreshed_catalogue(refreshed, expected_epoch=db.catalogue.epoch)
-        fresh = db.cost_model_for(vectorized=False)
+        fresh = db.cost_model
         assert fresh is not model
         assert fresh.extension_stats(sub, descriptors, to_label)[1] == mu + 1000.0
         assert model.extension_stats(sub, descriptors, to_label)[1] == mu

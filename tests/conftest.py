@@ -11,6 +11,7 @@ import pytest
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import clustered_social, complete_graph, erdos_renyi
 from repro.graph.graph import Graph
+from repro.planner.cost_model import CostConstants
 from repro.planner.plan import wco_plan_from_order
 from repro.planner.qvo import enumerate_orderings
 from repro.query.query_graph import QueryGraph
@@ -116,6 +117,20 @@ def brute_force_count(
 # --------------------------------------------------------------------------- #
 # reference WCO enumeration (DP case (i))
 # --------------------------------------------------------------------------- #
+#: The paper's unit weights (Sections 3.3 and 4.2), zeroing every batch-engine
+#: term: a second constant set, so cost-model properties are checked under
+#: two sets, not only under the one plans are priced with.
+PAPER_UNIT_WEIGHTS = CostConstants(
+    scan_weight=1.0,
+    intersect_weight=1.0,
+    emit_weight=0.0,
+    build_weight=2.0,
+    probe_weight=1.0,
+    batch_overhead=0.0,
+    delta_scan_weight=0.0,
+)
+
+
 def reference_best_wco(cost_model, query: QueryGraph) -> Dict:
     """The cheapest WCO plan of every connected sub-query of ``query``, found
     one sub-query at a time: every ordering of the sub-query's projection is

@@ -28,7 +28,7 @@ class TestAdaptiveExecution:
         q = cq.diamond_x()
         catalogue = build_catalogue(social_graph, z=100)
         for plan in enumerate_wco_plans(q)[:6]:
-            fixed = execute_plan(plan, social_graph)
+            fixed = execute_plan(plan, social_graph, ExecutionConfig(vectorized=False))
             adaptive = execute_adaptive(plan, social_graph, catalogue=catalogue)
             assert adaptive.num_matches == fixed.num_matches
 
@@ -42,13 +42,15 @@ class TestAdaptiveExecution:
         q = cq.q2()
         plan = wco_plan_from_order(q, ("a1", "a2", "a3", "a4"))
         adaptive = execute_adaptive(plan, social_graph)
-        assert adaptive.num_matches == count_matches(plan, social_graph)
+        reference = count_matches(plan, social_graph, ExecutionConfig(vectorized=False))
+        assert adaptive.num_matches == reference
 
     def test_adaptive_on_short_chain_falls_back(self, social_graph):
         q = cq.triangle()  # only one E/I operator: nothing to adapt
         plan = wco_plan_from_order(q, ("a1", "a2", "a3"))
         adaptive = execute_adaptive(plan, social_graph)
-        assert adaptive.num_matches == count_matches(plan, social_graph)
+        reference = count_matches(plan, social_graph, ExecutionConfig(vectorized=False))
+        assert adaptive.num_matches == reference
         assert not adaptive.plan.adaptive
 
     def test_adaptive_collect_normalised_order(self, tiny_graph):

@@ -78,17 +78,20 @@ class TestEquivalence:
         assert result.num_matches == serial.num_matches
 
     def test_collected_rows_dirty(self, pool, dirty_snapshot):
+        # The reference executor returns rows in exact serial order.
         plan = enumerate_wco_plans(cq.diamond_x())[0]
-        serial = execute_plan(plan, dirty_snapshot, collect=True)
-        result = pool.execute(plan, dirty_snapshot, collect=True)
+        config = ExecutionConfig(vectorized=False)
+        serial = execute_plan(plan, dirty_snapshot, config, collect=True)
+        result = pool.execute(plan, dirty_snapshot, config=config, collect=True)
         assert result.matches == serial.matches
 
     def test_deterministic_across_worker_counts(self, random_graph):
         plan = enumerate_wco_plans(cq.q8())[0]
-        reference = execute_plan(plan, random_graph, collect=True)
+        config = ExecutionConfig(vectorized=False)
+        reference = execute_plan(plan, random_graph, config, collect=True)
         for workers in (1, 3):
             with MorselProcessPool(num_workers=workers, min_morsel_size=64) as p:
-                result = p.execute(plan, random_graph, collect=True)
+                result = p.execute(plan, random_graph, config=config, collect=True)
                 assert result.num_matches == reference.num_matches
                 assert result.matches == reference.matches
 
@@ -151,8 +154,10 @@ class TestDatabaseIntegration:
 
     def test_execute_process_mode_matches_serial(self, db):
         query = cq.triangle()
-        serial = db.execute(query, collect=True)
-        result = db.execute(query, num_workers=2, execution_mode="process", collect=True)
+        serial = db.execute(query, collect=True, vectorized=False)
+        result = db.execute(
+            query, num_workers=2, execution_mode="process", collect=True, vectorized=False
+        )
         assert result.num_matches == serial.num_matches
         assert result.matches == serial.matches
         assert result.trace.mode == "parallel-process"

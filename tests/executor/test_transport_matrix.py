@@ -62,7 +62,7 @@ PLANS = {
     ADAPTIVE: wco_plan_from_order(cq.diamond_x(), ("a2", "a3", "a1", "a4")),
 }
 ENGINES = {
-    "iterator": dict(),
+    "iterator": dict(vectorized=False),
     "vectorized": dict(vectorized=True, batch_size=97),
 }
 #: transport -> worker count

@@ -56,6 +56,8 @@ from repro.storage.dynamic import DynamicGraph
 from tests.storage.conftest import build_mutated_pair
 
 VEC = dict(vectorized=True)
+# The tuple-at-a-time reference executor every batch result is checked against.
+ITER = dict(vectorized=False)
 
 QUERY_SHAPES = [
     ("triangle", cq.triangle()),
@@ -84,7 +86,7 @@ def assert_equivalent(plan, graph, config_kwargs=None, batch_size=97):
     """The vectorized run must match the iterator run exactly: same count and
     the same sorted set of collected matches."""
     config_kwargs = config_kwargs or {}
-    iterator = execute_plan(plan, graph, ExecutionConfig(**config_kwargs), collect=True)
+    iterator = execute_plan(plan, graph, ExecutionConfig(**ITER, **config_kwargs), collect=True)
     vectorized = execute_plan(
         plan,
         graph,
@@ -105,7 +107,7 @@ class TestEquivalenceOnQuerySet:
     @pytest.mark.parametrize("name,query", QUERY_SHAPES, ids=[n for n, _ in QUERY_SHAPES])
     def test_social_graph_counts(self, social_graph, name, query):
         plan = enumerate_wco_plans(query)[0]
-        it = count_matches(plan, social_graph)
+        it = count_matches(plan, social_graph, ExecutionConfig(**ITER))
         vec = count_matches(plan, social_graph, ExecutionConfig(**VEC))
         assert it == vec
 
@@ -232,7 +234,7 @@ def oracle():
         if key not in cache:
             plan = wco_plan_from_order(query, order)
             iterator = execute_plan(
-                plan, graph, ExecutionConfig(isomorphism=isomorphism), collect=True
+                plan, graph, ExecutionConfig(isomorphism=isomorphism, **ITER), collect=True
             )
             if not isomorphism:
                 lftj = LeapfrogTrieJoin(graph).count(query, ordering=order)
@@ -304,7 +306,7 @@ class TestChainedExtendIntersect:
         if reusing:
             assert cached.intersection_cost < iterator.intersection_cost
         plan = wco_plan_from_order(query, order)
-        off = ExecutionConfig(enable_intersection_cache=False)
+        off = ExecutionConfig(enable_intersection_cache=False, **ITER)
         uncached_iterator = execute_plan(plan, chained_graph, off).profile
         uncached = self._run(chained_graph, query, order, enable_intersection_cache=False).profile
         assert uncached.intersection_cost == uncached_iterator.intersection_cost
@@ -355,7 +357,7 @@ class TestChainedExtendIntersect:
         )
         for i, plan in enumerate(enumerate_wco_plans(query)[:3]):
             iterator = execute_plan(
-                plan, graph, ExecutionConfig(isomorphism=isomorphism), collect=True
+                plan, graph, ExecutionConfig(isomorphism=isomorphism, **ITER), collect=True
             )
             got = execute_plan(plan, graph, config, collect=True)
             assert sorted(got.matches) == sorted(iterator.matches)
@@ -453,7 +455,7 @@ def join_oracle():
         key = (id(graph), name, isomorphism)
         if key not in cache:
             iterator = execute_plan(
-                plan, graph, ExecutionConfig(isomorphism=isomorphism), collect=True
+                plan, graph, ExecutionConfig(isomorphism=isomorphism, **ITER), collect=True
             )
             if not isomorphism:
                 assert LeapfrogTrieJoin(graph).count(plan.query).num_matches == iterator.num_matches
@@ -526,7 +528,8 @@ class TestHashJoin:
         q = QueryGraph([("a1", "a2", 7), ("a2", "a3")])  # no edge carries label 7
         plan = _join_plan(q, ("a1", "a2"), ("a2", "a3"))
         probe = plan.root.probe
-        assert count_matches(Plan(query=probe.sub_query, root=probe), tiny_graph) > 0
+        probe_plan = Plan(query=probe.sub_query, root=probe)
+        assert count_matches(probe_plan, tiny_graph, ExecutionConfig(**ITER)) > 0
         result = execute_plan(plan, tiny_graph, ExecutionConfig(**VEC), collect=collect)
         assert result.num_matches == 0 and not result.truncated
         assert probe.display_name() not in result.profile.per_operator
@@ -588,7 +591,9 @@ class TestHashJoin:
             enumerate_wco_plans(query.project(probe_vertices))[0].root,
         )
         plan = Plan(query=query, root=join)
-        iterator = execute_plan(plan, graph, ExecutionConfig(isomorphism=isomorphism), collect=True)
+        iterator = execute_plan(
+            plan, graph, ExecutionConfig(isomorphism=isomorphism, **ITER), collect=True
+        )
         counted, collected = self._both_modes(
             plan, graph, isomorphism=isomorphism, batch_size=batch_size
         )
@@ -687,7 +692,7 @@ class TestBatchModeResourceBounds:
             plan, tiny_graph, ExecutionConfig(deadline=time.monotonic() + 60.0, **VEC)
         )
         assert not result.deadline_exceeded
-        assert result.num_matches == count_matches(plan, tiny_graph)
+        assert result.num_matches == count_matches(plan, tiny_graph, ExecutionConfig(**ITER))
 
 
 def _scan_operators(op):
@@ -996,7 +1001,7 @@ class TestModeComposition:
         from repro.executor.adaptive import execute_adaptive
 
         plan = wco_plan_from_order(cq.diamond_x(), ("a1", "a2", "a3", "a4"))
-        fixed = count_matches(plan, random_graph)
+        fixed = count_matches(plan, random_graph, ExecutionConfig(**ITER))
         adaptive = execute_adaptive(plan, random_graph, config=ExecutionConfig(**VEC))
         assert adaptive.num_matches == fixed
 
@@ -1006,19 +1011,17 @@ class TestModeComposition:
 
         db = GraphflowDB(random_graph)
         db.build_catalogue(z=50)
-        expected = db.execute(cq.triangle()).num_matches
-        assert db.execute(cq.triangle(), vectorized=True).num_matches == expected
-        assert (
-            db.execute(cq.triangle(), vectorized=True, adaptive=True).num_matches
-            == expected
-        )
-        with QueryService(db, vectorized=True) as service:
+        expected = db.execute(cq.triangle(), vectorized=False).num_matches
+        assert db.execute(cq.triangle()).trace.mode == "vectorized"
+        assert db.execute(cq.triangle()).num_matches == expected
+        assert db.execute(cq.triangle(), adaptive=True).num_matches == expected
+        with QueryService(db) as service:
             served = service.execute(cq.triangle())
             assert served.status == "ok" and served.num_matches == expected
             limited = service.execute(cq.triangle(), row_limit=3)
             assert limited.status == "truncated" and limited.num_matches == 3
-            # Per-query override back to the iterator pipeline.
-            assert service.execute(cq.triangle(), vectorized=False).num_matches == expected
+        with QueryService(db, vectorized=False) as service:
+            assert service.execute(cq.triangle()).num_matches == expected
 
 
 class TestVectorizedHelpers:

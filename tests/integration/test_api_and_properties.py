@@ -75,7 +75,7 @@ class TestGraphflowDB:
         assert len(result.matches) == result.num_matches
 
     def test_adaptive_matches_fixed(self, db):
-        fixed = db.execute(queries.diamond_x())
+        fixed = db.execute(queries.diamond_x(), vectorized=False)
         adaptive = db.execute(queries.diamond_x(), adaptive=True)
         assert fixed.num_matches == adaptive.num_matches
 

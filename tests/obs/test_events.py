@@ -111,6 +111,18 @@ class TestRotation:
         # Oldest-first across backups, then the active file.
         assert [e["idx"] for e in events] == list(range(60))
 
+    def test_readers_find_more_than_sixteen_backups(self, tmp_path):
+        """Every record written stays on disk with 20 backups, and the
+        readers find every backup, not only the first 16."""
+        path = str(tmp_path / "events.jsonl")
+        with EventLog(path, max_bytes=200, backups=20) as log:
+            while log.rotations < 18:
+                log.emit("query_finish", idx=log.emitted)
+            assert len(log.rotated_paths()) == 18
+            written = list(range(log.emitted))
+        assert [e["idx"] for e in iter_events(path)] == written
+        assert [e["idx"] for e in tail_events(path, n=len(written))] == written
+
     def test_rotation_drops_oldest_beyond_backups(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         with EventLog(path, max_bytes=256, backups=1) as log:

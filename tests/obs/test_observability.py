@@ -371,14 +371,14 @@ class TestQueryTraces:
         assert math.isfinite(trace.max_q_error)
 
     def test_iterator_trace_carries_operator_q_errors(self, db):
-        result = db.execute(cq.triangle())
+        result = db.execute(cq.triangle(), vectorized=False)
         self._assert_trace_has_feedback(result.trace, result.num_matches)
         assert result.trace.mode == "iterator"
         # Retrievable from the ring by id.
         assert db.obs.traces.get(result.trace.trace_id) is result.trace
 
     def test_vectorized_trace_carries_operator_q_errors(self, db):
-        result = db.execute(cq.triangle(), vectorized=True)
+        result = db.execute(cq.triangle())
         self._assert_trace_has_feedback(result.trace, result.num_matches)
         assert result.trace.mode == "vectorized"
         # Vectorized mode additionally separates per-operator busy time.
@@ -415,7 +415,7 @@ class TestQueryTraces:
 
         code = main([
             "trace", "--dataset", "amazon", "--scale", "0.1", "--z", "40",
-            "--query", "Q1", "--vectorized", "--row-limit", "5",
+            "--query", "Q1", "--row-limit", "5",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -425,10 +425,10 @@ class TestQueryTraces:
     def test_repeated_executions_feed_cardinality_feedback(self, db):
         q = cq.triangle()
         db.execute(q)
-        db.execute(q, vectorized=True)
+        db.execute(q, vectorized=False)
         stats = db.obs.feedback.stats()
-        # One key per (canonical form, vectorized) plan-cache entry.
-        assert stats["plans_tracked"] == 2
+        # One key per plan-cache entry, whichever executor ran the plan.
+        assert stats["plans_tracked"] == 1
         assert stats["executions"] == 2
         assert stats["max_q_error"] >= 1.0
         for _, entry in db.obs.feedback.worst(5):
@@ -454,7 +454,7 @@ class TestQueryTraces:
         db.execute(cq.triangle())
         text = db.obs.registry.expose_prometheus()
         assert 'graphflow_queries_total{status="ok"} 1' in text
-        assert 'graphflow_query_seconds_bucket{mode="iterator",status="ok",le="+Inf"} 1' in text
+        assert 'graphflow_query_seconds_bucket{mode="vectorized",status="ok",le="+Inf"} 1' in text
         assert "graphflow_query_q_error_count 1" in text
         assert "graphflow_db_planner_invocations" in text
         assert "graphflow_plan_cache_misses 1" in text

@@ -74,7 +74,7 @@ class TestKillAndRecover:
         with QueryService(recovered_db, max_concurrent=2, vectorized=vectorized) as svc:
             for name, query in QUERY_SET:
                 got = svc.execute(query)
-                want = reference.execute(query)
+                want = reference.execute(query, vectorized=False)
                 assert got.status == "ok", (name, got.error)
                 assert got.num_matches == want.num_matches, name
             # The recovered service keeps accepting durable updates.

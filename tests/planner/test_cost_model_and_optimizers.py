@@ -15,8 +15,7 @@ from repro.catalogue.construction import build_catalogue
 from repro.executor.pipeline import count_matches, execute_plan
 from repro.graph.labeling import with_random_labels
 from repro.planner.cost_model import (
-    ITERATOR_COST_CONSTANTS,
-    VECTORIZED_COST_CONSTANTS,
+    COST_CONSTANTS,
     CostModel,
     calibrate_hash_join_weights,
 )
@@ -27,9 +26,11 @@ from repro.planner.qvo import enumerate_orderings, enumerate_wco_plans
 from repro.query import catalog_queries as cq
 from repro.query.generator import random_connected_query
 
-from tests.conftest import brute_force_count, reference_best_wco
+from tests.conftest import PAPER_UNIT_WEIGHTS, brute_force_count, reference_best_wco
 
-CONSTANT_SETS = [ITERATOR_COST_CONSTANTS, VECTORIZED_COST_CONSTANTS]
+CONSTANT_SETS = pytest.mark.parametrize(
+    "constants", [PAPER_UNIT_WEIGHTS, COST_CONSTANTS], ids=["paper", "default"]
+)
 
 
 def walk_costing(cost_model, query):
@@ -211,7 +212,7 @@ class TestWCOWalk:
         assert set(costed.values()) == {1}
         return sum(costed.values())
 
-    @pytest.mark.parametrize("constants", CONSTANT_SETS, ids=lambda c: c.name)
+    @CONSTANT_SETS
     @pytest.mark.parametrize("query_name", [f"Q{i}" for i in range(1, 14)])
     def test_paper_queries(self, social_graph, social_cost_model, constants, query_name):
         self.check(social_graph, social_cost_model.catalogue, constants, cq.get(query_name))
@@ -220,7 +221,7 @@ class TestWCOWalk:
         """5·4·3 + 5·4·3·2 + 5! = 300 prefixes, where costing every ordering
         of every sub-query from scratch asks for 660 E/I costs."""
         assert self.check(
-            social_graph, social_cost_model.catalogue, ITERATOR_COST_CONSTANTS, cq.q7()
+            social_graph, social_cost_model.catalogue, COST_CONSTANTS, cq.q7()
         ) == 300
 
     def test_planning_leaves_no_reference_cycle(self, social_graph, social_cost_model):
@@ -237,7 +238,7 @@ class TestWCOWalk:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("constants", CONSTANT_SETS, ids=lambda c: c.name)
+    @CONSTANT_SETS
     @settings(max_examples=25, deadline=None)
     @given(
         num_vertices=st.integers(min_value=3, max_value=6),

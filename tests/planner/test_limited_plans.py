@@ -21,7 +21,9 @@ from repro.catalogue.construction import build_catalogue
 from repro.errors import CatalogueError
 from repro.executor.operators import ExecutionConfig
 from repro.graph.generators import clustered_social
-from repro.planner.cost_model import CostModel, annotate_operator_estimates
+from repro.planner.cost_model import COST_CONSTANTS, CostModel, annotate_operator_estimates
+from repro.planner.dp_optimizer import DynamicProgrammingOptimizer
+from repro.planner.full_enumeration import FullEnumerationOptimizer
 from repro.planner.plan import (
     HashJoinNode,
     Plan,
@@ -32,7 +34,10 @@ from repro.planner.plan import (
 from repro.query import catalog_queries as cq
 from repro.query.generator import random_connected_query
 from repro.query.query_graph import QueryGraph
+from repro.server.plan_cache import limit_class
 from repro.storage.dynamic import DynamicGraph
+
+from tests.conftest import PAPER_UNIT_WEIGHTS
 
 LIMITS = (1, 7, 100, 10**6)
 
@@ -80,9 +85,9 @@ class TestLimitedCost:
 
     @pytest.mark.parametrize("extend_to", [(), ("a5",)], ids=["join-at-root", "join-below-extend"])
     def test_hybrid_plan_pays_its_build_side_in_full(self, social_model, extend_to):
-        """The build subtree and the join's ``w1 * n1`` are charged whatever
-        the limit; only the rest scales (iterator constants: no per-batch
-        term)."""
+        """The build subtree, the join's ``w1 * n1`` and the per-batch term of
+        its ``n1`` build rows are charged whatever the limit; only the rest
+        scales."""
         query = cq.diamond_x()
         if extend_to:
             query = QueryGraph(
@@ -90,8 +95,11 @@ class TestLimitedCost:
             )
         plan = _join_plan(query, ("a1", "a2", "a3"), ("a2", "a3", "a4"), extend_to)
         join = next(n for n in plan.root.iter_nodes() if isinstance(n, HashJoinNode))
-        build_in_full = social_model.plan_cost(join.build) + social_model.build_weight * (
-            social_model.cardinality(join.build.sub_query)
+        n_build = social_model.cardinality(join.build.sub_query)
+        build_in_full = (
+            social_model.plan_cost(join.build)
+            + social_model.build_weight * n_build
+            + social_model._batch_cost(n_build)
         )
         total = social_model.plan_cost(plan)
         estimate = social_model.cardinality(query)
@@ -119,21 +127,24 @@ class TestLimitedCost:
 # --------------------------------------------------------------------------- #
 class TestLimitedDecisions:
     @pytest.mark.parametrize("full_enumeration", [False, True], ids=["dp", "full-enumeration"])
-    @pytest.mark.parametrize("vectorized", [False, True], ids=["iterator", "vectorized"])
+    @pytest.mark.parametrize(
+        "constants", [PAPER_UNIT_WEIGHTS, COST_CONSTANTS], ids=["paper", "default"]
+    )
     def test_diamond_x_is_hybrid_unlimited_and_wco_under_limit_100(
-        self, amazon_db, full_enumeration, vectorized
+        self, amazon_db, full_enumeration, constants
     ):
+        model = CostModel(amazon_db.cost_model.graph, amazon_db.catalogue, constants=constants)
+        optimizer_type = (
+            FullEnumerationOptimizer if full_enumeration else DynamicProgrammingOptimizer
+        )
+
         def plan(limit):
-            return amazon_db.plan(
-                cq.diamond_x(), full_enumeration=full_enumeration, vectorized=vectorized,
-                output_limit=limit, use_cache=False,
-            )
+            return optimizer_type(model).optimize(cq.diamond_x(), output_limit=limit_class(limit))
 
         unlimited, limited = plan(None), plan(100)
         assert unlimited.plan_type == "hybrid"
         assert limited.plan_type == "wco"
         # The limit only ranks plans: estimated_cost stays the full plan_cost.
-        model = amazon_db.cost_model_for(vectorized)
         assert limited.estimated_cost == pytest.approx(model.plan_cost(limited))
         assert model.limited_cost(limited, 128) < model.limited_cost(unlimited, 128)
         # A limit above the estimate changes nothing.
@@ -147,8 +158,7 @@ class TestLimitedDecisions:
         signatures = set()
         for limit in (None, 1, 100, 10**6):
             plan = amazon_db.plan(
-                query, full_enumeration=full_enumeration, vectorized=True,
-                output_limit=limit, use_cache=False,
+                query, full_enumeration=full_enumeration, output_limit=limit, use_cache=False,
             )
             assert plan.plan_type == "wco"
             signatures.add(plan.signature())
@@ -157,11 +167,7 @@ class TestLimitedDecisions:
     def test_a_large_query_keeps_the_dp_winner(self, amazon_db):
         """Above ``large_query_threshold`` there is no exhaustive WCO
         enumeration to compare against: the limit changes nothing."""
-        from repro.planner.dp_optimizer import DynamicProgrammingOptimizer
-
-        optimizer = DynamicProgrammingOptimizer(
-            amazon_db.cost_model_for(True), large_query_threshold=3
-        )
+        optimizer = DynamicProgrammingOptimizer(amazon_db.cost_model, large_query_threshold=3)
         unlimited = optimizer.optimize(cq.diamond_x())
         assert _has_hash_join(unlimited)
         assert optimizer.optimize(cq.diamond_x(), output_limit=1).signature() == (

@@ -358,8 +358,9 @@ class TestExecuteFlagValidation:
     by the adaptive row of tests/executor/test_transport_matrix.py)."""
 
     def test_parallel_with_collect_matches_serial(self, db):
-        serial = db.execute(cq.triangle(), collect=True)
-        parallel = db.execute(cq.triangle(), num_workers=2, collect=True)
+        # The reference executor merges morsel rows in exact serial order.
+        serial = db.execute(cq.triangle(), collect=True, vectorized=False)
+        parallel = db.execute(cq.triangle(), num_workers=2, collect=True, vectorized=False)
         assert parallel.matches == serial.matches
 
     def test_parallel_plain_still_works(self, db):

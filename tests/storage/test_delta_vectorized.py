@@ -72,7 +72,7 @@ class TestDirtySnapshotEquivalence:
 
     def test_vectorized_modes_compose_on_dirty_snapshots(self, mutated, dynamic_db, compacted_db):
         query = cq.diamond_x()
-        expected = compacted_db.execute(query).num_matches
+        expected = compacted_db.execute(query, vectorized=False).num_matches
         assert (
             dynamic_db.execute(query, vectorized=True, adaptive=True).num_matches == expected
         )

@@ -56,8 +56,8 @@ def test_collected_matches_identical(mutated):
     db_fresh = GraphflowDB(fresh)
     for db in (db_dynamic, db_fresh):
         db.build_catalogue(z=100)
-    got = db_dynamic.execute(cq.triangle(), collect=True).matches
-    expected = db_fresh.execute(cq.triangle(), collect=True).matches
+    got = db_dynamic.execute(cq.triangle(), collect=True, vectorized=False).matches
+    expected = db_fresh.execute(cq.triangle(), collect=True, vectorized=False).matches
     key = lambda m: tuple(sorted(m.items()))
     assert sorted(got, key=key) == sorted(expected, key=key)
 

@@ -30,12 +30,12 @@ COMMITTED_BASELINE = Path(__file__).resolve().parents[1] / "baselines" / "plan_r
 
 
 def _mini_suite() -> PlanRegressionSuite:
-    """A two-query, one-graph, iterator-only suite for fast mutation tests."""
+    """A two-query, one-graph, unlimited-only suite for fast mutation tests."""
     from repro.graph.generators import erdos_renyi
 
     return PlanRegressionSuite(
         queries=("Q3", "Q8"),
-        modes=("iterator",),
+        modes=("vectorized",),
         graphs={"er-100": lambda: erdos_renyi(100, 700, seed=5, name="er-100")},
         z=80,
     )
@@ -61,10 +61,8 @@ class TestGuardSuite:
         suite.rebaseline(baseline_path)
         assert suite.check_path(baseline_path) == []
 
-        perturbed = dataclasses.replace(
-            cost_model_module.ITERATOR_COST_CONSTANTS, intersect_weight=64.0
-        )
-        monkeypatch.setattr(cost_model_module, "ITERATOR_COST_CONSTANTS", perturbed)
+        perturbed = dataclasses.replace(cost_model_module.COST_CONSTANTS, intersect_weight=64.0)
+        monkeypatch.setattr(cost_model_module, "COST_CONSTANTS", perturbed)
         diffs = suite.check_path(baseline_path)
         assert diffs, "a 64x intersection weight must trip the guard"
         rendered = format_diffs(diffs)
@@ -93,8 +91,8 @@ class TestGuardSuite:
 
 class TestDiffRendering:
     def test_missing_cases_render_actionably(self):
-        new_case = PlanDiff(case_id="g/Q1/iterator", kind="missing_baseline")
-        gone_case = PlanDiff(case_id="g/Q2/iterator", kind="missing_live")
+        new_case = PlanDiff(case_id="g/Q1/vectorized", kind="missing_baseline")
+        gone_case = PlanDiff(case_id="g/Q2/vectorized", kind="missing_live")
         assert "--rebaseline" in new_case.render()
         assert "not produced" in gone_case.render()
 

@@ -262,11 +262,10 @@ class TestCatalogueRefresher:
 # --------------------------------------------------------------------------- #
 class TestPlanCatalogueConsistency:
     @pytest.mark.timing
-    @pytest.mark.parametrize("vectorized", [False, True], ids=["iterator", "vectorized"])
-    def test_readers_never_observe_torn_plan_catalogue_pairs(self, vectorized):
+    def test_readers_never_observe_torn_plan_catalogue_pairs(self):
         """A query admitted around a refresh install must see old plan + old
         catalogue or new plan + new catalogue — never a mix.  The install
-        swaps catalogue, cost models, and plan cache atomically under the
+        swaps catalogue, cost model, and plan cache atomically under the
         write lock, so under that lock a freshly served plan's stamped epoch
         always equals the live catalogue's."""
         db = _dynamic_db(num_vertices=60, num_edges=240, seed=5)
@@ -293,7 +292,7 @@ class TestPlanCatalogueConsistency:
                 # so the writer and refresher threads can take the lock.
                 while time.monotonic() < deadline and refresher.stats()["refreshes"] < 2:
                     with db._write_lock:
-                        plan = db.plan(q, vectorized=vectorized)
+                        plan = db.plan(q)
                         live_epoch = db.catalogue.epoch
                         if plan.catalogue_epoch != live_epoch:
                             failures.append((plan.catalogue_epoch, live_epoch))
@@ -322,7 +321,7 @@ class TestReoptimizer:
         db.build_catalogue(h=3, z=80, queries=[cq.q3()])
         q = cq.q3()
         best = db.plan(q, use_cache=False)
-        cost_model = db.cost_model_for(False)
+        cost_model = db.cost_model
         worst = max(enumerate_wco_plans(q), key=lambda p: cost_model.plan_cost(p))
         assert worst.signature() != best.signature()
         key = plan_key(q)
@@ -378,16 +377,16 @@ class TestReoptimizer:
         db = GraphflowDB(datasets.load("amazon", scale=0.25))
         db.build_catalogue()
         q = cq.diamond_x()
-        hybrid = db.plan(q, vectorized=True, use_cache=False)
+        hybrid = db.plan(q, use_cache=False)
         assert hybrid.plan_type == "hybrid"
-        key = plan_key(q, vectorized=True, output_limit=100)
+        key = plan_key(q, output_limit=100)
         db.plan_cache.put(key, hybrid)
         self._seed_drift(db, key, query_name=q.name)
         report = Reoptimizer(db).run_once()
         assert report.plan_changes == 1
         cached = db.plan_cache.peek(key)
         assert cached.plan_type == "wco"
-        cost_model = db.cost_model_for(True)
+        cost_model = db.cost_model
         assert report.details[0]["old_cost"] == cost_model.limited_cost(hybrid, key.limit_class)
         assert report.details[0]["new_cost"] == cost_model.limited_cost(cached, key.limit_class)
 
@@ -413,7 +412,7 @@ class TestReoptimizer:
         q = cq.q3()
         from repro.planner.qvo import enumerate_wco_plans
 
-        cost_model = db.cost_model_for(False)
+        cost_model = db.cost_model
         worst = max(enumerate_wco_plans(q), key=lambda p: cost_model.plan_cost(p))
         key = plan_key(q)
         db.plan_cache.put(key, worst)
