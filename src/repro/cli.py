@@ -593,19 +593,18 @@ def cmd_update(args: argparse.Namespace) -> int:
 
 def cmd_events(args: argparse.Namespace) -> int:
     """Tail / filter a structured event log: the JSONL stream written by
-    ``GraphflowDB(event_log=...)`` / ``serve --event-log``.  Reads rotated
-    backups oldest-first, skips torn or malformed lines, and with
-    ``--follow`` keeps polling the active file for appended events
+    ``GraphflowDB(event_log=...)`` / ``serve --event-log``.  Reads every
+    segment oldest-first, skips torn or malformed lines, and with
+    ``--follow`` keeps polling the newest segment for appended events
     (rotation-aware) until interrupted.
 
     With ``--url`` the events stream over HTTP from a running server's ops
     plane (``GET /events``) — the same filters apply, and ``--follow``
     holds the NDJSON stream open until interrupted."""
     import json
-    import os
     import time
 
-    from repro.obs.events import follow_events, iter_events, tail_events
+    from repro.obs.events import follow_events, iter_events, log_files, tail_events
 
     types = (
         [t.strip() for t in args.type.split(",") if t.strip()] if args.type else None
@@ -659,7 +658,7 @@ def cmd_events(args: argparse.Namespace) -> int:
     if args.path is None:
         print("error: --path is required (or use --url for a remote server)", file=sys.stderr)
         return 2
-    if not os.path.exists(args.path):
+    if not log_files(args.path):
         print(f"error: no event log at {args.path}", file=sys.stderr)
         return 1
     if args.tail is not None:

@@ -161,15 +161,6 @@ class Observability:
         self.wal_append_seconds = self.registry.histogram(
             "wal_append_seconds", "WAL append latency (frame + buffered write)"
         )
-        self.wal_fsync_seconds = self.registry.histogram(
-            "wal_fsync_seconds", "WAL group-commit fsync latency"
-        )
-        self.checkpoint_seconds = self.registry.histogram(
-            "checkpoint_seconds", "Durable-store checkpoint duration"
-        )
-        self.compaction_seconds = self.registry.histogram(
-            "compaction_seconds", "Delta-CSR compaction duration"
-        )
         # Worker-side families for the multi-process morsel executor.  The
         # pool coordinator folds per-morsel timing records (piggybacked on
         # result messages) into these; the per-worker counters accumulate
@@ -253,15 +244,18 @@ class Observability:
         return event_log
 
     def emit_event(self, event_type: str, **fields) -> None:
-        """Append one event; a silent no-op without an attached log, and
-        never raises into the caller (emission failures must not take down
-        a query, checkpoint, or compaction thread)."""
+        """Append one event; a silent no-op without an attached log.  The
+        errors ``EventLog.emit`` can raise — a failing disk (``OSError``), a
+        reserved or circular field (``ValueError``), a non-string key inside
+        a field value (``TypeError``) — never reach the caller: emission
+        failures must not take down a query, checkpoint, or compaction
+        thread.  Anything else is a bug and propagates."""
         log = self.event_log
         if log is None:
             return
         try:
             log.emit(event_type, **fields)
-        except Exception:
+        except (OSError, ValueError, TypeError):
             pass
 
     # ------------------------------------------------------------------ #

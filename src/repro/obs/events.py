@@ -1,12 +1,12 @@
-"""A structured, durable event stream: size-rotated JSONL records.
+"""A structured, durable event stream: JSONL records in numbered segments.
 
 Metrics answer "how much / how fast", traces answer "what happened inside
 one request" — the event log answers "what happened to the *system*, in
 order": query finishes, slow queries, update batches, checkpoints,
 compaction installs, pool respawns, per-query fallbacks to thread
-execution, and recoveries.  Each record is one line of JSON, so the file
+execution, and recoveries.  Each record is one line of JSON, so a segment
 tails cleanly with standard tooling (``jq``, ``grep``) and survives a crash
-as a line-delimited prefix (a torn final line is skipped by the reader).
+as a line-delimited prefix (readers skip a torn final line).
 
 Records are schema-versioned: every line carries ``{"v": 1, "ts": <epoch
 seconds>, "type": "<event type>", ...fields}``.  Readers must tolerate
@@ -14,13 +14,20 @@ unknown fields (additive evolution); a ``v`` bump signals an incompatible
 change.  Well-known event types and their fields are documented in
 ``docs/observability.md``.
 
-:class:`EventLog` is thread-safe (one lock around write+rotate) and
-size-rotated: when the active file would exceed ``max_bytes`` it is renamed
-to ``<path>.1`` (shifting older backups up, dropping past ``backups``), and
-a fresh file is started — a long-running server holds a bounded amount of
-event history on disk.  Emission never raises into the caller's hot path by
-policy of the callers (:meth:`repro.obs.Observability.emit_event` swallows
-errors); the log itself raises normally so tests see real failures.
+On disk, the log at ``path`` is a run of numbered segments next to it:
+``events.jsonl`` is written as ``events-000000000000.jsonl``,
+``events-000000000001.jsonl``, ….  The highest number is the active
+segment.  Rotation (when the active segment would exceed ``max_bytes``)
+opens the next number and unlinks the oldest sealed segments beyond
+``backups``; nothing is ever renamed, so a follower that holds segment *k*
+reads it to EOF and moves to the next higher number.  A log written by
+earlier versions (``<path>.N`` … ``<path>.1``, ``<path>``) is still read,
+before the segments.
+
+:class:`EventLog` is thread-safe (one lock around write+rotate).  Emission
+never raises into the caller's hot path by policy of the callers
+(:meth:`repro.obs.Observability.emit_event` swallows the errors ``emit``
+can raise); the log itself raises normally so tests see real failures.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import json
 import os
 import threading
 import time
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
@@ -37,6 +44,7 @@ __all__ = [
     "EventLog",
     "follow_events",
     "iter_events",
+    "log_files",
     "tail_events",
 ]
 
@@ -65,12 +73,15 @@ class EventLog:
     Parameters
     ----------
     path:
-        The active log file; rotated backups live next to it as
-        ``<path>.1`` (newest) … ``<path>.N`` (oldest).
+        Names the log; records go to the numbered segments
+        ``<stem>-<k:012d><suffix>`` next to it (see the module docstring).
     max_bytes:
-        Rotation threshold for the active file.
+        Rotation threshold for the active segment.
     backups:
-        Rotated files kept; ``0`` truncates on rotation instead.
+        Sealed segments kept; ``0`` unlinks a segment as soon as it is
+        sealed.
+
+    ``segment_path`` is the active segment.
     """
 
     def __init__(self, path: str, max_bytes: int = 4 * 1024 * 1024, backups: int = 3) -> None:
@@ -85,12 +96,26 @@ class EventLog:
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._lock = threading.Lock()
-        self._handle = open(self.path, "a", encoding="utf-8")
-        self._size = self._handle.tell()
+        segments = _scan(self.path)[1]
+        # Reopening appends to the newest segment.  A crash may have left a
+        # torn final line there; end it so the next record starts a line of
+        # its own instead of merging into the fragment.
+        self._open_segment(segments[-1][0] if segments else 0)
+        if self._size:
+            self._handle.seek(-1, os.SEEK_END)
+            if self._handle.read(1) != b"\n":
+                self._handle.write(b"\n")
+                self._size += 1
         self._closed = False
         self.emitted = 0
         self.rotations = 0
         self.dropped = 0  # emits after close()
+
+    def _open_segment(self, number: int) -> None:
+        self._number = number
+        self.segment_path = _segment_path(self.path, number)
+        self._handle = open(self.segment_path, "a+b")
+        self._size = self._handle.seek(0, os.SEEK_END)
 
     # ------------------------------------------------------------------ #
     @property
@@ -112,7 +137,7 @@ class EventLog:
             if key in record:
                 raise ValueError(f"reserved event field {key!r} cannot be overridden")
             record[key] = value
-        line = json.dumps(record, separators=(",", ":"), default=str) + "\n"
+        line = (json.dumps(record, separators=(",", ":"), default=str) + "\n").encode("utf-8")
         with self._lock:
             if self._closed:
                 self.dropped += 1
@@ -126,22 +151,21 @@ class EventLog:
         return record
 
     def _rotate_locked(self) -> None:
+        # Open the successor before unlinking anything, so a follower never
+        # finds its segment gone without a higher one to move to.
         self._handle.close()
-        if self.backups > 0:
-            for i in range(self.backups - 1, 0, -1):
-                src = f"{self.path}.{i}"
-                if os.path.exists(src):
-                    os.replace(src, f"{self.path}.{i + 1}")
-            os.replace(self.path, f"{self.path}.1")
-        else:
-            os.unlink(self.path)
-        self._handle = open(self.path, "a", encoding="utf-8")
-        self._size = 0
+        self._open_segment(self._number + 1)
+        sealed = [p for number, p in _scan(self.path)[1] if number < self._number]
+        for stale in sealed[: max(0, len(sealed) - self.backups)]:
+            try:
+                os.unlink(stale)
+            except FileNotFoundError:
+                pass
         self.rotations += 1
 
     def rotated_paths(self) -> List[str]:
-        """Existing backup files, oldest first."""
-        return _backup_paths(self.path)
+        """Existing log files other than the active segment, oldest first."""
+        return [p for p in log_files(self.path) if p != self.segment_path]
 
     def stats(self) -> dict:
         with self._lock:
@@ -177,40 +201,49 @@ class EventLog:
 # --------------------------------------------------------------------------- #
 # readers
 # --------------------------------------------------------------------------- #
-def _iter_file(path: str) -> Iterator[dict]:
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        return
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail from a crash mid-write
-            if isinstance(record, dict):
-                yield record
+def _segment_path(path: str, number: int) -> str:
+    stem, suffix = os.path.splitext(path)
+    return f"{stem}-{number:012d}{suffix}"
 
 
-def _backup_paths(path: str) -> List[str]:
-    """The rotated backups ``<path>.<N>`` that exist next to ``path``, oldest
-    (highest ``N``) first.  They are read off the directory listing, so no
-    backup count caps them and a gap left mid-rotation does not end them."""
+def _scan(path: str) -> Tuple[List[str], List[Tuple[int, str]]]:
+    """The legacy files (``<path>.N`` … ``<path>.1``, ``<path>``; oldest
+    first) and the numbered segments (``(k, path)``, ascending ``k``) that
+    exist next to ``path``, from one directory listing."""
     directory, name = os.path.split(path)
-    prefix = name + "."
+    stem, suffix = os.path.splitext(name)
     try:
         entries = os.listdir(directory or ".")
     except FileNotFoundError:
-        return []
-    numbered = sorted(
-        (int(entry[len(prefix):]), entry)
-        for entry in entries
-        if entry.startswith(prefix) and entry[len(prefix):].isdecimal()
-    )
-    return [os.path.join(directory, entry) for _, entry in reversed(numbered)]
+        return [], []
+    backups, segments = [], []
+    for entry in entries:
+        if entry.startswith(name + ".") and entry[len(name) + 1:].isdecimal():
+            backups.append((-int(entry[len(name) + 1:]), entry))
+        elif entry.startswith(stem + "-") and entry.endswith(suffix):
+            number = entry[len(stem) + 1: len(entry) - len(suffix)]
+            if number.isdecimal():
+                segments.append((int(number), os.path.join(directory, entry)))
+    legacy = [os.path.join(directory, entry) for _, entry in sorted(backups)]
+    if name in entries:
+        legacy.append(path)
+    return legacy, sorted(segments)
+
+
+def log_files(path: str) -> List[str]:
+    """Every file of the log named ``path``, oldest first: the legacy
+    ``<path>.N`` … ``<path>.1``, ``<path>``, then the segments.  Empty when
+    no log exists."""
+    legacy, segments = _scan(path)
+    return legacy + [p for _, p in segments]
+
+
+def _parse(line: bytes) -> Optional[dict]:
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None  # torn crash fragment or malformed line
+    return record if isinstance(record, dict) else None
 
 
 def iter_events(
@@ -218,50 +251,24 @@ def iter_events(
     types: Optional[Sequence[str]] = None,
     include_rotated: bool = True,
 ) -> Iterator[dict]:
-    """Yield records oldest-first across rotated backups then the active file.
+    """Yield records oldest-first across every file of the log (only the
+    newest one when ``include_rotated`` is false).
 
     ``types`` filters to the given event types; malformed lines (a torn
     crash tail) are skipped silently.
     """
     wanted = set(types) if types else None
-    paths = _backup_paths(path) if include_rotated else []
-    paths.append(path)
-    for file_path in paths:
-        for record in _iter_file(file_path):
-            if wanted is None or record.get("type") in wanted:
-                yield record
-
-
-def _open_rotation_successor(path: str, old_ino: int):
-    """Open the file that follows the one holding ``old_ino`` in the rotated
-    chain ``<path>.N … <path>.1, <path>`` (oldest → newest), or ``None``
-    when the old file fell out of retention (the follower then resumes at
-    the active file; the dropped interval is unrecoverable by design).
-
-    Racy by nature — the writer may rotate again between the stat scan and
-    the open — so the opened file's inode is re-verified and the scan
-    retried a few times before giving up."""
-    for _ in range(4):
-        entries = []
-        for candidate in _backup_paths(path) + [path]:
-            try:
-                entries.append((candidate, os.stat(candidate).st_ino))
-            except OSError:
-                continue
-        index = next(
-            (k for k, (_, ino) in enumerate(entries) if ino == old_ino), None
-        )
-        if index is None or index + 1 >= len(entries):
-            return None
-        next_path, next_ino = entries[index + 1]
+    paths = log_files(path)
+    for file_path in paths if include_rotated else paths[-1:]:
         try:
-            handle = open(next_path, "rb")
-        except OSError:
-            continue
-        if os.fstat(handle.fileno()).st_ino == next_ino:
-            return handle
-        handle.close()
-    return None
+            handle = open(file_path, "rb")
+        except FileNotFoundError:
+            continue  # unlinked by retention since the listing
+        with handle:
+            for line in handle:
+                record = _parse(line)
+                if record is not None and (wanted is None or record.get("type") in wanted):
+                    yield record
 
 
 def follow_events(
@@ -271,86 +278,65 @@ def follow_events(
     stop: Optional[object] = None,
     start_at_end: bool = True,
 ) -> Iterator[dict]:
-    """Yield records appended to the active log file as they arrive — the
-    ``tail -F`` of the event stream, shared by ``repro events --follow`` and
-    the ops server's ``/events?follow=1`` NDJSON endpoint.
+    """Yield records appended to the log as they arrive — the ``tail -F``
+    of the event stream, shared by ``repro events --follow`` and the ops
+    server's ``/events?follow=1`` NDJSON endpoint.
 
-    Rotation-aware: when the writer renames the active file away
-    (:meth:`EventLog._rotate_locked` uses ``os.replace``) and starts a fresh
-    one at the same path, the follower drains the handle it holds to EOF —
-    every record written before the rotation is still read — then walks the
-    rotated chain by inode (``<path>.1`` upward) to the next file, so no
-    record is skipped or duplicated even when several rotations land between
-    two polls.  Only records rotated *past the backup retention* between
-    polls are unrecoverable.  A torn tail (the writer's line not yet fully
-    flushed) is re-read on the next poll instead of being dropped.
-    Malformed lines are skipped, matching :func:`iter_events`.
+    The follower holds one segment, starting with the newest, and reads it
+    to EOF.  A partial final line is re-read on the next poll, since the
+    writer may be mid-append.  Segments are never renamed, so rotation is
+    just a higher-numbered segment appearing.  Once one exists, the held
+    segment is sealed: the follower drains it to EOF once more, skipping a
+    final line without a newline (a crash fragment that no write will
+    complete), and moves to the smallest higher number.  So no record is
+    skipped or duplicated however many rotations land between two polls.
+    Only segments unlinked by retention before the follower reached them
+    are lost.  Malformed lines are skipped, matching :func:`iter_events`.
 
     ``stop`` is an optional zero-argument callable polled between reads;
     when it turns truthy the generator returns (the HTTP handler passes the
-    server's shutdown flag).  ``start_at_end=False`` replays the active
-    file from its beginning first.
+    server's shutdown flag).  ``start_at_end=False`` replays the newest
+    segment from its beginning first.
     """
     wanted = set(types) if types else None
     should_stop = stop if callable(stop) else (lambda: False)
     handle = None
-    seek_end = start_at_end
+    number = None
     try:
-        while True:
-            if should_stop():
-                return
+        while not should_stop():
             if handle is None:
-                try:
-                    # Binary mode: tell()/seek() arithmetic on partial lines
-                    # is only defined for byte offsets.
-                    handle = open(path, "rb")
-                except FileNotFoundError:
+                segments = _scan(path)[1]
+                if number is None:
+                    segments = segments[-1:]  # start with the newest
+                else:
+                    segments = [s for s in segments if s[0] > number]
+                if not segments:
                     time.sleep(poll_interval)
                     continue
-                if seek_end:
-                    handle.seek(0, os.SEEK_END)
-                # Files reached through the rotation chain are read from the
-                # start: everything in them is new to us.
-                seek_end = False
-            position = handle.tell()
-            line = handle.readline()
-            if not line:
-                # EOF on the handle we hold.  If the path now points at a
-                # different inode (or is briefly gone mid-rotation), the
-                # writer rotated: advance to our file's successor in the
-                # chain — possibly a sealed backup, whose own EOF lands back
-                # here and walks one more step toward the active file.
+                number, segment = segments[0]
                 try:
-                    our_ino = os.fstat(handle.fileno()).st_ino
-                    rotated = os.stat(path).st_ino != our_ino
-                except OSError:
-                    our_ino = None
-                    rotated = True
-                if rotated:
-                    handle.close()
-                    handle = (
-                        _open_rotation_successor(path, our_ino)
-                        if our_ino is not None
-                        else None
-                    )
-                    continue
-                time.sleep(poll_interval)
-                continue
-            if not line.endswith(b"\n"):
-                # Torn tail: the writer is mid-append.  Rewind and retry so
-                # the record is yielded whole once the flush lands.
+                    handle = open(segment, "rb")
+                except FileNotFoundError:
+                    continue  # unlinked by retention; the rescan moves past it
+                if start_at_end:
+                    handle.seek(0, os.SEEK_END)
+                    start_at_end = False
+            position = handle.tell()
+            lines = [handle.readline()]
+            if not lines[0].endswith(b"\n"):
                 handle.seek(position)
-                time.sleep(poll_interval)
-                continue
-            try:
-                record = json.loads(line.decode("utf-8", errors="replace"))
-            except ValueError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            if wanted is not None and record.get("type") not in wanted:
-                continue
-            yield record
+                if not any(k > number for k, _ in _scan(path)[1]):
+                    time.sleep(poll_interval)
+                    continue
+                # Sealed: every byte the writer will ever put here is
+                # already written, so drain it and move on.
+                lines = handle.readlines()
+                handle.close()
+                handle = None
+            for line in lines:
+                record = _parse(line) if line.endswith(b"\n") else None
+                if record is not None and (wanted is None or record.get("type") in wanted):
+                    yield record
     finally:
         if handle is not None:
             handle.close()
