@@ -33,6 +33,11 @@ class ExecutionProfile:
     cache_misses: int = 0
     hash_table_entries: int = 0
     hash_probes: int = 0
+    # HASH-JOINs whose two sides match one sub-query under a renaming and
+    # that probed with their non-empty build side's own rows (batch engine):
+    # their probe subtrees never ran, so they have no per-operator entries
+    # and no i-cost.
+    mirrored_joins: int = 0
     batches: int = 0
     # Wall-clock duration of the run.  Under `merge` this takes the max of
     # the two sides: parallel morsels overlap in time, so their wall clocks
@@ -117,6 +122,7 @@ class ExecutionProfile:
             cache_misses=self.cache_misses + other.cache_misses,
             hash_table_entries=self.hash_table_entries + other.hash_table_entries,
             hash_probes=self.hash_probes + other.hash_probes,
+            mirrored_joins=self.mirrored_joins + other.mirrored_joins,
             batches=self.batches + other.batches,
             elapsed_seconds=max(self.elapsed_seconds, other.elapsed_seconds),
             workers=self.workers + other.workers,
@@ -140,6 +146,7 @@ class ExecutionProfile:
             "cache_misses": self.cache_misses,
             "hash_table_entries": self.hash_table_entries,
             "hash_probes": self.hash_probes,
+            "mirrored_joins": self.mirrored_joins,
             "batches": self.batches,
             "elapsed_seconds": self.elapsed_seconds,
             "busy_seconds": self.busy_seconds,

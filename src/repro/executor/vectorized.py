@@ -44,7 +44,11 @@ columns aligned to the plan node's ``out_vertices`` order.
   there it either fills one preallocated output frame per probe batch or,
   for a counting sink, sums the bucket sizes over runs of probe codes as
   long as the table (the sort-merge form of the join: one pass over the
-  table per run instead of one per batch).
+  table per run instead of one per batch).  When the probe sub-query is the
+  build sub-query under a vertex renaming, the probe side's matches are the
+  build side's with their columns permuted: the join drains the build side
+  once, probes with those rows, and never builds the probe subtree (off
+  under a ``scan_range``, which makes the probe rows a subset).
 
 Match *counts* are identical to the reference executor on every plan; only the
 order in which matches are produced may differ (E/I sorts each batch by its
@@ -113,7 +117,8 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from collections import deque
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -128,6 +133,7 @@ from repro.executor.profile import ExecutionProfile
 from repro.graph.graph import ANY_LABEL, Direction, Graph
 from repro.graph.intersect import locate_sorted
 from repro.planner.plan import AdaptiveNode, ExtendNode, HashJoinNode, Plan, PlanNode, ScanNode
+from repro.query.isomorphism import isomorphism_mapping
 
 _EMPTY_I64 = np.array([], dtype=np.int64)
 
@@ -194,25 +200,27 @@ def _ragged_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _group_runs(
-    sorted_keys: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    sorted_keys: np.ndarray, rows: bool = True
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Runs of identical consecutive entries in a sorted key array.
 
     Accepts a 1-D code array or a 2-D row-wise key matrix; returns
     ``(starts, counts, group_of_row)`` where ``starts``/``counts`` describe
-    each run and ``group_of_row`` maps every row to its run index.
+    each run and ``group_of_row`` maps every row to its run index.  Under
+    ``rows=False`` ``group_of_row`` is None, which spares a caller that only
+    reads the runs an ``int64`` per row.
     """
     n = sorted_keys.shape[0]
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
+        return empty, empty.copy(), empty.copy() if rows else None
     boundary = np.empty(n, dtype=bool)
     boundary[0] = True
     if sorted_keys.ndim == 1:
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
     else:
         boundary[1:] = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
-    group_of_row = np.cumsum(boundary) - 1
+    group_of_row = np.cumsum(boundary) - 1 if rows else None
     starts = np.flatnonzero(boundary)
     counts = np.diff(np.append(starts, n))
     return starts, counts, group_of_row
@@ -709,10 +717,24 @@ class BatchHashJoinOperator(BatchOperator):
     Join keys whose packed width would overflow 62 bits are kept as rows and
     located through a Python dict (unreachable for realistic graph sizes, kept
     for safety); everything after the locate step is shared.
+
+    The probe input has one of two sources: the ``probe`` child or, under a
+    ``mirror`` (the probe sub-query is the build sub-query under a renaming,
+    :func:`_mirror_columns`), the build drain itself.  Then ``probe`` is
+    None, and the drain keeps per build frame the frame, read through the
+    mirror as a probe frame, or for :meth:`counts` only the frame's mirrored
+    join codes.  Either source feeds the same locate, expand and count code,
+    with the same ``hash_probes``, deadline checks and row limits.
     """
 
     def __init__(
-        self, node: HashJoinNode, build: BatchOperator, probe: BatchOperator, *args, **kwargs
+        self,
+        node: HashJoinNode,
+        build: BatchOperator,
+        probe: Optional[BatchOperator],
+        *args,
+        mirror: Optional[np.ndarray] = None,
+        **kwargs,
     ) -> None:
         super().__init__(node, *args, **kwargs)
         self.build_child = build
@@ -722,6 +744,9 @@ class BatchHashJoinOperator(BatchOperator):
         )
         self._build_key_idx = np.array(build_key_idx, dtype=np.int64)
         self._probe_key_idx = np.array(probe_key_idx, dtype=np.int64)
+        self._mirror = mirror
+        #: What a mirrored drain keeps per build frame for the probe side.
+        self._mirrored: Deque[np.ndarray] = deque()
         self._build_payload_idx = np.array(build_payload_idx, dtype=np.int64)
         self._probe_width = len(node.probe.out_vertices)
         self._distinct_pairs = (
@@ -752,16 +777,28 @@ class BatchHashJoinOperator(BatchOperator):
         """Drain the build child into the sorted table; False when it is empty."""
         key_parts: List[np.ndarray] = []
         payload_parts: List[np.ndarray] = []
+        if self._mirror is not None:
+            mirror_key_idx = self._mirror[self._probe_key_idx]
         for frame in self.build_child.frames():
             t0 = time.perf_counter()
             key_parts.append(self._keys(frame[:, self._build_key_idx]))
             if keep_payload:
                 payload_parts.append(frame[:, self._build_payload_idx])
+            if self._mirror is not None:
+                self._mirrored.append(
+                    frame if keep_payload else self._keys(frame[:, mirror_key_idx])
+                )
             self.profile.record_operator_time(self._name, time.perf_counter() - t0)
         if not key_parts:
             return False
+        if self._mirror is not None:
+            self.profile.mirrored_joins += 1
+            self.profile.record_operator(self._name, mirrored=1)
         t0 = time.perf_counter()
         keys = np.concatenate(key_parts)
+        # Let the parts go before the sort: a mirrored drain holds a second
+        # array of codes until the probe runs release it.
+        key_parts.clear()
         self.profile.hash_table_entries += keys.shape[0]
         if self._codes_fit and not keep_payload:
             # No row has to follow its code: a plain sort is a quarter of
@@ -770,7 +807,7 @@ class BatchHashJoinOperator(BatchOperator):
         else:
             order = np.argsort(keys) if self._codes_fit else np.lexsort(keys[:, ::-1].T)
             keys = keys[order]
-        starts, self._table_counts, _ = _group_runs(keys)
+        starts, self._table_counts, _ = _group_runs(keys, rows=False)
         if keep_payload:
             # One contiguous array per payload column, and where each bucket
             # begins in them: the fill gathers the columns one at a time.
@@ -841,7 +878,7 @@ class BatchHashJoinOperator(BatchOperator):
         width = len(self.node.out_vertices)
         wanted = self._predicate_columns if count_only else range(width)
         cap = max(1, self.config.batch_size)
-        for probe_frame in self.probe_child.frames():
+        for probe_frame in self._probe_frames():
             self._check_deadline()
             t0 = time.perf_counter()
             self.profile.hash_probes += probe_frame.shape[0]
@@ -871,17 +908,41 @@ class BatchHashJoinOperator(BatchOperator):
                 t0 = time.perf_counter()
             self.profile.record_operator_time(self._name, time.perf_counter() - t0)
 
+    def _probe_frames(self) -> Iterator[np.ndarray]:
+        """The probe side's frames: the probe child's or, under a mirror, the
+        drained build frames with their columns permuted, each let go as it
+        is handed out."""
+        if self._mirror is None:
+            yield from self.probe_child.frames()
+            return
+        while self._mirrored:
+            yield self._mirrored.popleft()[:, self._mirror]
+
+    def _probe_keys(self) -> Iterator[np.ndarray]:
+        """The probe side's join keys, one array per probe frame: computed
+        here from the probe child's frames or, under a mirror, the ones the
+        drain computed, each let go as it is handed out."""
+        if self._mirror is not None:
+            while self._mirrored:
+                yield self._mirrored.popleft()
+            return
+        for probe_frame in self.probe_child.frames():
+            t0 = time.perf_counter()
+            keys = self._keys(probe_frame[:, self._probe_key_idx])
+            self.profile.record_operator_time(self._name, time.perf_counter() - t0)
+            yield keys
+
     def _probe_runs(self, run_length: int) -> Iterator[np.ndarray]:
         """The probe side's join keys in runs of at least ``run_length`` keys
         (the last run may be shorter)."""
         parts: List[np.ndarray] = []
         buffered = 0
-        for probe_frame in self.probe_child.frames():
+        for keys in self._probe_keys():
             self._check_deadline()
             t0 = time.perf_counter()
-            self.profile.hash_probes += probe_frame.shape[0]
-            parts.append(self._keys(probe_frame[:, self._probe_key_idx]))
-            buffered += probe_frame.shape[0]
+            self.profile.hash_probes += keys.shape[0]
+            parts.append(keys)
+            buffered += keys.shape[0]
             self.profile.record_operator_time(self._name, time.perf_counter() - t0)
             if buffered >= run_length:
                 # The frames' keys are let go before the run is located.
@@ -947,9 +1008,32 @@ def build_batch_operator_tree(
         return BatchAdaptiveOperator(node, child, graph, profile, config, is_root)
     if isinstance(node, HashJoinNode):
         build = build_batch_operator_tree(node.build, graph, profile, config, False)
-        probe = build_batch_operator_tree(node.probe, graph, profile, config, False, demand)
-        return BatchHashJoinOperator(node, build, probe, graph, profile, config, is_root)
+        # A morsel ranges the probe side's scan, so its probe rows are a
+        # subset of the build side's: mirroring is for whole runs only.
+        mirror = _mirror_columns(node) if config.scan_range is None else None
+        probe = (
+            build_batch_operator_tree(node.probe, graph, profile, config, False, demand)
+            if mirror is None
+            else None
+        )
+        return BatchHashJoinOperator(
+            node, build, probe, graph, profile, config, is_root, mirror=mirror
+        )
     raise PlanError(f"unknown plan node type: {type(node).__name__}")
+
+
+def _mirror_columns(node: HashJoinNode) -> Optional[np.ndarray]:
+    """The build column of every probe column when the probe sub-query is
+    the build sub-query under a vertex renaming ``phi``, else None.
+
+    The matches of a query graph do not depend on its vertex names, so the
+    probe side's rows are then the build side's, column ``i`` read from the
+    build column of ``phi(probe.out_vertices[i])``."""
+    phi = isomorphism_mapping(node.probe.sub_query, node.build.sub_query)
+    if phi is None:
+        return None
+    build_order = node.build.out_vertices
+    return np.array([build_order.index(phi[v]) for v in node.probe.out_vertices], dtype=np.int64)
 
 
 def execute_plan_vectorized(

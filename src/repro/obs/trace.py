@@ -72,6 +72,9 @@ class OperatorStats:
     q_error: float = float("nan")
     seconds: float = 0.0
     batches: int = 0
+    #: A HASH-JOIN that probed with its build side's own rows: its probe
+    #: subtree never ran, so it has no rows here.
+    mirrored: bool = False
 
     @property
     def has_estimate(self) -> bool:
@@ -85,6 +88,7 @@ class OperatorStats:
             "q_error": self.q_error,
             "seconds": self.seconds,
             "batches": self.batches,
+            "mirrored": self.mirrored,
         }
 
 
@@ -231,8 +235,10 @@ class QueryTrace:
                 est = f"{op.estimated:.1f}" if op.has_estimate else "-"
                 qe = f"{op.q_error:.2f}" if op.has_estimate else "-"
                 timing = f" {op.seconds * 1e3:.2f}ms" if op.seconds else ""
+                mirrored = "  probe side mirrored from build" if op.mirrored else ""
                 lines.append(
-                    f"    {op.name:<28} actual={op.actual:<10} est={est:<10} q-error={qe}{timing}"
+                    f"    {op.name:<28} actual={op.actual:<10} est={est:<10} "
+                    f"q-error={qe}{timing}{mirrored}"
                 )
         return "\n".join(lines)
 
@@ -262,6 +268,7 @@ def operator_stats_from_profile(
                 q_error=error,
                 seconds=float(operator_seconds.get(name, 0.0)),
                 batches=int(counters.get("batches", 0)),
+                mirrored=bool(counters.get("mirrored", 0)),
             )
         )
     return rows

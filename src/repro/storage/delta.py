@@ -85,6 +85,7 @@ class DeltaStore:
         "bwd_del",
         "touched_fwd",
         "touched_bwd",
+        "_partition_sizes",
     )
 
     def __init__(
@@ -130,6 +131,9 @@ class DeltaStore:
                 v for per_vertex in (*bwd_add.values(), *bwd_del.values()) for v in per_vertex
             )
         )
+        # Per direction, the delta entries of every partition: counted on
+        # first use by ``partition_delta_edges`` (the store never changes).
+        self._partition_sizes: Dict[Direction, Dict[Tuple[int, int], int]] = {}
 
     # ------------------------------------------------------------------ #
     # construction
@@ -209,12 +213,18 @@ class DeltaStore:
         """Number of delta entries (inserted + deleted adjacency slots) in
         the partitions matching the filters — the numerator of the
         per-partition delta ratio the cost model prices dirty scans with."""
-        total = 0
-        for partitions in (self._adds(direction), self._dels(direction)):
-            for key, per_vertex in partitions.items():
-                if self._partition_matches(key, edge_label, neighbor_label):
-                    total += sum(len(run) for run in per_vertex.values())
-        return total
+        sizes = self._partition_sizes.get(direction)
+        if sizes is None:
+            sizes = {}
+            for partitions in (self._adds(direction), self._dels(direction)):
+                for key, per_vertex in partitions.items():
+                    sizes[key] = sizes.get(key, 0) + sum(len(run) for run in per_vertex.values())
+            self._partition_sizes[direction] = sizes
+        return sum(
+            size
+            for key, size in sizes.items()
+            if self._partition_matches(key, edge_label, neighbor_label)
+        )
 
     # ------------------------------------------------------------------ #
     # mutators (return a new store; structural sharing elsewhere)

@@ -31,6 +31,7 @@ from repro.executor.vectorized import (
     _distinct,
     _expansion_segments,
     _group_runs,
+    _mirror_columns,
     _ragged_positions,
     _sort_by_key,
     build_batch_operator_tree,
@@ -50,6 +51,7 @@ from repro.planner.plan import (
 from repro.planner.qvo import enumerate_wco_plans
 from repro.query import catalog_queries as cq
 from repro.query.generator import random_connected_query
+from repro.query.isomorphism import isomorphism_mapping
 from repro.query.query_graph import QueryGraph
 from repro.storage.dynamic import DynamicGraph
 
@@ -427,6 +429,36 @@ JOIN_PLANS = [
 JOIN_IDS = [name for name, _ in JOIN_PLANS]
 
 
+def _mirrored_joins(plan):
+    """How many HASH-JOINs of ``plan`` match one sub-query on both sides
+    under a renaming: the ones the batch engine runs mirrored when no scan
+    range is set."""
+    return sum(
+        isinstance(n, HashJoinNode)
+        and isomorphism_mapping(n.probe.sub_query, n.build.sub_query) is not None
+        for n in plan.root.iter_nodes()
+    )
+
+
+def _assert_mirrored(result, plan, ranged):
+    """A run probed with its build side's rows exactly when it could: the
+    join is mirrorable, the run is not ranged and the build side is not
+    empty (the plans here have at most one HASH-JOIN)."""
+    built = result.profile.hash_table_entries > 0
+    expected = 0 if ranged or not built else _mirrored_joins(plan)
+    assert result.profile.mirrored_joins == expected
+
+
+def _full_range(config, plan, graph):
+    """``config`` with a scan range over every edge of the primary scan: the
+    same rows, but a ranged run, which never mirrors a HASH-JOIN."""
+    return dataclasses.replace(
+        config,
+        scan_range=(0, graph.num_edges),
+        scan_range_vertices=tuple(primary_scan(plan).out_vertices),
+    )
+
+
 def _counters(profile, plan=None):
     """Every counter of a profile; of the timings only which operators have one.
 
@@ -465,13 +497,30 @@ def join_oracle():
     return lookup
 
 
+#: The two paths every TestHashJoin case runs: as is (mirrored where the
+#: join allows it) and ranged.
+PATHS = (False, True)
+
+
 class TestHashJoin:
-    def _both_modes(self, plan, graph, **config):
+    """Every case runs on both paths: as is, and ``ranged``, with a
+    full-range scan range on the primary scan, which turns mirroring off and
+    keeps the probe subtree running.  The property tests draw the path per
+    example."""
+
+    def _config(self, plan, graph, ranged, **config):
         config = ExecutionConfig(vectorized=True, **config)
-        return (
+        return _full_range(config, plan, graph) if ranged else config
+
+    def _both_modes(self, plan, graph, ranged, **config):
+        config = self._config(plan, graph, ranged, **config)
+        results = (
             execute_plan(plan, graph, config),
             execute_plan(plan, graph, config, collect=True),
         )
+        for result in results:
+            _assert_mirrored(result, plan, ranged)
+        return results
 
     @pytest.mark.parametrize("batch_size", [1, 3, 2048])
     @pytest.mark.parametrize("isomorphism", [False, True], ids=["hom", "iso"])
@@ -480,22 +529,23 @@ class TestHashJoin:
         self, random_graph, join_oracle, name, plan, isomorphism, batch_size
     ):
         expected = join_oracle(random_graph, name, plan, isomorphism)
-        counted, collected = self._both_modes(
-            plan, random_graph, isomorphism=isomorphism, batch_size=batch_size
-        )
-        assert sorted(collected.matches) == expected
-        assert counted.num_matches == collected.num_matches == len(expected)
-        assert counted.matches is None
-        assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
+        for ranged in PATHS:
+            counted, collected = self._both_modes(
+                plan, random_graph, ranged, isomorphism=isomorphism, batch_size=batch_size
+            )
+            assert sorted(collected.matches) == expected
+            assert counted.num_matches == collected.num_matches == len(expected)
+            assert counted.matches is None
+            assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
 
     @pytest.mark.parametrize("isomorphism", [False, True], ids=["hom", "iso"])
     @pytest.mark.parametrize("name,plan", JOIN_PLANS, ids=JOIN_IDS)
     def test_dirty_snapshot(self, dirty_pair, join_oracle, name, plan, isomorphism):
         snapshot, fresh = dirty_pair
         expected = join_oracle(fresh, name, plan, isomorphism)
-        for batch_size in (3, 2048):
+        for ranged, batch_size in itertools.product(PATHS, (3, 2048)):
             counted, collected = self._both_modes(
-                plan, snapshot, isomorphism=isomorphism, batch_size=batch_size
+                plan, snapshot, ranged, isomorphism=isomorphism, batch_size=batch_size
             )
             assert sorted(collected.matches) == expected
             assert counted.num_matches == len(expected)
@@ -505,23 +555,25 @@ class TestHashJoin:
         plan = dict(JOIN_PLANS)[name]
         total = execute_plan(plan, random_graph, ExecutionConfig(**VEC)).num_matches
         assert total > 5
-        for batch_size in (1, 2048):
+        for ranged, batch_size in itertools.product(PATHS, (1, 2048)):
             for limit in (5, total - 1, total, total + 1):
                 counted, collected = self._both_modes(
-                    plan, random_graph, output_limit=limit, batch_size=batch_size
+                    plan, random_graph, ranged, output_limit=limit, batch_size=batch_size
                 )
                 assert counted.num_matches == collected.num_matches == min(limit, total)
                 assert counted.truncated == collected.truncated == (limit <= total)
                 assert not counted.deadline_exceeded
 
     def test_count_mode_honours_an_expired_deadline(self, random_graph):
-        result = execute_plan(
-            dict(JOIN_PLANS)["Q8"],
-            random_graph,
-            ExecutionConfig(deadline=time.monotonic() - 1.0, **VEC),
-        )
-        assert result.deadline_exceeded and result.truncated
-        assert result.num_matches == 0
+        plan = dict(JOIN_PLANS)["Q8"]
+        for ranged in PATHS:
+            result = execute_plan(
+                plan,
+                random_graph,
+                self._config(plan, random_graph, ranged, deadline=time.monotonic() - 1.0),
+            )
+            assert result.deadline_exceeded and result.truncated
+            assert result.num_matches == 0
 
     @pytest.mark.parametrize("collect", [False, True], ids=["count", "collect"])
     def test_empty_build_side_never_opens_the_probe_side(self, tiny_graph, collect):
@@ -530,11 +582,13 @@ class TestHashJoin:
         probe = plan.root.probe
         probe_plan = Plan(query=probe.sub_query, root=probe)
         assert count_matches(probe_plan, tiny_graph, ExecutionConfig(**ITER)) > 0
-        result = execute_plan(plan, tiny_graph, ExecutionConfig(**VEC), collect=collect)
-        assert result.num_matches == 0 and not result.truncated
-        assert probe.display_name() not in result.profile.per_operator
-        assert result.profile.hash_probes == 0
-        assert result.profile.intermediate_matches == 0
+        for ranged in PATHS:
+            config = self._config(plan, tiny_graph, ranged)
+            result = execute_plan(plan, tiny_graph, config, collect=collect)
+            assert result.num_matches == 0 and not result.truncated
+            assert probe.display_name() not in result.profile.per_operator
+            assert result.profile.hash_probes == 0
+            assert result.profile.intermediate_matches == 0
 
     @pytest.mark.parametrize("isomorphism", [False, True], ids=["hom", "iso"])
     @pytest.mark.parametrize("name", ["Q3", "Q8", "two-triangle-clique"])
@@ -547,15 +601,19 @@ class TestHashJoin:
         key_bits = len(plan.root.join_vertices) * math.log2(random_graph.num_vertices)
         for code_bits, fits in ((math.floor(key_bits), False), (math.floor(key_bits) + 1, True)):
             monkeypatch.setattr(vectorized, "_CODE_BITS", code_bits)
-            root = build_batch_operator_tree(
-                plan.root, random_graph, ExecutionProfile(), ExecutionConfig(**VEC)
-            )
-            assert root._codes_fit == fits
-            counted, collected = self._both_modes(plan, random_graph, isomorphism=isomorphism)
-            assert sorted(collected.matches) == expected
-            assert counted.num_matches == len(expected)
-            assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
-            assert counted.profile.operator_seconds[plan.root.display_name()] > 0
+            for ranged in PATHS:
+                config = self._config(plan, random_graph, ranged)
+                root = build_batch_operator_tree(
+                    plan.root, random_graph, ExecutionProfile(), config
+                )
+                assert root._codes_fit == fits
+                counted, collected = self._both_modes(
+                    plan, random_graph, ranged, isomorphism=isomorphism
+                )
+                assert sorted(collected.matches) == expected
+                assert counted.num_matches == len(expected)
+                assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
+                assert counted.profile.operator_seconds[plan.root.display_name()] > 0
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -564,10 +622,11 @@ class TestHashJoin:
         split=st.integers(min_value=0, max_value=10_000),
         isomorphism=st.booleans(),
         batch_size=st.sampled_from([1, 3, 2048]),
+        ranged=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_random_queries_split_in_two_and_joined(
-        self, seed, num_vertices, avg_degree, split, isomorphism, batch_size
+        self, seed, num_vertices, avg_degree, split, isomorphism, batch_size, ranged
     ):
         graph = erdos_renyi(24, 170, seed=seed)
         query = random_connected_query(num_vertices, avg_degree=avg_degree, seed=seed)
@@ -595,7 +654,7 @@ class TestHashJoin:
             plan, graph, ExecutionConfig(isomorphism=isomorphism, **ITER), collect=True
         )
         counted, collected = self._both_modes(
-            plan, graph, isomorphism=isomorphism, batch_size=batch_size
+            plan, graph, ranged, isomorphism=isomorphism, batch_size=batch_size
         )
         assert sorted(collected.matches) == sorted(iterator.matches)
         assert counted.num_matches == iterator.num_matches
@@ -608,26 +667,31 @@ class TestHashJoin:
         """A probe key column equals a build key column, which no payload
         column of the same pairwise-distinct build row can equal: only the
         other probe columns are compared with the payload."""
-        op = build_batch_operator_tree(
-            plan.root, random_graph, ExecutionProfile(), ExecutionConfig(isomorphism=True, **VEC)
-        )
-        while not isinstance(op, BatchHashJoinOperator):
-            op = op.child
-        probe_keys = set(op._probe_key_idx.tolist())
-        assert not any(i in probe_keys for i, _ in op._distinct_pairs)
-        others = op._probe_width - len(probe_keys)
-        assert len(op._distinct_pairs) == others * len(op._build_payload_idx)
-        if name == "Q2":  # HASH-JOIN[a2,a4]: only a3 != a1 is left
-            assert len(op._distinct_pairs) == 1
+        for ranged in PATHS:
+            op = build_batch_operator_tree(
+                plan.root,
+                random_graph,
+                ExecutionProfile(),
+                self._config(plan, random_graph, ranged, isomorphism=True),
+            )
+            while not isinstance(op, BatchHashJoinOperator):
+                op = op.child
+            probe_keys = set(op._probe_key_idx.tolist())
+            assert not any(i in probe_keys for i, _ in op._distinct_pairs)
+            others = op._probe_width - len(probe_keys)
+            assert len(op._distinct_pairs) == others * len(op._build_payload_idx)
+            if name == "Q2":  # HASH-JOIN[a2,a4]: only a3 != a1 is left
+                assert len(op._distinct_pairs) == 1
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         index=st.integers(min_value=0, max_value=len(JOIN_PLANS) - 1),
         batch_size=st.sampled_from([1, 3, 2048]),
         dirty=st.booleans(),
+        ranged=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_counting_runs_agree_on_random_graphs(self, seed, index, batch_size, dirty):
+    def test_counting_runs_agree_on_random_graphs(self, seed, index, batch_size, dirty, ranged):
         """Counted == collected == LFTJ whether the probe side spans many
         runs, one run, or ends in a partial one, on clean and dirty
         snapshots."""
@@ -635,7 +699,7 @@ class TestHashJoin:
         if dirty:
             graph = _dirty_snapshot(graph, seed)
         name, plan = JOIN_PLANS[index]
-        counted, collected = self._both_modes(plan, graph, batch_size=batch_size)
+        counted, collected = self._both_modes(plan, graph, ranged, batch_size=batch_size)
         assert counted.num_matches == collected.num_matches
         assert counted.num_matches == LeapfrogTrieJoin(graph).count(plan.query).num_matches
         assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
@@ -646,19 +710,96 @@ class TestHashJoin:
         and either way a run is at least as long as the table."""
         plan = dict(JOIN_PLANS)["Q2"]
         expected = len(join_oracle(random_graph, "Q2", plan, False))
-        config = ExecutionConfig(batch_size=batch_size, **VEC)
-        counters = []
-        for fits in (True, False):
-            profile = ExecutionProfile()
-            root = build_batch_operator_tree(plan.root, random_graph, profile, config)
-            root._codes_fit = fits
-            assert sum(root.counts()) == expected
-            assert hasattr(root, "_unique_codes") == fits
-            assert not hasattr(root, "_table_starts")
-            runs = profile.per_operator[root._name]["batches"]
-            assert runs <= math.ceil(profile.hash_probes / len(root._table_counts)) + 1
-            counters.append(_counters(profile))
-        assert counters[0] == counters[1]
+        for ranged in PATHS:
+            config = self._config(plan, random_graph, ranged, batch_size=batch_size)
+            counters = []
+            for fits in (True, False):
+                profile = ExecutionProfile()
+                root = build_batch_operator_tree(plan.root, random_graph, profile, config)
+                root._codes_fit = fits
+                assert sum(root.counts()) == expected
+                assert hasattr(root, "_unique_codes") == fits
+                assert not hasattr(root, "_table_starts")
+                runs = profile.per_operator[root._name]["batches"]
+                assert runs <= math.ceil(profile.hash_probes / len(root._table_counts)) + 1
+                counters.append(_counters(profile))
+            assert counters[0] == counters[1]
+
+
+#: JOIN_PLANS and two joins whose probe side lists the build side's columns
+#: in another order.  The optimizer's plans for Q2, Q3 and Q8 line the
+#: columns up, so their mirror is the identity.
+MIRROR_PLANS = JOIN_PLANS + [
+    ("Q3-probe-reordered", _join_plan(cq.q3(), ("a1", "a2", "a3"), ("a4", "a3", "a2"))),
+    ("two-scan-triangle-reversed", _join_plan(cq.triangle(), ("a1", "a2"), ("a3", "a2"))),
+]
+
+
+class TestMirroredHashJoin:
+    """A HASH-JOIN whose probe sub-query is its build sub-query under a
+    renaming drains the build side once and probes with those rows, columns
+    permuted; the probe subtree is never built.  A scan range turns that off,
+    so the two paths can be compared on the same plan."""
+
+    def test_which_joins_are_mirrored(self):
+        mirrors = {
+            name: _mirror_columns(plan.root).tolist()
+            for name, plan in MIRROR_PLANS
+            if isinstance(plan.root, HashJoinNode) and _mirrored_joins(plan)
+        }
+        assert mirrors["Q2"] == mirrors["Q3"] == mirrors["Q8"] == [0, 1, 2]
+        assert mirrors["Q3-probe-reordered"] == [2, 1, 0]
+        assert mirrors["two-scan-triangle-reversed"] == [1, 0]
+        assert _mirror_columns(LIMIT_PLANS["tailed-triangle-join"].root) is None
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        index=st.integers(min_value=0, max_value=len(MIRROR_PLANS) - 1),
+        dirty=st.booleans(),
+        isomorphism=st.booleans(),
+        collect=st.booleans(),
+        batch_size=st.sampled_from([1, 3, 2048]),
+        limit=st.one_of(st.none(), st.integers(min_value=1, max_value=400)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mirrored_equals_unmirrored_equals_the_reference(
+        self, seed, index, dirty, isomorphism, collect, batch_size, limit
+    ):
+        """Rows as multisets and counts as numbers agree across the mirrored
+        run, the ranged (unmirrored) run and the reference executor; a
+        limited run is a prefix of the unlimited one on the same path:
+        exactly on the mirrored path, whose probe frames do not depend on
+        the limit, and as a sub-multiset on the ranged one, whose probe scan
+        sizes its frames to the limit."""
+        graph = erdos_renyi(30, 200, seed=seed)
+        if dirty:
+            graph = _dirty_snapshot(graph, seed)
+        name, plan = MIRROR_PLANS[index]
+        reference = execute_plan(
+            plan, graph, ExecutionConfig(isomorphism=isomorphism, **ITER), collect=True
+        )
+        whole = ExecutionConfig(isomorphism=isomorphism, batch_size=batch_size, **VEC)
+        ranged = _full_range(whole, plan, graph)
+        for config in (whole, ranged):
+            full = execute_plan(plan, graph, config, collect=collect)
+            _assert_mirrored(full, plan, config is ranged)
+            mirrored = full.profile.mirrored_joins
+            assert full.num_matches == reference.num_matches
+            if mirrored:
+                assert full.profile.hash_probes == full.profile.hash_table_entries
+            if collect:
+                assert Counter(full.matches) == Counter(reference.matches)
+            if limit is None:
+                continue
+            limited = execute_plan(
+                plan, graph, dataclasses.replace(config, output_limit=limit), collect=collect
+            )
+            assert limited.num_matches == min(limit, full.num_matches)
+            assert limited.truncated == (limit <= full.num_matches)
+            if collect and mirrored:
+                assert limited.matches == full.matches[:limit]
+            elif collect:
+                assert not Counter(limited.matches) - Counter(full.matches)
 
 
 class TestBatchModeResourceBounds:
@@ -727,14 +868,16 @@ def _dirty_snapshot(graph, seed):
     return snapshot
 
 
-#: The plans a row limit is checked on: two WCO chains, a HASH-JOIN (whose
-#: build side must not see the limit) and, built per graph, the adaptive
-#: operator over a fixed diamond-X plan.
+#: The plans a row limit is checked on: two WCO chains, two HASH-JOINs
+#: (whose build side must not see the limit; Q2's sides match one sub-query
+#: under a renaming, the tailed triangle's do not) and, built per graph, the
+#: adaptive operator over a fixed diamond-X plan.
 ADAPTIVE_DIAMOND_X = "diamond-X+adaptive"
 LIMIT_PLANS = {
     "triangle": wco_plan_from_order(cq.triangle(), ("a1", "a2", "a3")),
     "tailed-triangle": wco_plan_from_order(cq.tailed_triangle(), ("a1", "a2", "a3", "a4")),
     "Q2": dict(JOIN_PLANS)["Q2"],
+    "tailed-triangle-join": _join_plan(cq.tailed_triangle(), ("a1", "a2", "a3"), ("a2", "a4")),
     ADAPTIVE_DIAMOND_X: wco_plan_from_order(cq.diamond_x(), ("a2", "a3", "a1", "a4")),
 }
 
@@ -777,18 +920,33 @@ class TestRowLimitDemand:
 
     @pytest.mark.parametrize("name", list(LIMIT_PLANS))
     def test_the_demand_reaches_only_the_primary_scan(self, random_graph, name):
+        """Unless the run is ranged, a HASH-JOIN whose sides match one
+        sub-query under a renaming builds no probe-side SCAN at all: it
+        probes with its build side's rows, which see no demand."""
         plan = LIMIT_PLANS[name]
         if name == ADAPTIVE_DIAMOND_X:
             plan = adapt(plan, random_graph)
-        root = build_batch_operator_tree(
-            plan.root, random_graph, ExecutionProfile(), ExecutionConfig(**VEC), demand=5
-        )
-        demands = {op.node.display_name(): op._demand for op in _scan_operators(root)}
-        assert demands == {
-            n.display_name(): 5 if n is primary_scan(plan) else None
-            for n in plan.root.iter_nodes()
-            if isinstance(n, ScanNode)
-        }
+        for ranged in PATHS:
+            config = ExecutionConfig(**VEC)
+            if ranged:
+                config = _full_range(config, plan, random_graph)
+            root = build_batch_operator_tree(
+                plan.root, random_graph, ExecutionProfile(), config, demand=5
+            )
+            demands = {op.node.display_name(): op._demand for op in _scan_operators(root)}
+            mirrored = not ranged and bool(_mirrored_joins(plan))
+            assert mirrored == (name == "Q2" and not ranged)
+            unbuilt = (
+                {n.display_name() for n in plan.root.probe.iter_nodes()} if mirrored else set()
+            )
+            assert demands == {
+                n.display_name(): 5 if n is primary_scan(plan) else None
+                for n in plan.root.iter_nodes()
+                if isinstance(n, ScanNode) and n.display_name() not in unbuilt
+            }
+            if mirrored:
+                assert root.probe_child is None
+                assert primary_scan(plan).display_name() not in demands
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),

@@ -323,15 +323,17 @@ class TestCardinalityFeedback:
 # --------------------------------------------------------------------------- #
 class TestProfileMergeSemantics:
     def test_wall_clock_takes_max_and_work_sums(self):
-        a = ExecutionProfile(intersection_cost=10, elapsed_seconds=2.0)
+        a = ExecutionProfile(intersection_cost=10, mirrored_joins=1, elapsed_seconds=2.0)
         a.record_operator("SCAN[e]", out=5)
         a.record_operator_time("SCAN[e]", 1.5)
-        b = ExecutionProfile(intersection_cost=7, elapsed_seconds=3.0)
+        b = ExecutionProfile(intersection_cost=7, mirrored_joins=2, elapsed_seconds=3.0)
         b.record_operator("SCAN[e]", out=4)
         b.record_operator_time("SCAN[e]", 2.5)
         merged = a.merge(b)
         assert merged.elapsed_seconds == 3.0  # overlap: max, not sum
         assert merged.intersection_cost == 17  # work: sum
+        assert merged.mirrored_joins == 3
+        assert merged.as_dict()["mirrored_joins"] == 3
         assert merged.per_operator["SCAN[e]"]["out"] == 9
         assert merged.operator_seconds["SCAN[e]"] == pytest.approx(4.0)
         assert merged.busy_seconds == pytest.approx(4.0)
@@ -433,6 +435,32 @@ class TestQueryTraces:
         assert stats["max_q_error"] >= 1.0
         for _, entry in db.obs.feedback.worst(5):
             assert entry.operators
+
+    def test_a_mirrored_join_says_why_its_probe_side_is_missing(self):
+        """Q3's hybrid plan joins two triangles: the batch engine runs one
+        and probes with its rows.  The trace counts the mirrored join, marks
+        its row, has no row for the probe subtree, and feedback judges the
+        plan by the operators that ran."""
+        from repro import datasets
+        from repro.planner.plan import HashJoinNode
+
+        db = GraphflowDB(datasets.load("livejournal", scale=0.05))
+        plan = db.plan(cq.q3())
+        assert isinstance(plan.root, HashJoinNode)
+        result = db.execute(cq.q3())
+        trace = result.trace
+        assert trace.profile["mirrored_joins"] == 1
+        probe_side = {n.display_name() for n in plan.root.probe.iter_nodes()}
+        assert probe_side <= set(plan.operator_estimates)
+        ran = {op.name for op in trace.operators}
+        assert not probe_side & ran
+        assert ran == {n.display_name() for n in plan.root.iter_nodes()} - probe_side
+        (join_row,) = [line for line in trace.format().splitlines() if "HASH-JOIN" in line]
+        assert join_row.endswith("probe side mirrored from build")
+        assert [op.name for op in trace.operators if op.mirrored] == [plan.root.display_name()]
+        (entry,) = [entry for _, entry in db.obs.feedback.worst(5)]
+        assert {op.name for op in entry.operators} == ran
+        assert entry.max_q_error == max(op.q_error for op in trace.operators)
 
     def test_disabled_observability_records_nothing(self, random_graph):
         db = GraphflowDB(random_graph, obs=Observability(enabled=False))

@@ -13,6 +13,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import GraphflowDB
 from repro.executor.operators import ExecutionConfig
@@ -23,6 +25,7 @@ from repro.graph.intersect import KeySet, member_sorted
 from repro.planner.plan import Plan, make_hash_join, wco_plan_from_order
 from repro.query import catalog_queries as cq
 from repro.storage import CompactionManager, DynamicGraph, GraphSnapshot
+from repro.storage.delta import DeltaStore
 
 from tests.storage.conftest import EQUIVALENCE_QUERIES, build_mutated_pair
 
@@ -154,6 +157,52 @@ class TestPartitionLaziness:
         clean = DynamicGraph(dynamic.snapshot().materialize()).snapshot()
         assert clean.delta_ratio == 0.0
         assert clean.partition_delta_ratio(Direction.FORWARD, 0, 0) == 0.0
+
+    @given(seed=st.integers(min_value=0, max_value=10_000), batches=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_memoised_partition_sizes_equal_a_recount(self, seed, batches):
+        """``partition_delta_edges`` counts each partition once per store;
+        every filter combination still equals a recount of the per-vertex
+        runs, on every store a write batch produces."""
+        rng = np.random.default_rng(seed)
+        n = 12
+        base = {(int(s), int(d), int(l)) for s, d, l in rng.integers(0, [n, n, 2], size=(40, 3))}
+        graph = graph_from_edges(
+            [e for e in base if e[0] != e[1]],
+            vertex_labels={v: int(rng.integers(0, 2)) for v in range(n)},
+        )
+        dynamic = DynamicGraph(graph, auto_compact=False)
+        labels = (ANY_LABEL, 0, 1, 2)
+        for _ in range(batches):
+            inserts = rng.integers(0, [n, n, 2], size=(8, 3))
+            dynamic.add_edges([(int(s), int(d), int(l)) for s, d, l in inserts if s != d])
+            deletes = rng.choice(graph.num_edges, size=4, replace=False)
+            dynamic.delete_edges(
+                [
+                    (int(graph.edge_src[i]), int(graph.edge_dst[i]), int(graph.edge_labels[i]))
+                    for i in deletes
+                ]
+            )
+            delta = dynamic.snapshot().delta
+            for direction in Direction:
+                runs = [
+                    (key, len(run))
+                    for partitions in (delta._adds(direction), delta._dels(direction))
+                    for key, per_vertex in partitions.items()
+                    for run in per_vertex.values()
+                ]
+                for edge_label in labels:
+                    for neighbor_label in labels:
+                        recount = sum(
+                            size
+                            for key, size in runs
+                            if DeltaStore._partition_matches(key, edge_label, neighbor_label)
+                        )
+                        for _ in range(2):  # the first call fills the memo
+                            assert (
+                                delta.partition_delta_edges(direction, edge_label, neighbor_label)
+                                == recount
+                            )
 
     def test_count_edges_label_filter_avoids_materialization(self, mutated, monkeypatch):
         dynamic, fresh = mutated
