@@ -589,14 +589,8 @@ class MorselProcessPool:
                 # the snapshot's edge scan appends them in: the worker's
                 # rebuilt snapshot then scans, and so emits rows, in the
                 # coordinator's order.
-                inserts = list(
-                    zip(
-                        delta.insert_src.tolist(),
-                        delta.insert_dst.tolist(),
-                        delta.insert_labels.tolist(),
-                    )
-                )
-                deletes = sorted(delta.deleted_keys)
+                inserts = list(zip(*(column.tolist() for column in delta.inserted_edges())))
+                deletes = list(zip(*(column.tolist() for column in delta.deleted_edges())))
                 tail = graph.vertex_labels[base.num_vertices:]
                 overlay_size = len(inserts) + len(deletes) + len(tail)
                 if overlay_size > self.delta_ship_threshold:

@@ -59,15 +59,30 @@ class _CSR:
         return int(self.indptr[vertex + 1] - self.indptr[vertex])
 
     @cached_property
-    def keys(self) -> KeySet:
+    def codes(self) -> np.ndarray:
         """The partition's ``u * num_vertices + w`` codes, one per adjacency
-        pair, as a :class:`KeySet`: ``w in neighbors(u)`` for a whole batch
-        is one ``contains``.  Sorted by construction: pairs are grouped by
-        ascending ``u`` and each run is sorted.  Built on first use and kept
-        with the CSR, so whoever serves this CSR serves these keys."""
+        pair.  Sorted by construction: pairs are grouped by ascending ``u``
+        and each run is sorted.  Built on first use and kept with the CSR."""
         n = len(self.indptr) - 1
-        degrees = np.diff(self.indptr)
-        return KeySet(np.repeat(np.arange(n, dtype=np.int64), degrees) * n + self.indices)
+        return np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr)) * n + self.indices
+
+    @cached_property
+    def keys(self) -> KeySet:
+        """:attr:`codes` as a :class:`KeySet`: ``w in neighbors(u)`` for a
+        whole batch is one ``contains``.  Kept with the CSR, so whoever
+        serves this CSR serves these keys."""
+        return KeySet(self.codes)
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, num_vertices: int) -> "_CSR":
+        """The CSR of sorted ``u * num_vertices + w`` codes, which it keeps
+        as its :attr:`codes`."""
+        sources, targets = np.divmod(codes, num_vertices)
+        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=num_vertices), out=indptr[1:])
+        csr = cls(indptr=indptr, indices=targets)
+        csr.__dict__["codes"] = codes  # the cached property's own slot
+        return csr
 
 
 def _build_csr(
@@ -369,6 +384,21 @@ class Graph:
         """Iterate over ``(src, dst, label)`` triples."""
         for s, d, l in zip(self.edge_src, self.edge_dst, self.edge_labels):
             yield int(s), int(d), int(l)
+
+    def edge_codes(self, src: np.ndarray, dst: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """One code per ``(src, dst, label)`` triple of this graph's ids and
+        edge labels: ``(src * num_vertices + dst) * label_count + label``."""
+        stride = int(self.edge_labels.max(initial=0)) + 1
+        return (src * self.num_vertices + dst) * stride + labels
+
+    @cached_property
+    def edge_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every edge's :meth:`edge_codes`, sorted, and the position in the
+        edge arrays each came from.  Built on first use: a dynamic graph's
+        edge scan finds its deleted base edges here."""
+        codes = self.edge_codes(self.edge_src, self.edge_dst, self.edge_labels)
+        order = np.argsort(codes)
+        return codes[order], order
 
     # ------------------------------------------------------------------ #
     # misc

@@ -3,166 +3,197 @@
 A :class:`DeltaStore` records the edges inserted into and deleted from an
 immutable base :class:`~repro.graph.graph.Graph` since the last compaction.
 Mirroring the base layout, inserted and deleted adjacency is kept **per
-direction**, partitioned by ``(edge label, neighbour label)``, as per-vertex
-sorted ``int64`` arrays — so merging a base adjacency list with its delta is a
-merge of two sorted runs, and the partition filters of
-:meth:`Graph.neighbors` apply to deltas exactly as they do to the base CSR.
+direction**, partitioned by ``(edge label, neighbour label)``: each
+partition is one sorted, duplicate-free ``int64`` array of
+``anchor << 32 | neighbour`` codes.  The codes sort like ``(anchor,
+neighbour)`` pairs, so one vertex's run is the slice two ``searchsorted``
+calls cut out of its partition (:func:`vertex_run`), and the partition
+filters of :meth:`Graph.neighbors` apply to deltas exactly as they do to the
+base CSR.  The forward partitions double as the edge-identity index: edge
+``(s, d, l)`` is the code ``s << 32 | d`` of forward partition
+``(l, label(d))``.
 
-Delta stores are **immutable**: every update batch produces a *new* store
-that structurally shares all untouched per-vertex arrays with its
-predecessor.  A snapshot therefore pins consistent state simply by holding a
-``(base, delta)`` pair; writers never mutate anything a reader can see.
+A write batch is one vectorised step.  The batch is packed into codes and
+looked up by ``searchsorted``: in the base partition's sorted CSR codes
+(which the snapshot's merges read too) and in the delta's arrays.
+Each touched partition is then rewritten once: ``searchsorted`` finds the
+batch's positions, one masked copy inserts the new codes and block copies
+drop removed ones.  A write costs O(batch log delta) plus one copy of each
+touched partition, never a Python loop or a set copy as long as the delta.
+
+Delta stores are **immutable**: every write batch produces a *new* store
+that shares every untouched partition array with its predecessor.  A
+snapshot therefore pins consistent state simply by holding a ``(base,
+delta)`` pair; writers never mutate anything a reader can see.
 
 Invariants maintained by the mutators (the *delta-merge invariants* every
 reader — :class:`~repro.storage.snapshot.GraphSnapshot` merges, the
 continuous engine's delta terms, and the vectorized executor's merged-CSR
 views — relies on):
 
-* an edge appears in at most one of ``insert_*`` / ``deleted_keys``;
-* ``deleted_keys`` only ever names *base* edges (deleting an edge that was
-  inserted after the last compaction removes it from the insert side), so a
-  merge is always ``(base − deletions) ∪ insertions`` with the two operand
-  sets disjoint;
-* per-vertex arrays are sorted and duplicate-free, so merging a base
-  adjacency run with its delta is a merge of two sorted runs and binary
-  search stays valid on the result;
+* an edge appears on at most one of the insert and delete sides;
+* the delete side only ever names *base* edges and the insert side never
+  does (deleting an edge inserted after the last compaction removes it from
+  the insert side; re-inserting a deleted base edge clears the deletion), so
+  a merge is always ``(base − deletions) ∪ insertions`` with the two
+  operands disjoint;
+* partition arrays are sorted and duplicate-free, and a partition without
+  codes is absent from its map, so merging a base run with its delta is a
+  merge of two sorted runs and a partition key present means a partition
+  touched;
 * deletions are recorded within their own ``(edge label, neighbour label)``
   partition: the wildcard-merged base list keeps one entry per *edge* (a
   neighbour reached through two edge labels appears twice) and deleting one
   of those edges must drop exactly one entry;
-* ``touched_fwd`` / ``touched_bwd`` over-approximate the vertices with any
-  delta adjacency per direction — a vertex outside them may always be read
-  straight from the base CSR, and partitions no delta touches
-  (:meth:`DeltaStore.touches_partition`) may be served as the base's own
-  arrays without copying.
+* the insert side's arrival order is kept in a write log, one chunk per
+  write linked to the older ones, so a write adds O(batch) to it;
+  :meth:`DeltaStore.inserted_edges` keeps the logged edges still inserted,
+  each at its latest write, so edge scans append inserts in the order they
+  were written.  A removal that leaves most of the log dead rewrites it;
+* the per-direction ``touched`` masks over-approximate the vertices with any
+  delta adjacency — a vertex outside them may always be read straight from
+  the base CSR.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.graph import ANY_LABEL, Direction
+from repro.graph.graph import ANY_LABEL, Direction, Graph
+from repro.graph.intersect import member_sorted
 
 Edge = Tuple[int, int, int]
-# (edge_label, neighbour_label) -> vertex -> sorted neighbour ids.
-PartitionMap = Dict[Tuple[int, int], Dict[int, np.ndarray]]
+PartitionKey = Tuple[int, int]
+#: ``(edge label, neighbour label)`` -> sorted ``anchor << 32 | neighbour`` codes.
+Partitions = Dict[PartitionKey, np.ndarray]
+#: One partition of a batch (see :func:`_by_partition`): its key, the
+#: positions of its edges in code order, and their codes.
+Group = Tuple[PartitionKey, np.ndarray, np.ndarray]
+#: The insert side's write log, newest write first: ``None``, or
+#: ``((src, dst, labels, neighbour labels), older log)``.
+Log = Optional[Tuple[Tuple[np.ndarray, ...], "Log"]]
 
+_SHIFT = 32
+_LOW = np.int64((1 << _SHIFT) - 1)
 _EMPTY = np.array([], dtype=np.int64)
 _EMPTY.setflags(write=False)
 
 
-def _insert_sorted(existing: Optional[np.ndarray], values: List[int]) -> np.ndarray:
-    """A new sorted array extending ``existing`` with ``values``."""
-    if existing is None or len(existing) == 0:
-        merged = np.array(sorted(set(values)), dtype=np.int64)
-    else:
-        merged = np.unique(np.concatenate([existing, np.asarray(values, dtype=np.int64)]))
-    merged.setflags(write=False)
+def partition_matches(
+    key: PartitionKey, edge_label: Optional[int], neighbor_label: Optional[int]
+) -> bool:
+    el, nl = key
+    return (edge_label is ANY_LABEL or el == edge_label) and (
+        neighbor_label is ANY_LABEL or nl == neighbor_label
+    )
+
+
+def vertex_run(codes: Optional[np.ndarray], vertex: int) -> np.ndarray:
+    """The sorted neighbours ``vertex`` has in one partition's codes."""
+    if codes is None:
+        return _EMPTY
+    lo, hi = codes.searchsorted((vertex << _SHIFT, (vertex + 1) << _SHIFT))
+    return codes[lo:hi] & _LOW
+
+
+def recode(codes: np.ndarray, num_vertices: int) -> np.ndarray:
+    """``anchor << 32 | neighbour`` codes as the CSR's ``anchor * n +
+    neighbour`` codes, in the same order."""
+    return (codes >> _SHIFT) * num_vertices + (codes & _LOW)
+
+
+def _by_partition(
+    anchor: np.ndarray, neighbour: np.ndarray, labels: np.ndarray, neighbour_labels: np.ndarray
+) -> Iterator[Group]:
+    """For every partition the edges land in: its key, the positions of its
+    edges in code order (equal codes in position order), and their codes."""
+    codes = (anchor << _SHIFT) | neighbour
+    for el, nl in set(zip(labels.tolist(), neighbour_labels.tolist())):
+        at = np.flatnonzero((labels == el) & (neighbour_labels == nl))
+        at = at[np.argsort(codes[at], kind="stable")]
+        yield (el, nl), at, codes[at]
+
+
+def _inserted(current: np.ndarray, pos: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``current`` with the sorted ``codes`` inserted before positions ``pos``."""
+    slots = pos + np.arange(len(pos))
+    kept = np.ones(len(current) + len(pos), dtype=bool)
+    kept[slots] = False
+    merged = np.empty(len(kept), dtype=np.int64)
+    merged[slots] = codes
+    merged[kept] = current
     return merged
 
 
-def _remove_sorted(existing: np.ndarray, values: List[int]) -> np.ndarray:
-    drop = np.asarray(values, dtype=np.int64)
-    kept = existing[~np.isin(existing, drop)]
-    kept.setflags(write=False)
-    return kept
+def _removed(current: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """``current`` without the entries at the sorted positions ``pos``, as
+    block copies of the runs between them."""
+    starts, ends = [0, *(pos + 1).tolist()], [*pos.tolist(), len(current)]
+    return np.concatenate([current[a:b] for a, b in zip(starts, ends)])
+
+
+def _live(log: Log, adds: Partitions) -> Tuple[np.ndarray, ...]:
+    """The logged edges still on the insert side, each at its latest write,
+    in write order, as ``(src, dst, labels, neighbour labels)``."""
+    chunks = []
+    while log is not None:
+        chunk, log = log
+        chunks.append(chunk)
+    if not chunks:
+        return _EMPTY, _EMPTY, _EMPTY, _EMPTY
+    columns = [np.concatenate(column) for column in zip(*reversed(chunks))]
+    alive = np.zeros(len(columns[0]), dtype=bool)
+    for key, at, codes in _by_partition(*columns):
+        latest = np.append(codes[1:] != codes[:-1], True)
+        alive[at] = latest & member_sorted(adds.get(key, _EMPTY), codes)
+    return tuple(column[alive] for column in columns)
+
+
+def _marked(touched: bytes, vertices: np.ndarray) -> bytes:
+    """A copy of the ``touched`` mask with ``vertices`` marked, grown to
+    cover them.  A ``bytes`` mask is immutable and indexes in one step."""
+    out = np.zeros(max(len(touched), int(vertices.max()) + 1), dtype=np.uint8)
+    out[: len(touched)] = np.frombuffer(touched, dtype=np.uint8)
+    out[vertices] = 1
+    return out.tobytes()
 
 
 class DeltaStore:
     """Immutable insert/delete overlay over a base graph's edge set."""
 
     __slots__ = (
-        "insert_src",
-        "insert_dst",
-        "insert_labels",
-        "insert_keys",
-        "deleted_keys",
-        "fwd_add",
-        "bwd_add",
-        "fwd_del",
-        "bwd_del",
-        "touched_fwd",
-        "touched_bwd",
-        "_partition_sizes",
+        "adds", "dels", "log", "log_size", "num_inserted", "num_deleted", "_touched", "_arrivals"
     )
 
     def __init__(
         self,
-        insert_src: np.ndarray,
-        insert_dst: np.ndarray,
-        insert_labels: np.ndarray,
-        insert_keys: FrozenSet[Edge],
-        deleted_keys: FrozenSet[Edge],
-        fwd_add: PartitionMap,
-        bwd_add: PartitionMap,
-        fwd_del: PartitionMap,
-        bwd_del: PartitionMap,
-        touched_fwd: Optional[FrozenSet[int]] = None,
-        touched_bwd: Optional[FrozenSet[int]] = None,
+        adds: Dict[Direction, Partitions],
+        dels: Dict[Direction, Partitions],
+        log: Log,
+        log_size: int,
+        touched: Dict[Direction, bytes],
     ) -> None:
-        self.insert_src = insert_src
-        self.insert_dst = insert_dst
-        self.insert_labels = insert_labels
-        self.insert_keys = insert_keys
-        self.deleted_keys = deleted_keys
-        self.fwd_add = fwd_add
-        self.bwd_add = bwd_add
-        self.fwd_del = fwd_del
-        self.bwd_del = bwd_del
-        # Vertices with *any* delta adjacency per direction; the snapshot's
-        # hot path consults these sets to fall through to the base CSR.  The
-        # mutators pass them incrementally (old set union the batch's
-        # anchors, O(batch) per write); a conservative over-approximation is
-        # safe — an untouched vertex in the set merely takes the slow merge
-        # path, which still returns the correct (base-only) adjacency.
-        self.touched_fwd: FrozenSet[int] = (
-            touched_fwd
-            if touched_fwd is not None
-            else frozenset(
-                v for per_vertex in (*fwd_add.values(), *fwd_del.values()) for v in per_vertex
-            )
-        )
-        self.touched_bwd: FrozenSet[int] = (
-            touched_bwd
-            if touched_bwd is not None
-            else frozenset(
-                v for per_vertex in (*bwd_add.values(), *bwd_del.values()) for v in per_vertex
-            )
-        )
-        # Per direction, the delta entries of every partition: counted on
-        # first use by ``partition_delta_edges`` (the store never changes).
-        self._partition_sizes: Dict[Direction, Dict[Tuple[int, int], int]] = {}
+        self.adds = adds
+        self.dels = dels
+        self.log = log
+        self.log_size = log_size
+        self.num_inserted = sum(len(c) for c in adds[Direction.FORWARD].values())
+        self.num_deleted = sum(len(c) for c in dels[Direction.FORWARD].values())
+        self._touched = touched
+        self._arrivals: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
     @classmethod
     def empty(cls) -> "DeltaStore":
         return cls(
-            insert_src=_EMPTY,
-            insert_dst=_EMPTY,
-            insert_labels=_EMPTY,
-            insert_keys=frozenset(),
-            deleted_keys=frozenset(),
-            fwd_add={},
-            bwd_add={},
-            fwd_del={},
-            bwd_del={},
+            {d: {} for d in Direction}, {d: {} for d in Direction}, None, 0,
+            {d: b"" for d in Direction},
         )
 
     # ------------------------------------------------------------------ #
     # basic properties
     # ------------------------------------------------------------------ #
-    @property
-    def num_inserted(self) -> int:
-        return int(len(self.insert_src))
-
-    @property
-    def num_deleted(self) -> int:
-        return len(self.deleted_keys)
-
     @property
     def num_delta_edges(self) -> int:
         """Total overlay size (drives the compaction threshold)."""
@@ -173,17 +204,19 @@ class DeltaStore:
         return self.num_inserted == 0 and self.num_deleted == 0
 
     def touched(self, vertex: int, direction: Direction) -> bool:
-        sets = self.touched_fwd if direction is Direction.FORWARD else self.touched_bwd
-        return vertex in sets
+        mask = self._touched[direction]
+        return vertex < len(mask) and mask[vertex] == 1
 
-    @staticmethod
-    def _partition_matches(
-        key: Tuple[int, int], edge_label: Optional[int], neighbor_label: Optional[int]
-    ) -> bool:
-        el, nl = key
-        return (edge_label is ANY_LABEL or el == edge_label) and (
-            neighbor_label is ANY_LABEL or nl == neighbor_label
-        )
+    def partitions(
+        self,
+        direction: Direction,
+        edge_label: Optional[int] = ANY_LABEL,
+        neighbor_label: Optional[int] = ANY_LABEL,
+    ) -> List[PartitionKey]:
+        """The delta's partitions in ``direction`` matching the (possibly
+        wildcard) filters."""
+        keys = self.adds[direction].keys() | self.dels[direction].keys()
+        return [k for k in keys if partition_matches(k, edge_label, neighbor_label)]
 
     def touches_partition(
         self,
@@ -192,17 +225,9 @@ class DeltaStore:
         neighbor_label: Optional[int] = ANY_LABEL,
     ) -> bool:
         """Whether any insert or delete lands in an adjacency partition
-        matching the (possibly wildcard) filters.
-
-        A partition the delta never touches can be served directly from the
-        base CSR — the snapshot's columnar accessors use this to stay lazy
-        per partition instead of per snapshot.
-        """
-        for partitions in (self._adds(direction), self._dels(direction)):
-            for key in partitions:
-                if self._partition_matches(key, edge_label, neighbor_label):
-                    return True
-        return False
+        matching the filters: a partition the delta never touches can be
+        served directly from the base CSR."""
+        return bool(self.partitions(direction, edge_label, neighbor_label))
 
     def partition_delta_edges(
         self,
@@ -213,252 +238,162 @@ class DeltaStore:
         """Number of delta entries (inserted + deleted adjacency slots) in
         the partitions matching the filters — the numerator of the
         per-partition delta ratio the cost model prices dirty scans with."""
-        sizes = self._partition_sizes.get(direction)
-        if sizes is None:
-            sizes = {}
-            for partitions in (self._adds(direction), self._dels(direction)):
-                for key, per_vertex in partitions.items():
-                    sizes[key] = sizes.get(key, 0) + sum(len(run) for run in per_vertex.values())
-            self._partition_sizes[direction] = sizes
+        adds, dels = self.adds[direction], self.dels[direction]
         return sum(
-            size
-            for key, size in sizes.items()
-            if self._partition_matches(key, edge_label, neighbor_label)
+            len(adds.get(k, _EMPTY)) + len(dels.get(k, _EMPTY))
+            for k in self.partitions(direction, edge_label, neighbor_label)
         )
 
     # ------------------------------------------------------------------ #
-    # mutators (return a new store; structural sharing elsewhere)
+    # writes (return a new store; untouched partitions are shared)
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _partition_with(
-        partitions: PartitionMap,
-        updates: Dict[Tuple[int, int], Dict[int, List[int]]],
-        remove: bool,
-    ) -> PartitionMap:
-        """Copy-on-write application of per-partition per-vertex changes."""
-        if not updates:
-            return partitions
-        out = dict(partitions)
-        for part_key, per_vertex in updates.items():
-            current = dict(out.get(part_key, {}))
-            for vertex, values in per_vertex.items():
-                if remove:
-                    kept = _remove_sorted(current.get(vertex, _EMPTY), values)
-                    if len(kept):
-                        current[vertex] = kept
-                    else:
-                        current.pop(vertex, None)
-                else:
-                    current[vertex] = _insert_sorted(current.get(vertex), values)
-            if current:
-                out[part_key] = current
-            else:
-                out.pop(part_key, None)
-        return out
-
-    @staticmethod
-    def _group(
-        edges: Sequence[Edge], vertex_labels: np.ndarray, forward: bool
-    ) -> Dict[Tuple[int, int], Dict[int, List[int]]]:
-        """Group edge triples into ``(edge label, neighbour label)`` partitions
-        of per-vertex neighbour lists, forward or backward."""
-        grouped: Dict[Tuple[int, int], Dict[int, List[int]]] = {}
-        for src, dst, label in edges:
-            anchor, neighbor = (src, dst) if forward else (dst, src)
-            part_key = (label, int(vertex_labels[neighbor]))
-            grouped.setdefault(part_key, {}).setdefault(anchor, []).append(neighbor)
-        return grouped
-
     def with_insertions(
-        self, edges: Sequence[Edge], vertex_labels: np.ndarray
-    ) -> "DeltaStore":
-        """A new store with ``edges`` inserted.
+        self,
+        base: Graph,
+        src: np.ndarray,
+        dst: np.ndarray,
+        labels: np.ndarray,
+        vertex_labels: np.ndarray,
+    ) -> Tuple["DeltaStore", np.ndarray]:
+        """A store with the batch's absent edges inserted, and the mask of
+        those edges over the batch.
 
-        ``edges`` must be pre-filtered: not present in the base graph, in this
-        delta, or in each other (the :class:`DynamicGraph` write path
-        guarantees it), except that re-inserting a *deleted base edge* is
-        allowed and simply clears the deletion.
+        The batch must be duplicate-free and ``vertex_labels`` must cover its
+        vertices.  Re-inserting a deleted base edge clears the deletion.
         """
-        resurrected = [e for e in edges if e in self.deleted_keys]
-        fresh = [e for e in edges if e not in self.deleted_keys]
-        store = self
-        if resurrected:
-            store = store._undelete(resurrected, vertex_labels)
-        if not fresh:
-            return store
-        src = np.concatenate([store.insert_src, np.array([e[0] for e in fresh], dtype=np.int64)])
-        dst = np.concatenate([store.insert_dst, np.array([e[1] for e in fresh], dtype=np.int64)])
-        lab = np.concatenate([store.insert_labels, np.array([e[2] for e in fresh], dtype=np.int64)])
-        return DeltaStore(
-            insert_src=src,
-            insert_dst=dst,
-            insert_labels=lab,
-            insert_keys=store.insert_keys | frozenset(fresh),
-            deleted_keys=store.deleted_keys,
-            fwd_add=self._partition_with(
-                store.fwd_add, self._group(fresh, vertex_labels, forward=True), remove=False
-            ),
-            bwd_add=self._partition_with(
-                store.bwd_add, self._group(fresh, vertex_labels, forward=False), remove=False
-            ),
-            fwd_del=store.fwd_del,
-            bwd_del=store.bwd_del,
-            touched_fwd=store.touched_fwd | frozenset(e[0] for e in fresh),
-            touched_bwd=store.touched_bwd | frozenset(e[1] for e in fresh),
-        )
-
-    def _undelete(self, edges: Sequence[Edge], vertex_labels: np.ndarray) -> "DeltaStore":
-        return DeltaStore(
-            insert_src=self.insert_src,
-            insert_dst=self.insert_dst,
-            insert_labels=self.insert_labels,
-            insert_keys=self.insert_keys,
-            deleted_keys=self.deleted_keys - frozenset(edges),
-            fwd_add=self.fwd_add,
-            bwd_add=self.bwd_add,
-            fwd_del=self._partition_with(
-                self.fwd_del, self._group(edges, vertex_labels, forward=True), remove=True
-            ),
-            bwd_del=self._partition_with(
-                self.bwd_del, self._group(edges, vertex_labels, forward=False), remove=True
-            ),
-            touched_fwd=self.touched_fwd,
-            touched_bwd=self.touched_bwd,
-        )
+        batch = (src, dst, labels)
+        groups = list(_by_partition(src, dst, labels, vertex_labels[dst]))
+        inserted, deleted, in_base = self._locate(base, batch, groups)
+        fresh = ~inserted & ~in_base
+        store = self._edit(batch, vertex_labels, groups, (fresh, False), (deleted, True))
+        return store, fresh | deleted
 
     def with_deletions(
         self,
-        base_edges: Sequence[Edge],
-        delta_edges: Sequence[Edge],
+        base: Graph,
+        src: np.ndarray,
+        dst: np.ndarray,
+        labels: np.ndarray,
         vertex_labels: np.ndarray,
+    ) -> Tuple["DeltaStore", np.ndarray]:
+        """A store with the batch's present edges deleted, and the mask of
+        those edges over the batch (the batch must be duplicate-free)."""
+        applied = np.zeros(len(src), dtype=bool)
+        known = np.flatnonzero((src < len(vertex_labels)) & (dst < len(vertex_labels)))
+        batch = (src[known], dst[known], labels[known])
+        groups = list(_by_partition(*batch, vertex_labels[batch[1]]))
+        inserted, deleted, in_base = self._locate(base, batch, groups)
+        killed = in_base & ~deleted
+        store = self._edit(batch, vertex_labels, groups, (inserted, True), (killed, False))
+        applied[known] = inserted | killed
+        return store, applied
+
+    def _locate(
+        self, base: Graph, batch: Tuple[np.ndarray, ...], groups: List[Group]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Masks over the batch: on the insert side, on the delete side, and
+        in the base graph (deleted or not).  ``groups`` is the batch's
+        forward :func:`_by_partition`."""
+        src, dst, _ = batch
+        inserted = np.zeros(len(src), dtype=bool)
+        deleted = np.zeros(len(src), dtype=bool)
+        in_base = np.zeros(len(src), dtype=bool)
+        nb = base.num_vertices
+        base_parts = base._partition_map(Direction.FORWARD)
+        adds, dels = self.adds[Direction.FORWARD], self.dels[Direction.FORWARD]
+        for key, at, codes in groups:
+            inserted[at] = member_sorted(adds.get(key, _EMPTY), codes)
+            deleted[at] = member_sorted(dels.get(key, _EMPTY), codes)
+            part = base_parts.get(key)
+            if part is not None:
+                s, d = src[at], dst[at]
+                old = (s < nb) & (d < nb)
+                in_base[at] = old & member_sorted(part.codes, np.where(old, s * nb + d, 0))
+        return inserted, deleted, in_base
+
+    def _edit(
+        self,
+        batch: Tuple[np.ndarray, ...],
+        vertex_labels: np.ndarray,
+        groups: List[Group],
+        inserts: Tuple[np.ndarray, bool],
+        deletes: Tuple[np.ndarray, bool],
     ) -> "DeltaStore":
-        """A new store with ``base_edges`` (present in the base graph) marked
-        deleted and ``delta_edges`` (present in this delta's insert side)
-        removed from the insert side."""
-        store = self
-        if delta_edges:
-            drop = frozenset(delta_edges)
-            keep = ~np.array(
-                [
-                    (int(s), int(d), int(l)) in drop
-                    for s, d, l in zip(store.insert_src, store.insert_dst, store.insert_labels)
-                ],
-                dtype=bool,
-            )
-            store = DeltaStore(
-                insert_src=store.insert_src[keep],
-                insert_dst=store.insert_dst[keep],
-                insert_labels=store.insert_labels[keep],
-                insert_keys=store.insert_keys - drop,
-                deleted_keys=store.deleted_keys,
-                fwd_add=self._partition_with(
-                    store.fwd_add,
-                    self._group(delta_edges, vertex_labels, forward=True),
-                    remove=True,
-                ),
-                bwd_add=self._partition_with(
-                    store.bwd_add,
-                    self._group(delta_edges, vertex_labels, forward=False),
-                    remove=True,
-                ),
-                fwd_del=store.fwd_del,
-                bwd_del=store.bwd_del,
-                # Deleted-from-delta anchors were already touched when the
-                # edges were inserted; keeping them is a safe over-approx.
-                touched_fwd=store.touched_fwd,
-                touched_bwd=store.touched_bwd,
-            )
-        if not base_edges:
-            return store
-        return DeltaStore(
-            insert_src=store.insert_src,
-            insert_dst=store.insert_dst,
-            insert_labels=store.insert_labels,
-            insert_keys=store.insert_keys,
-            deleted_keys=store.deleted_keys | frozenset(base_edges),
-            fwd_add=store.fwd_add,
-            bwd_add=store.bwd_add,
-            fwd_del=self._partition_with(
-                store.fwd_del,
-                self._group(base_edges, vertex_labels, forward=True),
-                remove=False,
-            ),
-            bwd_del=self._partition_with(
-                store.bwd_del,
-                self._group(base_edges, vertex_labels, forward=False),
-                remove=False,
-            ),
-            touched_fwd=store.touched_fwd | frozenset(e[0] for e in base_edges),
-            touched_bwd=store.touched_bwd | frozenset(e[1] for e in base_edges),
+        """A store with the batch's masked edges changed in both directions.
+
+        ``inserts`` and ``deletes`` are ``(mask, remove)`` pairs for the
+        insert and the delete side: the mask's edges are added to that side,
+        or with ``remove`` taken from it.  Removed edges must be on that
+        side; added ones on neither.  ``groups`` is the batch's forward
+        :func:`_by_partition`.
+        """
+        src, dst, labels = batch
+        sides = [(self.adds, *inserts), (self.dels, *deletes)]
+        if not any(mask.any() for _, mask, _ in sides):
+            return self
+        edited = [{} if mask.any() else parts for parts, mask, _ in sides]
+        backward = _by_partition(dst, src, labels, vertex_labels[src])
+        for direction, grouped in ((Direction.FORWARD, groups), (Direction.BACKWARD, backward)):
+            for out, (parts, mask, _) in zip(edited, sides):
+                if mask.any():
+                    out[direction] = dict(parts[direction])
+            for key, at, codes in grouped:
+                for out, (_, mask, remove) in zip(edited, sides):
+                    picked = codes[mask[at]]
+                    if not len(picked):
+                        continue
+                    current = out[direction].get(key, _EMPTY)
+                    pos = current.searchsorted(picked)
+                    merged = _removed(current, pos) if remove else _inserted(current, pos, picked)
+                    if len(merged):
+                        out[direction][key] = merged
+                    else:
+                        del out[direction][key]
+        added = np.zeros(len(src), dtype=bool)
+        for _, mask, remove in sides:
+            if not remove:
+                added |= mask
+        touched = self._touched
+        # Removing an edge leaves its anchors marked: a safe over-approximation.
+        if added.any():
+            touched = {
+                d: _marked(touched[d], (src if d is Direction.FORWARD else dst)[added])
+                for d in Direction
+            }
+        (insert_mask, insert_remove), adds = inserts, edited[0][Direction.FORWARD]
+        log, log_size = self.log, self.log_size
+        if insert_mask.any() and not insert_remove:
+            chunk = (src[insert_mask], dst[insert_mask], labels[insert_mask])
+            log, log_size = ((*chunk, vertex_labels[chunk[1]]), log), log_size + len(chunk[0])
+        elif insert_mask.any() and log_size > 2 * sum(map(len, adds.values())):
+            # Most logged writes are dead: log the live ones afresh.
+            live = _live(log, adds)
+            log, log_size = (live, None), len(live[0])
+        return DeltaStore(edited[0], edited[1], log, log_size, touched)
+
+    # ------------------------------------------------------------------ #
+    # edge lists
+    # ------------------------------------------------------------------ #
+    def inserted_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The inserted edges as ``(src, dst, labels)`` arrays, in the order
+        they were written (computed once per store)."""
+        if self._arrivals is None:
+            self._arrivals = _live(self.log, self.adds[Direction.FORWARD])[:3]
+        return self._arrivals
+
+    def deleted_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The deleted base edges as ``(src, dst, labels)`` arrays."""
+        parts = self.dels[Direction.FORWARD]
+        if not parts:
+            return _EMPTY, _EMPTY, _EMPTY
+        codes = np.concatenate(list(parts.values()))
+        labels = np.repeat(
+            np.array([el for el, _ in parts], dtype=np.int64), [len(c) for c in parts.values()]
         )
-
-    # ------------------------------------------------------------------ #
-    # reads
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _collect(
-        partitions: PartitionMap,
-        vertex: int,
-        edge_label: Optional[int],
-        neighbor_label: Optional[int],
-    ) -> np.ndarray:
-        """Sorted neighbours of ``vertex`` across partitions matching the
-        (possibly wildcard) filters."""
-        if edge_label is not ANY_LABEL and neighbor_label is not ANY_LABEL:
-            per_vertex = partitions.get((edge_label, neighbor_label))
-            if per_vertex is None:
-                return _EMPTY
-            return per_vertex.get(vertex, _EMPTY)
-        runs = [
-            per_vertex[vertex]
-            for (el, nl), per_vertex in partitions.items()
-            if (edge_label is ANY_LABEL or el == edge_label)
-            and (neighbor_label is ANY_LABEL or nl == neighbor_label)
-            and vertex in per_vertex
-        ]
-        if not runs:
-            return _EMPTY
-        if len(runs) == 1:
-            return runs[0]
-        # Keep one entry per edge across partitions (a neighbour reached
-        # through two edge labels appears twice), matching the base graph's
-        # merged-partition semantics and GraphSnapshot._neighbors_wildcard.
-        merged = np.sort(np.concatenate(runs))
-        merged.setflags(write=False)
-        return merged
-
-    def _adds(self, direction: Direction) -> PartitionMap:
-        return self.fwd_add if direction is Direction.FORWARD else self.bwd_add
-
-    def _dels(self, direction: Direction) -> PartitionMap:
-        return self.fwd_del if direction is Direction.FORWARD else self.bwd_del
-
-    def inserted_neighbors(
-        self,
-        vertex: int,
-        direction: Direction,
-        edge_label: Optional[int] = ANY_LABEL,
-        neighbor_label: Optional[int] = ANY_LABEL,
-    ) -> np.ndarray:
-        return self._collect(self._adds(direction), vertex, edge_label, neighbor_label)
-
-    def deleted_neighbors(
-        self,
-        vertex: int,
-        direction: Direction,
-        edge_label: Optional[int] = ANY_LABEL,
-        neighbor_label: Optional[int] = ANY_LABEL,
-    ) -> np.ndarray:
-        return self._collect(self._dels(direction), vertex, edge_label, neighbor_label)
-
-    def touched_vertices(self, direction: Direction) -> FrozenSet[int]:
-        return self.touched_fwd if direction is Direction.FORWARD else self.touched_bwd
+        return codes >> _SHIFT, codes & _LOW, labels
 
     def __repr__(self) -> str:
-        return (
-            f"DeltaStore(inserted={self.num_inserted}, deleted={self.num_deleted}, "
-            f"touched_fwd={len(self.touched_fwd)}, touched_bwd={len(self.touched_bwd)})"
-        )
+        return f"DeltaStore(inserted={self.num_inserted}, deleted={self.num_deleted})"
 
 
-__all__ = ["DeltaStore", "Edge"]
+__all__ = ["DeltaStore", "Edge", "partition_matches", "recode", "vertex_run"]

@@ -2,8 +2,9 @@
 
 :class:`DynamicGraph` is the storage subsystem's front end.  Writers call
 :meth:`add_edges` / :meth:`delete_edges` / :meth:`add_vertices`; each batch
-produces a new immutable :class:`~repro.storage.delta.DeltaStore` (structural
-sharing keeps this cheap) and bumps the version counter.  Readers call
+is packed into arrays once and produces a new immutable
+:class:`~repro.storage.delta.DeltaStore` (one vectorised lookup and merge per
+batch, untouched partitions shared) and bumps the version counter.  Readers call
 :meth:`snapshot` to pin an O(1) consistent view; the whole
 :class:`~repro.graph.graph.Graph` read API is also available directly on the
 dynamic graph (delegating to the current snapshot), so a ``DynamicGraph`` can
@@ -58,6 +59,12 @@ def normalize_edges(edges: Iterable[Tuple[int, ...]]) -> List[Edge]:
             seen.add(key)
             batch.append(key)
     return batch
+
+
+def _pack(batch: Sequence[Edge]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A normalized batch as contiguous ``(src, dst, label)`` arrays."""
+    src, dst, lab = np.array(batch, dtype=np.int64).reshape(-1, 3).T.copy()
+    return src, dst, lab
 
 
 def compaction_threshold(base_edges: int, ratio: float, min_edges: int) -> int:
@@ -177,18 +184,16 @@ class DynamicGraph:
         batch = list(edges) if _normalized else normalize_edges(edges)
         if not batch:
             return []
+        src, dst, lab = _pack(batch)
         with self._lock:
             state = self._state
             labels = state.vertex_labels
-            max_vertex = max(max(s, d) for s, d, _ in batch)
-            if max_vertex >= len(labels):
-                labels = np.concatenate(
-                    [labels, np.zeros(max_vertex + 1 - len(labels), dtype=np.int64)]
-                )
-            applied = [e for e in batch if not self._present(state, e)]
-            if not applied and len(labels) == len(state.vertex_labels):
+            grow = int(max(src.max(), dst.max())) + 1 - len(labels)
+            if grow > 0:
+                labels = np.concatenate([labels, np.zeros(grow, dtype=np.int64)])
+            delta, applied = state.delta.with_insertions(state.base, src, dst, lab, labels)
+            if not applied.any() and grow <= 0:
                 return []
-            delta = state.delta.with_insertions(applied, labels) if applied else state.delta
             self._state = _State(
                 base=state.base,
                 delta=delta,
@@ -196,7 +201,7 @@ class DynamicGraph:
                 version=state.version + 1,
             )
             self._maybe_compact()
-            return applied
+            return [batch[i] for i in np.flatnonzero(applied)]
 
     def delete_edges(
         self, edges: Iterable[Tuple[int, ...]], _normalized: bool = False
@@ -206,21 +211,14 @@ class DynamicGraph:
         batch = list(edges) if _normalized else normalize_edges(edges)
         if not batch:
             return []
+        src, dst, lab = _pack(batch)
         with self._lock:
             state = self._state
-            in_delta = [e for e in batch if e in state.delta.insert_keys]
-            in_base = [
-                e
-                for e in batch
-                if e not in state.delta.insert_keys
-                and e not in state.delta.deleted_keys
-                and e[0] < state.base.num_vertices
-                and state.base.has_edge(e[0], e[1], e[2])
-            ]
-            applied = in_delta + in_base
-            if not applied:
+            delta, applied = state.delta.with_deletions(
+                state.base, src, dst, lab, state.vertex_labels
+            )
+            if not applied.any():
                 return []
-            delta = state.delta.with_deletions(in_base, in_delta, state.vertex_labels)
             self._state = _State(
                 base=state.base,
                 delta=delta,
@@ -228,7 +226,7 @@ class DynamicGraph:
                 version=state.version + 1,
             )
             self._maybe_compact()
-            return applied
+            return [batch[i] for i in np.flatnonzero(applied)]
 
     def add_vertices(
         self, count: Optional[int] = None, labels: Optional[Sequence[int]] = None
@@ -254,15 +252,6 @@ class DynamicGraph:
                 version=state.version + 1,
             )
             return list(range(first, first + len(new_labels)))
-
-    @staticmethod
-    def _present(state: _State, edge: Edge) -> bool:
-        src, dst, label = edge
-        if edge in state.delta.insert_keys:
-            return True
-        if edge in state.delta.deleted_keys:
-            return False
-        return src < state.base.num_vertices and state.base.has_edge(src, dst, label)
 
     def has_edge(self, src: int, dst: int, edge_label: Optional[int] = ANY_LABEL) -> bool:
         return self.snapshot().has_edge(src, dst, edge_label)

@@ -9,8 +9,10 @@ snapshot is O(1); in-flight queries, the continuous engine's old/new delta
 terms, and concurrent writers therefore never block each other.
 
 Reads fall through to the base CSR untouched-vertex-wise: the per-direction
-``touched`` sets of the delta make the common case (a vertex with no pending
-updates) a single set lookup plus the base's own fast path.
+``touched`` masks of the delta make the common case (a vertex with no
+pending updates) one lookup plus the base's own fast path.  A touched
+vertex's run is merged per partition from slices of the delta's sorted code
+arrays, two ``searchsorted`` calls each; no read builds a per-vertex map.
 
 The columnar structures the vectorized executor needs (:meth:`csr` and the
 key set it carries, :meth:`adjacency_keys`) are merged **lazily per
@@ -18,48 +20,48 @@ partition**: a query plan only pays the merge for the ``(direction, edge
 label, neighbour label)`` partitions its operators actually touch, a
 partition the delta never touches (:meth:`DeltaStore.touches_partition`) is
 served as the base's own objects without copying, and merged views are
-cached copy-on-write on the snapshot —
-the snapshot itself is immutable, so the cache is a pure memo shared by every
-reader of the pinned version, never mutated state.  This is what lets the
-batch engine run directly on *dirty* snapshots instead of forcing a full CSR
-rebuild (compaction) onto the query path.
+cached on the snapshot — the snapshot itself is immutable, so the cache is a
+pure memo shared by every reader of the pinned version.  A merge is one
+pass over sorted ``u * n + w`` codes: the base partition's, minus the
+delta's deleted codes, plus its inserted codes; the CSR and its key set both
+come from the merged codes.  This is what lets the batch engine run directly
+on *dirty* snapshots instead of forcing a full CSR rebuild (compaction) onto
+the query path.
 
 Merge invariants (see :mod:`repro.storage.delta` for the writer-side
 guarantees they rest on): every merged per-vertex run is
 ``(base − deletions) ∪ insertions`` with disjoint operands, stays sorted and
 duplicate-free per partition, and wildcard reads subtract deletions within
-their own partition before concatenating partitions, keeping one entry per
-edge.  Consequently the merged CSR/adjacency-key arrays satisfy exactly the
-ordering contracts (sorted per-vertex runs, globally sorted key arrays) the
-vectorized operators' binary searches assume.
+their own partition, removing one entry per deleted edge.  Consequently the
+merged CSR/adjacency-key arrays satisfy exactly the ordering contracts
+(sorted per-vertex runs, globally sorted key arrays) the vectorized
+operators' binary searches assume.
+
+An edge scan appends the inserted edges, in the order they were written, to
+the base edges that were not deleted; the deleted ones are found through the
+base's sorted edge index (:attr:`Graph.edge_index`), built once per base on
+the first scan that needs it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.graph import ANY_LABEL, Direction, Graph, _CSR
 from repro.graph.intersect import KeySet
-from repro.storage.delta import DeltaStore
+from repro.storage.delta import (
+    DeltaStore,
+    PartitionKey,
+    Partitions,
+    partition_matches,
+    recode,
+    vertex_run,
+)
 
 _EMPTY = np.array([], dtype=np.int64)
 _EMPTY.setflags(write=False)
-
-
-def _without(sorted_values: np.ndarray, removed: np.ndarray) -> np.ndarray:
-    if len(removed) == 0 or len(sorted_values) == 0:
-        return sorted_values
-    return sorted_values[~np.isin(sorted_values, removed)]
-
-
-def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) == 0:
-        return b
-    if len(b) == 0:
-        return a
-    return np.sort(np.concatenate([a, b]))
 
 
 class GraphSnapshot:
@@ -80,6 +82,7 @@ class GraphSnapshot:
         self.name = name if name is not None else base.name
         # Lazy caches (safe to race: idempotent pure computations).
         self._csr_cache: Dict[Tuple[str, Optional[int], Optional[int]], _CSR] = {}
+        self._keys_cache: Dict[Tuple[str, Optional[int], Optional[int]], List[PartitionKey]] = {}
         self._edge_arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
@@ -104,11 +107,9 @@ class GraphSnapshot:
     def edge_label_values(self) -> np.ndarray:
         if self.delta.is_empty:
             return self.base.edge_label_values
-        if not self.delta.deleted_keys:
-            values = [self.base.edge_label_values]
-            if self.delta.num_inserted:
-                values.append(self.delta.insert_labels)
-            return np.unique(np.concatenate(values)) if values else self.base.edge_label_values
+        if not self.delta.num_deleted:
+            inserted = [el for el, _ in self.delta.adds[Direction.FORWARD]]
+            return np.union1d(self.base.edge_label_values, np.array(inserted, dtype=np.int64))
         return np.unique(self.edge_labels) if self.num_edges else np.array([], dtype=np.int64)
 
     @property
@@ -133,70 +134,51 @@ class GraphSnapshot:
         edge_label: Optional[int] = ANY_LABEL,
         neighbor_label: Optional[int] = ANY_LABEL,
     ) -> np.ndarray:
+        """Per partition, the base run minus its deletions plus its
+        insertions.  Deletions are subtracted within their own ``(edge
+        label, neighbour label)`` partition: a wildcard list keeps one entry
+        per *edge* (a neighbour reached through two edge labels appears
+        twice), and deleting one of those edges must drop exactly one."""
         base = self.base
         in_base = vertex < base.num_vertices
         if not self.delta.touched(vertex, direction):
-            return base.neighbors(vertex, direction, edge_label, neighbor_label) if in_base else _EMPTY
-        if edge_label is not ANY_LABEL and neighbor_label is not ANY_LABEL:
-            base_run = (
-                base.neighbors(vertex, direction, edge_label, neighbor_label) if in_base else _EMPTY
-            )
-            base_run = _without(
-                base_run,
-                self.delta.deleted_neighbors(vertex, direction, edge_label, neighbor_label),
-            )
-            return _merge_sorted(
-                base_run,
-                self.delta.inserted_neighbors(vertex, direction, edge_label, neighbor_label),
-            )
-        return self._neighbors_wildcard(vertex, direction, edge_label, neighbor_label)
-
-    def _neighbors_wildcard(
-        self,
-        vertex: int,
-        direction: Direction,
-        edge_label: Optional[int],
-        neighbor_label: Optional[int],
-    ) -> np.ndarray:
-        """Per-partition merge for wildcard filters.
-
-        Deletions must be subtracted within their own ``(edge label,
-        neighbour label)`` partition: the merged base list keeps one entry per
-        *edge* (a neighbour reached through two edge labels appears twice),
-        and deleting one of those edges must drop exactly one entry.
-        """
-        base_map = self.base._partition_map(direction) if vertex < self.base.num_vertices else {}
-        adds = self.delta._adds(direction)
-        dels = self.delta._dels(direction)
-
-        def matches(key: Tuple[int, int]) -> bool:
-            el, nl = key
-            return (edge_label is ANY_LABEL or el == edge_label) and (
-                neighbor_label is ANY_LABEL or nl == neighbor_label
-            )
-
+            if not in_base:
+                return _EMPTY
+            return base.neighbors(vertex, direction, edge_label, neighbor_label)
+        base_parts = base._partition_map(direction)
+        adds, dels = self.delta.adds[direction], self.delta.dels[direction]
         runs = []
-        keys = {k for k in base_map if matches(k)} | {k for k in adds if matches(k)}
-        for key in keys:
-            base_part = base_map.get(key)
-            run = base_part.neighbors(vertex) if base_part is not None else _EMPTY
-            del_part = dels.get(key)
-            if del_part is not None and len(run):
-                removed = del_part.get(vertex)
-                if removed is not None:
-                    run = _without(run, removed)
-            add_part = adds.get(key)
-            if add_part is not None:
-                inserted = add_part.get(vertex)
-                if inserted is not None:
-                    run = np.concatenate([run, inserted]) if len(run) else inserted
-            if len(run):
-                runs.append(run)
-        if not runs:
-            return _EMPTY
-        if len(runs) == 1:
-            return np.sort(runs[0])
+        for key in self._partition_keys(direction, edge_label, neighbor_label):
+            part = base_parts.get(key)
+            run = part.neighbors(vertex) if part is not None and in_base else _EMPTY
+            if key in dels:
+                removed = vertex_run(dels[key], vertex)
+                if len(removed):
+                    run = np.delete(run, run.searchsorted(removed))
+            if key in adds:
+                runs.append(vertex_run(adds[key], vertex))
+            runs.append(run)
+        runs = [run for run in runs if len(run)]
+        if len(runs) <= 1:
+            return runs[0] if runs else _EMPTY
         return np.sort(np.concatenate(runs))
+
+    def _partition_keys(
+        self, direction: Direction, edge_label: Optional[int], neighbor_label: Optional[int]
+    ) -> List[PartitionKey]:
+        """The base's and the delta's partitions matching the filters, listed
+        once per snapshot and filter."""
+        cache_key = (direction.value, edge_label, neighbor_label)
+        keys = self._keys_cache.get(cache_key)
+        if keys is None:
+            if edge_label is not ANY_LABEL and neighbor_label is not ANY_LABEL:
+                keys = [(edge_label, neighbor_label)]
+            else:
+                base_keys = self.base._partition_map(direction).keys()
+                candidates = base_keys | self.delta.adds[direction].keys()
+                keys = [k for k in candidates if partition_matches(k, edge_label, neighbor_label)]
+            self._keys_cache[cache_key] = keys
+        return keys
 
     def degree(
         self,
@@ -265,106 +247,35 @@ class GraphSnapshot:
         edge_label: Optional[int],
         neighbor_label: Optional[int],
     ) -> _CSR:
-        """Merge the base partition CSR with the delta, keeping untouched
-        base segments as bulk copies.
+        """One merge of sorted ``u * n + w`` codes: the base partition's,
+        minus the matching deletions, plus the matching insertions.
 
-        The merge is fully vectorized and restricted to the vertices the
-        delta touches *within the matching partitions* — vertices touched
-        only through other partitions keep their base runs verbatim.  For
-        the touched vertices, base/delta adjacency is encoded as
-        ``vertex * n + neighbour`` keys: deletions are removed one occurrence
-        per deleted edge (wildcard-merged base runs keep one entry per edge,
-        so a neighbour reached through two edge labels appears twice and
-        deleting one edge must drop exactly one), insertions are appended,
-        and one ``np.sort`` restores the (vertex, neighbour) order the CSR
-        contract requires.
+        Deletions remove one base occurrence each: wildcard-merged base runs
+        keep one entry per edge, so a neighbour reached through two edge
+        labels appears twice and deleting one edge must drop exactly one.
         """
-        base_csr = self.base.csr(direction, edge_label, neighbor_label)
         n = self.num_vertices
-        nb = self.base.num_vertices
-        base_deg = np.diff(base_csr.indptr)
-        matches = self.delta._partition_matches
-        add_parts = [
-            per_vertex
-            for key, per_vertex in self.delta._adds(direction).items()
-            if matches(key, edge_label, neighbor_label)
-        ]
-        del_parts = [
-            per_vertex
-            for key, per_vertex in self.delta._dels(direction).items()
-            if matches(key, edge_label, neighbor_label)
-        ]
-        touched = set()
-        for per_vertex in (*add_parts, *del_parts):
-            touched.update(per_vertex)
-        if not touched:
-            if n == nb:
-                return base_csr
-            indptr = np.concatenate(
-                [base_csr.indptr, np.full(n - nb, base_csr.indptr[-1], dtype=np.int64)]
-            )
-            return _CSR(indptr, base_csr.indices)
-        touched_arr = np.fromiter(sorted(touched), dtype=np.int64, count=len(touched))
-        stride = np.int64(n)
+        codes = self.base.csr(direction, edge_label, neighbor_label).codes
+        if n != self.base.num_vertices:
+            anchors, neighbours = np.divmod(codes, self.base.num_vertices)
+            codes = anchors * n + neighbours
+        keys = self.delta.partitions(direction, edge_label, neighbor_label)
+        dels = self._delta_codes(self.delta.dels[direction], keys)
+        if len(dels):
+            # Equal deletion codes hit consecutive base positions.
+            occurrence = np.arange(len(dels)) - np.searchsorted(dels, dels)
+            codes = np.delete(codes, np.searchsorted(codes, dels) + occurrence)
+        adds = self._delta_codes(self.delta.adds[direction], keys)
+        if len(adds):
+            codes = np.insert(codes, np.searchsorted(codes, adds), adds)
+        return _CSR.from_codes(codes, n)
 
-        # Base adjacency of the touched vertices, as sorted encoded keys
-        # (touched ids ascending, per-vertex runs sorted => globally sorted).
-        t_in_base = touched_arr[touched_arr < nb]
-        t_counts = base_deg[t_in_base]
-        total = int(t_counts.sum())
-        if total:
-            ends = np.cumsum(t_counts)
-            positions = np.repeat(base_csr.indptr[t_in_base], t_counts) + (
-                np.arange(total, dtype=np.int64) - np.repeat(ends - t_counts, t_counts)
-            )
-            base_keys = np.repeat(t_in_base, t_counts) * stride + base_csr.indices[positions]
-        else:
-            base_keys = _EMPTY
-
-        del_runs = [
-            v * stride + arr for per_vertex in del_parts for v, arr in per_vertex.items()
-        ]
-        if del_runs and len(base_keys):
-            del_keys = np.sort(np.concatenate(del_runs))
-            # Remove exactly one base occurrence per deleted edge: duplicate
-            # delete keys (same neighbour through several edge labels) hit
-            # consecutive positions of the equal-key run in base_keys.
-            boundary = np.empty(len(del_keys), dtype=bool)
-            boundary[0] = True
-            boundary[1:] = del_keys[1:] != del_keys[:-1]
-            first = np.flatnonzero(boundary)
-            occurrence = np.arange(len(del_keys)) - first[np.cumsum(boundary) - 1]
-            remove = np.searchsorted(base_keys, del_keys) + occurrence
-            keep_mask = np.ones(len(base_keys), dtype=bool)
-            keep_mask[remove] = False
-            base_keys = base_keys[keep_mask]
-
-        add_runs = [
-            v * stride + arr for per_vertex in add_parts for v, arr in per_vertex.items()
-        ]
-        merged_keys = np.concatenate([base_keys, *add_runs]) if add_runs else base_keys
-        merged_keys = np.sort(merged_keys)
-        touched_vertices = merged_keys // stride
-        touched_values = merged_keys % stride
-
-        counts = np.zeros(n, dtype=np.int64)
-        counts[:nb] = base_deg
-        counts[touched_arr] = np.bincount(touched_vertices, minlength=n)[touched_arr]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-
-        # Untouched base segments, bulk-copied.
-        keep = np.ones(nb, dtype=bool)
-        keep[t_in_base] = False
-        kept_positions = np.repeat(keep, base_deg)
-        kept_vertices = np.repeat(np.arange(nb, dtype=np.int64), base_deg)[kept_positions]
-        kept_values = base_csr.indices[kept_positions]
-        vertices = np.concatenate([kept_vertices, touched_vertices])
-        values = np.concatenate([kept_values, touched_values])
-        # Vertex sets of the two pieces are disjoint and each per-vertex run is
-        # already sorted, so a stable sort on the vertex column suffices.
-        order = np.argsort(vertices, kind="stable")
-        return _CSR(indptr, values[order])
+    def _delta_codes(self, parts: Partitions, keys: List[PartitionKey]) -> np.ndarray:
+        """The partitions' codes among ``keys`` as sorted ``u * n + w`` codes."""
+        runs = [recode(parts[k], self.num_vertices) for k in keys if k in parts]
+        if len(runs) <= 1:
+            return runs[0] if runs else _EMPTY
+        return np.sort(np.concatenate(runs))
 
     def adjacency_keys(
         self,
@@ -414,35 +325,27 @@ class GraphSnapshot:
         if cached is not None:
             return cached
         base = self.base
-        if self.delta.deleted_keys:
+        src, dst, lab = base.edge_src, base.edge_dst, base.edge_labels
+        if self.delta.num_deleted:
             kept = ~self._base_deleted_mask()
-            src = base.edge_src[kept]
-            dst = base.edge_dst[kept]
-            lab = base.edge_labels[kept]
-        else:
-            src, dst, lab = base.edge_src, base.edge_dst, base.edge_labels
+            src, dst, lab = src[kept], dst[kept], lab[kept]
         if self.delta.num_inserted:
-            src = np.concatenate([src, self.delta.insert_src])
-            dst = np.concatenate([dst, self.delta.insert_dst])
-            lab = np.concatenate([lab, self.delta.insert_labels])
+            inserted = self.delta.inserted_edges()
+            src, dst, lab = (np.concatenate(pair) for pair in zip((src, dst, lab), inserted))
         arrays = (src, dst, lab)
         self._edge_arrays = arrays
         return arrays
 
     def _base_deleted_mask(self) -> np.ndarray:
-        """Boolean mask over base edge positions that have been deleted."""
+        """Boolean mask over base edge positions that have been deleted:
+        the deleted edges' codes, looked up in the base's sorted edge index
+        (built once per base)."""
         base = self.base
-        deleted = self.delta.deleted_keys
-        max_label = int(base.edge_labels.max(initial=0)) + 1
-        stride = np.int64(max_label)
-        n = np.int64(base.num_vertices)
-        codes = (base.edge_src * n + base.edge_dst) * stride + base.edge_labels
-        del_codes = np.sort(
-            np.array([(s * n + d) * stride + l for s, d, l in deleted], dtype=np.int64)
-        )
-        pos = np.searchsorted(del_codes, codes)
-        pos[pos == len(del_codes)] = len(del_codes) - 1
-        return del_codes[pos] == codes
+        codes, order = base.edge_index
+        deleted = base.edge_codes(*self.delta.deleted_edges())
+        mask = np.zeros(base.num_edges, dtype=bool)
+        mask[order[np.searchsorted(codes, deleted)]] = True
+        return mask
 
     @property
     def edge_src(self) -> np.ndarray:
@@ -490,12 +393,17 @@ class GraphSnapshot:
         if src_label is ANY_LABEL and dst_label is ANY_LABEL:
             # Graph.edges-style short-circuit on the snapshot path: an
             # edge-label-only count never needs the merged edge arrays —
-            # deleted_keys names only base edges and the insert side is
+            # the delete side names only base edges and the insert side is
             # disjoint from both, so the three counts compose exactly.
-            base_count = self.base.count_edges(edge_label)
-            deleted = sum(1 for _, _, label in self.delta.deleted_keys if label == edge_label)
-            inserted = int(np.count_nonzero(self.delta.insert_labels == edge_label))
-            return base_count - deleted + inserted
+            def count(parts: Partitions) -> int:
+                return sum(len(codes) for (el, _), codes in parts.items() if el == edge_label)
+
+            forward = Direction.FORWARD
+            return (
+                self.base.count_edges(edge_label)
+                - count(self.delta.dels[forward])
+                + count(self.delta.adds[forward])
+            )
         src, _ = self.edges(edge_label, src_label, dst_label)
         return int(len(src))
 

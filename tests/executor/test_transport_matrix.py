@@ -248,8 +248,8 @@ def test_processes_return_the_threads_row_sequence_on_a_dirty_snapshot(
     rebuilt snapshot must scan the multi-batch delta in the coordinator's
     order, not in sorted order."""
     graph = graphs["dirty"]
-    delta = graph.delta
-    inserts = list(zip(delta.insert_src.tolist(), delta.insert_dst.tolist()))
+    src, dst, _ = graph.delta.inserted_edges()
+    inserts = list(zip(src.tolist(), dst.tolist()))
     assert inserts != sorted(inserts), "the delta must not already be in sorted order"
     plan = PLANS[plan_name]
     if plan_name == ADAPTIVE:

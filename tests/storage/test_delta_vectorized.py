@@ -25,7 +25,6 @@ from repro.graph.intersect import KeySet, member_sorted
 from repro.planner.plan import Plan, make_hash_join, wco_plan_from_order
 from repro.query import catalog_queries as cq
 from repro.storage import CompactionManager, DynamicGraph, GraphSnapshot
-from repro.storage.delta import DeltaStore
 
 from tests.storage.conftest import EQUIVALENCE_QUERIES, build_mutated_pair
 
@@ -160,49 +159,52 @@ class TestPartitionLaziness:
 
     @given(seed=st.integers(min_value=0, max_value=10_000), batches=st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
-    def test_memoised_partition_sizes_equal_a_recount(self, seed, batches):
-        """``partition_delta_edges`` counts each partition once per store;
-        every filter combination still equals a recount of the per-vertex
-        runs, on every store a write batch produces."""
+    def test_partition_sizes_equal_a_recount(self, seed, batches):
+        """``partition_delta_edges`` equals, for every filter combination and
+        on every store a write batch produces, a recount of the edges this
+        test itself inserted and deleted, grouped by partition."""
         rng = np.random.default_rng(seed)
         n = 12
+        vertex_labels = {v: int(rng.integers(0, 2)) for v in range(n)}
         base = {(int(s), int(d), int(l)) for s, d, l in rng.integers(0, [n, n, 2], size=(40, 3))}
-        graph = graph_from_edges(
-            [e for e in base if e[0] != e[1]],
-            vertex_labels={v: int(rng.integers(0, 2)) for v in range(n)},
-        )
+        base = {e for e in base if e[0] != e[1]}
+        graph = graph_from_edges(sorted(base), vertex_labels=vertex_labels)
         dynamic = DynamicGraph(graph, auto_compact=False)
+        live = set(base)
         labels = (ANY_LABEL, 0, 1, 2)
         for _ in range(batches):
-            inserts = rng.integers(0, [n, n, 2], size=(8, 3))
-            dynamic.add_edges([(int(s), int(d), int(l)) for s, d, l in inserts if s != d])
-            deletes = rng.choice(graph.num_edges, size=4, replace=False)
-            dynamic.delete_edges(
-                [
-                    (int(graph.edge_src[i]), int(graph.edge_dst[i]), int(graph.edge_labels[i]))
-                    for i in deletes
-                ]
-            )
+            inserts = [
+                (int(s), int(d), int(l)) for s, d, l in rng.integers(0, [n, n, 2], size=(8, 3))
+                if s != d
+            ]
+            dynamic.add_edges(inserts)
+            live |= set(inserts)
+            # Base edges, some already deleted, and this batch's inserts.
+            deletes = [sorted(base)[i] for i in rng.choice(len(base), size=4, replace=False)]
+            deletes += inserts[:2]
+            dynamic.delete_edges(deletes)
+            live -= set(deletes)
             delta = dynamic.snapshot().delta
+            changed = (live - base) | (base - live)
             for direction in Direction:
-                runs = [
-                    (key, len(run))
-                    for partitions in (delta._adds(direction), delta._dels(direction))
-                    for key, per_vertex in partitions.items()
-                    for run in per_vertex.values()
+                keys = [
+                    (l, vertex_labels[d if direction is Direction.FORWARD else s])
+                    for s, d, l in changed
                 ]
                 for edge_label in labels:
                     for neighbor_label in labels:
                         recount = sum(
-                            size
-                            for key, size in runs
-                            if DeltaStore._partition_matches(key, edge_label, neighbor_label)
+                            (edge_label is ANY_LABEL or el == edge_label)
+                            and (neighbor_label is ANY_LABEL or nl == neighbor_label)
+                            for el, nl in keys
                         )
-                        for _ in range(2):  # the first call fills the memo
-                            assert (
-                                delta.partition_delta_edges(direction, edge_label, neighbor_label)
-                                == recount
-                            )
+                        assert (
+                            delta.partition_delta_edges(direction, edge_label, neighbor_label)
+                            == recount
+                        )
+                        assert delta.touches_partition(
+                            direction, edge_label, neighbor_label
+                        ) == bool(recount)
 
     def test_count_edges_label_filter_avoids_materialization(self, mutated, monkeypatch):
         dynamic, fresh = mutated

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphConstructionError
 from repro.graph.builder import graph_from_edges
 from repro.graph.graph import ANY_LABEL, Direction, Graph
 from repro.storage import DeltaStore, DynamicGraph, GraphSnapshot
+from repro.storage.delta import vertex_run
 
 
 def small_base() -> Graph:
@@ -234,9 +237,65 @@ class TestDeltaStore:
 
     def test_structural_sharing(self):
         labels = np.zeros(6, dtype=np.int64)
-        store = DeltaStore.empty().with_insertions([(0, 1, 0), (2, 3, 0)], labels)
-        extended = store.with_insertions([(0, 4, 0)], labels)
-        # The untouched per-vertex array of vertex 2 is shared, not copied.
-        assert extended.fwd_add[(0, 0)][2] is store.fwd_add[(0, 0)][2]
-        assert list(store.fwd_add[(0, 0)][0]) == [1]
-        assert list(extended.fwd_add[(0, 0)][0]) == [1, 4]
+        base = graph_from_edges([(4, 5, 0)], vertex_labels={v: 0 for v in range(6)})
+
+        def insert(store, edges):
+            columns = (np.array(c, dtype=np.int64) for c in zip(*edges))
+            return store.with_insertions(base, *columns, labels)
+
+        store, _ = insert(DeltaStore.empty(), [(0, 1, 0), (2, 3, 1)])
+        extended, applied = insert(store, [(0, 4, 0), (4, 5, 0)])
+        assert applied.tolist() == [True, False]  # (4, 5, 0) is a base edge
+        # The older store is unchanged by the newer write.
+        fwd, bwd = Direction.FORWARD, Direction.BACKWARD
+        assert vertex_run(store.adds[fwd][(0, 0)], 0).tolist() == [1]
+        assert vertex_run(extended.adds[fwd][(0, 0)], 0).tolist() == [1, 4]
+        assert [a.tolist() for a in store.inserted_edges()] == [[0, 2], [1, 3], [0, 1]]
+        assert [a.tolist() for a in extended.inserted_edges()] == [[0, 2, 0], [1, 3, 4], [0, 1, 0]]
+        # Partitions the write did not touch are shared by identity.
+        for direction in (fwd, bwd):
+            assert extended.adds[direction][(1, 0)] is store.adds[direction][(1, 0)]
+        assert extended.dels is store.dels
+
+
+class TestWriteOrder:
+    def test_edge_scan_appends_inserts_in_write_order(self):
+        """A re-inserted edge moves to the end of the write order, also after
+        its removals have left most of the write log dead."""
+        dynamic = DynamicGraph(graph_from_edges([(0, 1)]), auto_compact=False)
+        dynamic.add_edges([(2, 3), (1, 2), (3, 1)])
+        dynamic.delete_edges([(2, 3)])
+        dynamic.add_edges([(2, 3)])
+        assert list(dynamic.iter_edges()) == [(0, 1, 0), (1, 2, 0), (3, 1, 0), (2, 3, 0)]
+        dynamic.delete_edges([(1, 2), (3, 1)])
+        dynamic.add_edges([(1, 2)])
+        assert list(dynamic.iter_edges()) == [(0, 1, 0), (2, 3, 0), (1, 2, 0)]
+        assert dynamic.snapshot().delta.log_size == 2
+
+
+class TestBaseDeletedMask:
+    @given(seed=st.integers(0, 10_000), deletes=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_mask_equals_a_recount(self, seed, deletes):
+        """The edge scan's deleted-base-edge mask, found through the base's
+        sorted edge index, marks exactly the deleted base edges: on
+        multi-label graphs where one neighbour is reached through every
+        label, with inserted edges on the same vertex pairs."""
+        rng = np.random.default_rng(seed)
+        n = 10
+        edges = {(int(s), int(d), int(l)) for s, d, l in rng.integers(0, [n, n, 3], size=(40, 3))}
+        edges = {e for e in edges if e[0] != e[1]} | {(0, 1, label) for label in range(3)}
+        graph = graph_from_edges(
+            sorted(edges), vertex_labels={v: int(rng.integers(0, 2)) for v in range(n)}
+        )
+        dynamic = DynamicGraph(graph, auto_compact=False)
+        order = list(graph.iter_edges())
+        picked = rng.choice(len(order), size=min(deletes, len(order)), replace=False)
+        gone = {order[i] for i in picked} | {(0, 1, 1)}
+        inserted = list(dict.fromkeys((s, d, 3) for s, d, _ in sorted(gone)))[:4]
+        dynamic.delete_edges(sorted(gone))
+        dynamic.add_edges(inserted)
+        snap = dynamic.snapshot()
+        assert snap._base_deleted_mask().tolist() == [e in gone for e in order]
+        assert list(snap.iter_edges()) == [e for e in order if e not in gone] + inserted
+
