@@ -56,8 +56,9 @@ class ExecutionConfig:
         The batch engine also treats it as the pipeline's demand: the SCAN
         the root pulls from starts with a batch of this many edges and
         doubles up to ``batch_size``, so a limited query does work in
-        proportion to its limit.  A HASH-JOIN build side is still built in
-        full.
+        proportion to its limit; below a frame that SCAN reads the input
+        edge order rather than ``(src, dst)`` order.  A HASH-JOIN build side
+        is still built in full.
     deadline:
         Optional absolute ``time.monotonic()`` timestamp.  Operators check it
         periodically while iterating and raise
@@ -75,9 +76,16 @@ class ExecutionConfig:
         matches are produced may differ.  The plan, and its cost, are the
         same either way.
     batch_size:
-        Rows per columnar frame emitted by the batch SCAN operator (and the
-        granularity of deadline checks in the batch engine); under
-        ``output_limit`` the largest frame the SCAN grows to.
+        Rows per columnar frame emitted by the batch SCAN operator, the cap
+        on the frames E/I and HASH-JOIN expand into, and the granularity of
+        deadline checks in the batch engine; under ``output_limit`` the
+        largest frame the SCAN grows to.  8,192 rows: every kernel call has
+        a fixed cost per frame.  Two in-process sweeps of Q5 on
+        livejournal@2 (2 vCPUs) ran 8,192-row frames in 0.80x and 0.98x the
+        time of 2,048-row ones, and 16,384 or 32,768 rows no faster beyond
+        that spread, with two to four times the frame memory.  The cost
+        model and the query service default to this value, so plans are
+        priced at the frame the engine runs.
 
     How a run is *distributed* is not set here: ``num_workers`` and
     ``execution_mode`` are arguments of :meth:`repro.api.GraphflowDB.execute`,
@@ -92,7 +100,7 @@ class ExecutionConfig:
     output_limit: Optional[int] = None
     deadline: Optional[float] = None
     vectorized: bool = True
-    batch_size: int = 2048
+    batch_size: int = 8192
 
 
 # How many tuples an operator processes between deadline checks; keeps the
@@ -144,14 +152,17 @@ def resolve_hash_join(
 
 
 def scan_edge_arrays(
-    scan_node: ScanNode, graph: Graph, config: ExecutionConfig
+    scan_node: ScanNode, graph: Graph, config: ExecutionConfig, adjacency_order: bool = False
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(src, dst)`` edge arrays for a SCAN leaf, with the config's scan
     range applied when it targets this scan (shared by the iterator and
-    vectorized executors)."""
+    vectorized executors).  The edges come in the graph's input order
+    (``graph.edges``) or, under ``adjacency_order``, in ``(src, dst)`` order
+    (``graph.scan_edges``); the scan range indexes whichever is read."""
     edge = scan_node.edge
     query = scan_node.sub_query
-    src, dst = graph.edges(
+    read = graph.scan_edges if adjacency_order else graph.edges
+    src, dst = read(
         edge_label=edge.label,
         src_label=query.vertex_label(edge.src),
         dst_label=query.vertex_label(edge.dst),

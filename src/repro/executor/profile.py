@@ -38,6 +38,9 @@ class ExecutionProfile:
     # their probe subtrees never ran, so they have no per-operator entries
     # and no i-cost.
     mirrored_joins: int = 0
+    # E/I input frames whose rows were not already in adjacency-key order,
+    # so that E/I had to sort them before grouping (batch engine).
+    sorted_frames: int = 0
     batches: int = 0
     # Wall-clock duration of the run.  Under `merge` this takes the max of
     # the two sides: parallel morsels overlap in time, so their wall clocks
@@ -123,6 +126,7 @@ class ExecutionProfile:
             hash_table_entries=self.hash_table_entries + other.hash_table_entries,
             hash_probes=self.hash_probes + other.hash_probes,
             mirrored_joins=self.mirrored_joins + other.mirrored_joins,
+            sorted_frames=self.sorted_frames + other.sorted_frames,
             batches=self.batches + other.batches,
             elapsed_seconds=max(self.elapsed_seconds, other.elapsed_seconds),
             workers=self.workers + other.workers,
@@ -147,6 +151,7 @@ class ExecutionProfile:
             "hash_table_entries": self.hash_table_entries,
             "hash_probes": self.hash_probes,
             "mirrored_joins": self.mirrored_joins,
+            "sorted_frames": self.sorted_frames,
             "batches": self.batches,
             "elapsed_seconds": self.elapsed_seconds,
             "busy_seconds": self.busy_seconds,

@@ -7,14 +7,20 @@ dominates runtimes.  The operators here exchange 2-D ``int64`` NumPy frames
 instead: each frame holds a batch of partial matches, one row per match, with
 columns aligned to the plan node's ``out_vertices`` order.
 
-* :class:`BatchScanOperator` slices edge batches straight out of the graph's
-  edge arrays and verifies extra (parallel/reciprocal) query edges with a
-  vectorized membership test over sorted adjacency keys.  Under an
-  ``output_limit`` the SCAN the pipeline pulls from sizes its batches to the
-  demand: the first holds ``output_limit`` edges and each later one doubles
-  up to ``batch_size``.  Like Graphflow's pull-based pipeline (Section 7),
-  a row-limited query then stops after roughly the work its rows need,
-  instead of extending a whole frame first.
+* :class:`BatchScanOperator` slices edge batches of ``batch_size`` (8,192)
+  rows straight out of the graph's edge arrays and verifies extra
+  (parallel/reciprocal) query edges with a vectorized membership test over
+  sorted adjacency keys.  A full scan reads its edges in ``(src, dst)``
+  order off the forward CSR partition E/I reads (``graph.scan_edges``), the
+  way Graphflow's SCAN walks its sorted adjacency lists, so the E/I above it
+  receives its frames in key order.  Under an ``output_limit`` the SCAN the
+  pipeline pulls from sizes its batches to the demand: the first holds
+  ``output_limit`` edges and each later one doubles up to ``batch_size``.
+  Like Graphflow's pull-based pipeline (Section 7), a row-limited query
+  then stops after roughly the work its rows need, instead of extending a
+  whole frame first.  A SCAN whose demand is below a frame reads the input
+  edge order (``graph.edges``), as do the catalogue sampler's and the
+  reference executor's.
 * :class:`BatchExtendIntersectOperator` groups each batch by its
   adjacency key, packed into one ``int64`` code per row the way HASH-JOIN
   packs its join key (a stable sort of the codes, skipped when they already
@@ -79,11 +85,18 @@ guarantee of their outputs:
   back with non-decreasing group ids and sorted values — the ragged
   expansion gathers index directly into that layout.  The packed code
   ``((k0*n + k1)*n + k2)...`` orders rows as the key columns do, so a frame
-  is sorted by it only when its codes are not already non-decreasing: an
-  E/I emits its rows in key order, extensions ascending, so the next E/I
-  usually receives them sorted.  Keys too wide for one code (over
-  ``_CODE_BITS``, HASH-JOIN's boundary too) are lexsorted column by column;
-  both orders are the same;
+  is sorted by it only when its codes are not already non-decreasing.  Two
+  producers emit key order: an unlimited SCAN emits ``(src, dst)`` order,
+  and an E/I directly above it keys the scanned source's column first; an
+  E/I emits its rows in key order, extensions ascending.  ``_sort_by_key``
+  still sorts a frame (counted as ``ExecutionProfile.sorted_frames``) when
+  its E/I keys on columns its producer did not order by: a key without the
+  scanned source, a row-limited or sampled SCAN, a HASH-JOIN's output, or
+  an E/I child whose order does not extend to this key (its key is not
+  where this key begins, or several of its input rows shared a key, so
+  their ascending extensions interleave).  Keys too wide for one
+  code (over ``_CODE_BITS``, HASH-JOIN's boundary too) are lexsorted column
+  by column; both orders are the same;
 * expansion into built frames is chunked (``_expansion_segments``) so no
   output frame grows far beyond ``batch_size`` rows regardless of per-row
   fanout, bounding peak memory multiplicatively through an operator chain;
@@ -163,13 +176,16 @@ def _sort_by_key(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``frame``'s rows ordered by the columns ``key_idx``, rows with equal
     keys in input order, and their keys: one packed code per row, or under
-    ``packed=False`` the key columns themselves.  Packed codes are sorted only
-    when they are not already non-decreasing, which is how an E/I's frames
-    usually arrive at the next E/I."""
+    ``packed=False`` the key columns themselves.  A frame already in key
+    order is returned as is (packed codes are not even sorted then), which
+    is how an unlimited SCAN's frames and an E/I's usually arrive."""
     key_cols = frame[:, key_idx]
     if not packed:
         order = np.lexsort(key_cols[:, ::-1].T)
-        return frame.take(order, axis=0), key_cols[order]
+        # The sort is stable, so rows already in key order keep their order.
+        if np.any(order[1:] < order[:-1]):
+            return frame.take(order, axis=0), key_cols[order]
+        return frame, key_cols
     codes = _pack(key_cols, n_vertices)
     if np.any(codes[1:] < codes[:-1]):
         order = np.argsort(codes, kind="stable")
@@ -194,9 +210,12 @@ def _ragged_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     if total == 0:
         return _EMPTY_I64
-    ends = np.cumsum(counts)
-    inner = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return np.repeat(starts, counts) + inner
+    # Position j of the output lies in segment i at starts[i] + (j - the
+    # segment's first output position): one repeat of the per-segment
+    # offsets, then the running index added in place.
+    positions = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    positions += np.arange(total, dtype=np.int64)
+    return positions
 
 
 def _group_runs(
@@ -304,9 +323,14 @@ class BatchScanOperator(BatchOperator):
     from ``edges``, a ``(src, dst)`` subset of them: the sampled scan that
     catalogue construction extends (Section 5.1).
 
-    ``demand``, the rows a row-limited query needs, makes the first batch
-    ``min(batch_size, demand)`` edges and each later one twice the last, up
-    to ``batch_size``; without it every batch is ``batch_size`` edges."""
+    Without ``demand`` every batch is ``batch_size`` edges, read in
+    ``(src, dst)`` order off the forward CSR (``graph.scan_edges``), the way
+    Graphflow's SCAN walks its sorted adjacency lists.  ``demand``, the rows
+    a row-limited query needs, makes the first batch ``demand`` edges and
+    each later one twice the last, up to ``batch_size``, and reads the edges
+    in input order (``graph.edges``): the first edges of the CSR order hang
+    off a few low-id vertices, which on some graphs take many doublings to
+    yield the rows.  A demand of a frame or more runs as unlimited."""
 
     def __init__(
         self,
@@ -331,14 +355,17 @@ class BatchScanOperator(BatchOperator):
         self._name = node.display_name()
 
     def frames(self) -> Iterator[np.ndarray]:
+        batch = max(1, self.config.batch_size)
+        limited = self._demand is not None and self._demand < batch
         if self._edges is None:
-            src, dst = scan_edge_arrays(self.scan_node, self.graph, self.config)
+            src, dst = scan_edge_arrays(
+                self.scan_node, self.graph, self.config, adjacency_order=not limited
+            )
         else:
             src, dst = self._edges
         edge = self.scan_node.edge
         n_vertices = self.graph.num_vertices
-        batch = max(1, self.config.batch_size)
-        size = batch if self._demand is None else max(1, min(batch, self._demand))
+        size = max(1, self._demand) if limited else batch
         start = 0
         while start < len(src):
             self._check_deadline()
@@ -425,6 +452,11 @@ class BatchExtendIntersectOperator(_FrameExpander):
             # off it.
             assert child.node.out_vertices[-1] == child.extend_node.to_vertex
             assert all(idx < len(child.node.out_vertices) - 1 for idx, _, _ in covered)
+        if isinstance(child, BatchScanOperator):
+            # An unlimited SCAN emits its edges in (src, dst) order: key the
+            # scanned source's column first, so its frames arrive sorted.
+            source = child.node.out_vertices.index(child.scan_node.edge.src)
+            resolved.sort(key=lambda descriptor: descriptor[0] != source)
         self._resolved = resolved
         self._key_idx = np.array([idx for idx, _, _ in resolved], dtype=np.int64)
         self._codes_fit = _codes_fit(len(resolved), self.graph.num_vertices)
@@ -565,6 +597,9 @@ class BatchExtendIntersectOperator(_FrameExpander):
         sorted_frame, keys = _sort_by_key(
             frame, self._key_idx, self.graph.num_vertices, self._codes_fit
         )
+        if sorted_frame is not frame:
+            self.profile.sorted_frames += 1
+            self.profile.record_operator(self._name, sorted=1)
         starts, group_sizes, group_of_row = _group_runs(keys)
         unique_keys = sorted_frame[starts][:, self._key_idx]
         num_groups = len(starts)

@@ -84,6 +84,17 @@ class _CSR:
         csr.__dict__["codes"] = codes  # the cached property's own slot
         return csr
 
+    def pairs(
+        self, labels: np.ndarray, anchor_label: Optional[int] = ANY_LABEL
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every ``(anchor, neighbour)`` pair in CSR order, by anchor and
+        then neighbour, whose anchor carries ``anchor_label`` in ``labels``."""
+        anchors = np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int64), np.diff(self.indptr))
+        if anchor_label is ANY_LABEL:
+            return anchors, self.indices
+        keep = labels[anchors] == anchor_label
+        return anchors[keep], self.indices[keep]
+
 
 def _build_csr(
     num_vertices: int, sources: np.ndarray, targets: np.ndarray
@@ -131,6 +142,10 @@ class Graph:
     _merged_cache: Dict[Tuple[str, Optional[int], Optional[int]], _CSR] = field(
         default_factory=dict, repr=False
     )
+    # scan_edges per (edge_label, src_label, dst_label) filter.
+    _scan_cache: Dict[
+        Tuple[Optional[int], Optional[int], Optional[int]], Tuple[np.ndarray, np.ndarray]
+    ] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------ #
     # construction
@@ -236,24 +251,9 @@ class Graph:
             return _CSR(np.zeros(n + 1, dtype=np.int64), np.array([], dtype=np.int64))
         if len(parts) == 1:
             return parts[0]
-        counts = np.zeros(n, dtype=np.int64)
-        for csr in parts:
-            counts += np.diff(csr.indptr)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for csr in parts:
-            for v in range(n):
-                nbrs = csr.neighbors(v)
-                if len(nbrs):
-                    indices[cursor[v]:cursor[v] + len(nbrs)] = nbrs
-                    cursor[v] += len(nbrs)
-        # Re-sort each vertex's merged list so intersections stay merge-based.
-        for v in range(n):
-            seg = indices[indptr[v]:indptr[v + 1]]
-            seg.sort()
-        return _CSR(indptr, indices)
+        # One sort of every part's codes keeps each vertex's merged list
+        # sorted, so intersections stay merge-based.
+        return _CSR.from_codes(np.sort(np.concatenate([csr.codes for csr in parts])), n)
 
     def neighbors(
         self,
@@ -343,7 +343,9 @@ class Graph:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(src, dst)`` arrays of all edges matching the label filters.
 
-        This is what the SCAN operator iterates over.  The unfiltered case
+        In input order: what the reference executor's SCAN, a row-limited
+        batch SCAN and the catalogue sampler iterate over (an unlimited
+        batch SCAN reads :meth:`scan_edges` instead).  The unfiltered case
         (every filter ``ANY_LABEL``) is hot in catalogue construction, morsel
         partitioning, and update-rate accounting, so it short-circuits to the
         stored edge arrays instead of allocating full-edge boolean masks.
@@ -360,6 +362,25 @@ class Graph:
             part = self.vertex_labels[self.edge_dst] == dst_label
             mask = part if mask is None else mask & part
         return self.edge_src[mask], self.edge_dst[mask]
+
+    def scan_edges(
+        self,
+        edge_label: Optional[int] = ANY_LABEL,
+        src_label: Optional[int] = ANY_LABEL,
+        dst_label: Optional[int] = ANY_LABEL,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The edges :meth:`edges` returns, as a multiset, in ``(src, dst)``
+        order: the pairs of the forward :meth:`csr` partition E/I reads,
+        filtered by the source label.  Consecutive edges then share their
+        source's adjacency list, which is what the batch SCAN emits.
+        Derived once per filter and kept with the graph."""
+        key = (edge_label, src_label, dst_label)
+        cached = self._scan_cache.get(key)
+        if cached is None:
+            csr = self.csr(Direction.FORWARD, edge_label, dst_label)
+            cached = csr.pairs(self.vertex_labels, src_label)
+            self._scan_cache[key] = cached
+        return cached
 
     def count_edges(
         self,

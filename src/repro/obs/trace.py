@@ -75,6 +75,8 @@ class OperatorStats:
     #: A HASH-JOIN that probed with its build side's own rows: its probe
     #: subtree never ran, so it has no rows here.
     mirrored: bool = False
+    #: Input frames an E/I had to sort into adjacency-key order first.
+    sorted_frames: int = 0
 
     @property
     def has_estimate(self) -> bool:
@@ -89,6 +91,7 @@ class OperatorStats:
             "seconds": self.seconds,
             "batches": self.batches,
             "mirrored": self.mirrored,
+            "sorted_frames": self.sorted_frames,
         }
 
 
@@ -236,9 +239,10 @@ class QueryTrace:
                 qe = f"{op.q_error:.2f}" if op.has_estimate else "-"
                 timing = f" {op.seconds * 1e3:.2f}ms" if op.seconds else ""
                 mirrored = "  probe side mirrored from build" if op.mirrored else ""
+                resorted = f"  sorted {op.sorted_frames} input frame(s)" if op.sorted_frames else ""
                 lines.append(
                     f"    {op.name:<28} actual={op.actual:<10} est={est:<10} "
-                    f"q-error={qe}{timing}{mirrored}"
+                    f"q-error={qe}{timing}{mirrored}{resorted}"
                 )
         return "\n".join(lines)
 
@@ -269,6 +273,7 @@ def operator_stats_from_profile(
                 seconds=float(operator_seconds.get(name, 0.0)),
                 batches=int(counters.get("batches", 0)),
                 mirrored=bool(counters.get("mirrored", 0)),
+                sorted_frames=int(counters.get("sorted", 0)),
             )
         )
     return rows

@@ -42,6 +42,7 @@ import numpy as np
 from repro.catalogue.catalogue import SubgraphCatalogue
 from repro.catalogue.estimation import estimate_cardinality, extension_statistics
 from repro.errors import CatalogueError
+from repro.executor.operators import ExecutionConfig
 from repro.graph.graph import Graph
 from repro.planner.descriptors import AdjListDescriptor
 from repro.planner.plan import ExtendNode, HashJoinNode, Plan, PlanNode, ScanNode
@@ -113,7 +114,7 @@ class CostModel:
         probe_weight: Optional[float] = None,
         cache_conscious: bool = True,
         constants: Optional[CostConstants] = None,
-        batch_size: int = 2048,
+        batch_size: int = ExecutionConfig.batch_size,
     ) -> None:
         self.graph = graph
         self.catalogue = catalogue

@@ -153,7 +153,7 @@ class QueryService:
         num_workers: int = 1,
         execution_mode: str = "thread",
         vectorized: bool = True,
-        batch_size: int = 2048,
+        batch_size: int = ExecutionConfig.batch_size,
         ops_addr: Optional[Union[int, str, Tuple[str, int]]] = None,
     ) -> None:
         if max_concurrent < 1:

@@ -421,6 +421,9 @@ class DynamicGraph:
     def edges(self, *args, **kwargs) -> Tuple[np.ndarray, np.ndarray]:
         return self.snapshot().edges(*args, **kwargs)
 
+    def scan_edges(self, *args, **kwargs) -> Tuple[np.ndarray, np.ndarray]:
+        return self.snapshot().scan_edges(*args, **kwargs)
+
     def count_edges(self, *args, **kwargs) -> int:
         return self.snapshot().count_edges(*args, **kwargs)
 

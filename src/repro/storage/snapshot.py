@@ -37,10 +37,13 @@ merged CSR/adjacency-key arrays satisfy exactly the ordering contracts
 (sorted per-vertex runs, globally sorted key arrays) the vectorized
 operators' binary searches assume.
 
-An edge scan appends the inserted edges, in the order they were written, to
-the base edges that were not deleted; the deleted ones are found through the
-base's sorted edge index (:attr:`Graph.edge_index`), built once per base on
-the first scan that needs it.
+An edge scan (:meth:`GraphSnapshot.edges`) appends the inserted edges, in
+the order they were written, to the base edges that were not deleted; the
+deleted ones are found through the base's sorted edge index
+(:attr:`Graph.edge_index`), built once per base on the first scan that needs
+it.  The batch engine's full scan (:meth:`GraphSnapshot.scan_edges`) needs
+neither: it reads the merged forward CSR of its version, which E/I builds
+anyway.
 """
 
 from __future__ import annotations
@@ -84,6 +87,9 @@ class GraphSnapshot:
         self._csr_cache: Dict[Tuple[str, Optional[int], Optional[int]], _CSR] = {}
         self._keys_cache: Dict[Tuple[str, Optional[int], Optional[int]], List[PartitionKey]] = {}
         self._edge_arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._scan_cache: Dict[
+            Tuple[Optional[int], Optional[int], Optional[int]], Tuple[np.ndarray, np.ndarray]
+        ] = {}
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -381,6 +387,25 @@ class GraphSnapshot:
             part = self.vertex_labels[dst] == dst_label
             mask = part if mask is None else mask & part
         return src[mask], dst[mask]
+
+    def scan_edges(
+        self,
+        edge_label: Optional[int] = ANY_LABEL,
+        src_label: Optional[int] = ANY_LABEL,
+        dst_label: Optional[int] = ANY_LABEL,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`Graph.scan_edges` of this version: the pairs of the forward
+        partition :meth:`csr` serves, filtered by the source label.  The
+        base's own arrays when the delta leaves that partition untouched."""
+        if self._partition_clean(Direction.FORWARD, edge_label, dst_label):
+            return self.base.scan_edges(edge_label, src_label, dst_label)
+        key = (edge_label, src_label, dst_label)
+        cached = self._scan_cache.get(key)
+        if cached is None:
+            csr = self.csr(Direction.FORWARD, edge_label, dst_label)
+            cached = csr.pairs(self.vertex_labels, src_label)
+            self._scan_cache[key] = cached
+        return cached
 
     def count_edges(
         self,

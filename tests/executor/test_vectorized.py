@@ -343,7 +343,9 @@ class TestChainedExtendIntersect:
     ):
         """Collected == iterator == LFTJ on every plan, and on the first one
         counted == collected with every counter but the root's ``batches``
-        equal (``_counters``)."""
+        equal (``_counters``).  The matches do not depend on the plan, so the
+        oracles run once per example: the iterator's rows, read in each
+        plan's column order, and LFTJ's count."""
         graph = erdos_renyi(24, 170, seed=seed)
         if labelled:
             graph = with_random_vertex_labels(graph, 2, seed=seed)
@@ -352,23 +354,25 @@ class TestChainedExtendIntersect:
         query = random_connected_query(
             num_vertices, avg_degree=avg_degree, seed=seed, num_vertex_labels=2 if labelled else 1
         )
-        lftj = LeapfrogTrieJoin(graph)
         config = ExecutionConfig(
             vectorized=True, isomorphism=isomorphism,
             enable_intersection_cache=cache, batch_size=batch_size,
         )
-        for i, plan in enumerate(enumerate_wco_plans(query)[:3]):
-            iterator = execute_plan(
-                plan, graph, ExecutionConfig(isomorphism=isomorphism, **ITER), collect=True
-            )
+        plans = enumerate_wco_plans(query)[:3]
+        iterator = execute_plan(
+            plans[0], graph, ExecutionConfig(isomorphism=isomorphism, **ITER), collect=True
+        )
+        if not isomorphism:
+            assert iterator.num_matches == LeapfrogTrieJoin(graph).count(query).num_matches
+        for i, plan in enumerate(plans):
+            columns = [iterator.vertex_order.index(v) for v in plan.root.out_vertices]
+            expected = sorted(tuple(row[c] for c in columns) for row in iterator.matches)
             got = execute_plan(plan, graph, config, collect=True)
-            assert sorted(got.matches) == sorted(iterator.matches)
+            assert sorted(got.matches) == expected
             if i == 0:
                 counted = execute_plan(plan, graph, config)
                 assert counted.num_matches == got.num_matches
                 assert _counters(counted.profile, plan) == _counters(got.profile, plan)
-            if not isomorphism:
-                assert got.num_matches == lftj.count(query, ordering=plan.qvo()).num_matches
 
     @pytest.mark.parametrize("batch_size", [3, 64])
     def test_a_count_is_one_per_input_frame(self, chained_graph, oracle, batch_size):
@@ -890,10 +894,11 @@ class TestRowLimitDemand:
     def test_a_row_limit_reads_about_its_rows_not_a_frame(self):
         """Every edge of a complete digraph closes triangles, so ten rows
         need ten scanned edges.  Extending a whole ``batch_size`` frame
-        first reads the two adjacency lists of each of its edges."""
-        n = 70
-        graph = complete_graph(n)
+        first reads the two adjacency lists of each of its edges.  The graph
+        grows with the default frame, so it holds more than two frames."""
         batch = ExecutionConfig().batch_size
+        n = math.isqrt(2 * batch) + 2
+        graph = complete_graph(n)
         assert graph.num_edges > 2 * batch
         plan = LIMIT_PLANS["triangle"]
         whole_frame_i_cost = batch * 2 * (n - 1)

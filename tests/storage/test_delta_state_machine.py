@@ -6,7 +6,8 @@ absent edges), ``add_vertices``, ``compact`` and snapshot pins.  After every
 step, every pinned snapshot and the live one must answer the whole read API
 exactly as the model of its own version does: per-vertex ``neighbors`` /
 ``degree`` / ``has_edge``, the columnar ``csr`` / ``adjacency_keys``, the edge
-scans in scan order, and the per-partition delta sizes the cost model reads.
+scans in scan order, the batch engine's full scan (``scan_edges``) in
+``(src, dst)`` order, and the per-partition delta sizes the cost model reads.
 """
 
 from __future__ import annotations
@@ -188,6 +189,9 @@ def check_snapshot(snap, version: Version) -> None:
                 )
                 src, dst = snap.edges(el, src_label, dst_label)
                 assert sorted(zip(src.tolist(), dst.tolist())) == want
+                # The batch engine's full scan: the same edges, sorted.
+                src, dst = snap.scan_edges(el, src_label, dst_label)
+                assert list(zip(src.tolist(), dst.tolist())) == want
                 assert snap.count_edges(el, src_label, dst_label) == len(want)
     for s in range(n):
         for d in range(n):
