@@ -10,7 +10,7 @@ columns aligned to the plan node's ``out_vertices`` order.
 * :class:`BatchScanOperator` slices edge batches of ``batch_size`` (8,192)
   rows straight out of the graph's edge arrays and verifies extra
   (parallel/reciprocal) query edges with a vectorized membership test over
-  sorted adjacency keys.  A full scan reads its edges in ``(src, dst)``
+  sorted adjacency keys.  An unlimited scan reads its edges in ``(src, dst)``
   order off the forward CSR partition E/I reads (``graph.scan_edges``), the
   way Graphflow's SCAN walks its sorted adjacency lists, so the E/I above it
   receives its frames in key order.  Under an ``output_limit`` the SCAN the
