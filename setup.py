@@ -1,6 +1,6 @@
-"""Setup shim so that editable installs work without the ``wheel`` package
-(the offline environment has setuptools but no wheel; metadata lives in
-pyproject.toml)."""
+"""Package metadata.  A plain ``setup.py`` (no ``pyproject.toml``) so that
+``pip install -e .`` works with setuptools alone, without the ``wheel``
+package.  scipy is needed only by the EmptyHeaded GHD baseline's LP."""
 
 from setuptools import find_packages, setup
 
@@ -14,5 +14,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy>=1.21", "scipy>=1.7", "networkx>=2.6"],
+    install_requires=["numpy>=1.21", "scipy>=1.7"],
 )

@@ -18,7 +18,6 @@ from itertools import combinations
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.query.query_graph import QueryGraph
 
@@ -27,8 +26,12 @@ def fractional_edge_cover(query: QueryGraph) -> float:
     """Minimum fractional edge cover number (the AGM exponent) of the query.
 
     Solved as a small linear program: minimise the sum of edge weights subject
-    to every query vertex being covered by total weight at least 1.
+    to every query vertex being covered by total weight at least 1.  scipy
+    is imported here, on the first solve, so that importing the package (the
+    CLI, the server, the benchmark) does not pay its ~45 MiB.
     """
+    from scipy.optimize import linprog
+
     vertices = list(query.vertices)
     edges = list(query.edges)
     if not edges:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from array import array
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -17,6 +18,11 @@ class GraphBuilder:
     labels) or implicitly by being mentioned in :meth:`add_edge`, in which case
     they receive label ``0``.
 
+    Edges are held in three ``array('q')`` columns (src, dst, label), 24 bytes
+    an edge with no Python object per edge.  With ``deduplicate`` a repeated
+    ``(src, dst, label)`` triple is dropped once, in :meth:`build`, keeping its
+    first occurrence in insertion order.
+
     Example
     -------
     >>> b = GraphBuilder()
@@ -29,8 +35,9 @@ class GraphBuilder:
 
     def __init__(self, deduplicate: bool = True) -> None:
         self._vertex_labels: Dict[int, int] = {}
-        self._edges: List[Tuple[int, int, int]] = []
-        self._edge_set: set = set()
+        self._src = array("q")
+        self._dst = array("q")
+        self._labels = array("q")
         self._deduplicate = deduplicate
 
     # ------------------------------------------------------------------ #
@@ -47,14 +54,9 @@ class GraphBuilder:
             raise GraphConstructionError("vertex ids must be non-negative")
         if src == dst:
             raise GraphConstructionError("self-loops are not supported")
-        key = (src, dst, label)
-        if self._deduplicate:
-            if key in self._edge_set:
-                return self
-            self._edge_set.add(key)
-        self._edges.append(key)
-        self._vertex_labels.setdefault(src, 0)
-        self._vertex_labels.setdefault(dst, 0)
+        self._src.append(src)
+        self._dst.append(dst)
+        self._labels.append(label)
         return self
 
     def add_edges(self, edges: Iterable[Tuple[int, ...]]) -> "GraphBuilder":
@@ -70,20 +72,46 @@ class GraphBuilder:
 
     @property
     def num_vertices(self) -> int:
-        return len(self._vertex_labels)
+        """Distinct vertex ids added or mentioned by an edge so far."""
+        ids = np.concatenate(
+            [np.fromiter(self._vertex_labels, np.int64, len(self._vertex_labels)), self._src, self._dst]
+        )
+        return int(len(np.unique(ids)))
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        """Edges :meth:`build` would keep (distinct triples when deduplicating)."""
+        return int(len(self._edge_columns()[0]))
 
     # ------------------------------------------------------------------ #
+    def _edge_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        src = np.array(self._src, dtype=np.int64)
+        dst = np.array(self._dst, dtype=np.int64)
+        labels = np.array(self._labels, dtype=np.int64)
+        if self._deduplicate:
+            # lexsort is stable, so each run of equal triples starts at the
+            # triple's first occurrence.
+            order = np.lexsort((labels, dst, src))
+            s, d, lab = src[order], dst[order], labels[order]
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = (s[1:] != s[:-1]) | (d[1:] != d[:-1]) | (lab[1:] != lab[:-1])
+            if not first.all():
+                keep = np.sort(order[first])
+                src, dst, labels = src[keep], dst[keep], labels[keep]
+        return src, dst, labels
+
     def build(self, name: str = "graph", num_vertices: Optional[int] = None) -> Graph:
         """Freeze the accumulated vertices and edges into a ``Graph``.
 
         Vertex ids must be dense (0..n-1); if ``num_vertices`` is given,
         vertices up to that count exist even if isolated.
         """
-        max_seen = max(self._vertex_labels) if self._vertex_labels else -1
+        src, dst, labels = self._edge_columns()
+        max_seen = max(
+            max(self._vertex_labels, default=-1),
+            int(src.max(initial=-1)),
+            int(dst.max(initial=-1)),
+        )
         n = max_seen + 1 if num_vertices is None else num_vertices
         if num_vertices is not None and max_seen >= num_vertices:
             raise GraphConstructionError(
@@ -92,15 +120,11 @@ class GraphBuilder:
         vertex_labels = np.zeros(n, dtype=np.int64)
         for v, lab in self._vertex_labels.items():
             vertex_labels[v] = lab
-        if self._edges:
-            src, dst, lab = map(np.asarray, zip(*self._edges))
-        else:
-            src = dst = lab = np.array([], dtype=np.int64)
         return Graph(
             vertex_labels=vertex_labels,
             edge_src=src,
             edge_dst=dst,
-            edge_labels=lab,
+            edge_labels=labels,
             name=name,
         )
 

@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 from repro.graph.intersect import (
     KeySet,
     contains_sorted,
-    gallop_search,
     intersect_multiway,
     intersect_sorted,
     intersect_sorted_gallop,
+    locate_sorted,
+    member_sorted,
+)
+
+from tests.graph.intersect_reference import (
+    gallop_search,
     intersect_sorted_gallop_python,
     intersect_sorted_python,
     is_sorted_unique,
-    locate_sorted,
-    member_sorted,
 )
 
 
