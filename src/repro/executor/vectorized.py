@@ -44,17 +44,19 @@ columns aligned to the plan node's ``out_vertices`` order.
   ``np.repeat`` + ragged gathers.
 * :class:`BatchAdaptiveOperator` (Section 6) routes each row of a frame to
   the cheapest of several E/I chains and drives those chains' ``_process``.
-* :class:`BatchHashJoinOperator` sorts the build side by a packed join code
-  and *locates* the probe side in it: probe codes sorted, one
-  ``searchsorted``, and per hit the bucket of build rows it matches.  From
-  there it either fills one preallocated output frame per probe batch or,
-  for a counting sink, sums the bucket sizes over runs of probe codes as
-  long as the table (the sort-merge form of the join: one pass over the
-  table per run instead of one per batch).  When the probe sub-query is the
-  build sub-query under a vertex renaming, the probe side's matches are the
-  build side's with their columns permuted: the join drains the build side
-  once, probes with those rows, and never builds the probe subtree (off
-  under a ``scan_range``, which makes the probe rows a subset).
+* :class:`BatchHashJoinOperator` packs every join key into one code.  A
+  counting sink with no predicate and no row limit tags the codes by side
+  (``key << 1`` build, ``key << 1 | 1`` probe, ``uint32`` when they fit),
+  sorts them all once and sums ``build run x probe run`` per key
+  (:func:`count_tagged_pairs`): no table, no lookup.  Otherwise the build
+  side is sorted by code with its payload and each probe frame is *located*
+  in it (probe codes sorted, one ``searchsorted``, and per hit the bucket of
+  build rows it matches), then expanded into one preallocated output frame.
+  When the probe sub-query is the build sub-query under a vertex renaming,
+  the probe side's matches are the build side's with their columns
+  permuted: the join drains the build side once, probes with those rows,
+  and never builds the probe subtree (off under a ``scan_range``, which
+  makes the probe rows a subset).
 
 Match *counts* are identical to the reference executor on every plan; only the
 order in which matches are produced may differ (E/I sorts each batch by its
@@ -65,9 +67,9 @@ assembling the frames they would have produced — the paper's SINK, for which
 the hash-join cost ``w1*n1 + w2*n2`` (Section 4.2) has no output term.  Only
 the root is asked for counts; every operator below it produces frames.  A
 count needs no frame chunking, so a counting E/I without isomorphism yields
-one count per input frame and a counting HASH-JOIN without predicates one
-per probe run, rather than one per would-be frame: the root's ``batches``
-counter is the one that differs from a collecting run.
+one count per input frame and a counting HASH-JOIN without predicates or a
+row limit one count in all, rather than one per would-be frame: the root's
+``batches`` counter is the one that differs from a collecting run.
 
 Batch-grouping invariants — what the operators assume of their inputs and
 guarantee of their outputs:
@@ -95,8 +97,8 @@ guarantee of their outputs:
   an E/I child whose order does not extend to this key (its key is not
   where this key begins, or several of its input rows shared a key, so
   their ascending extensions interleave).  Keys too wide for one
-  code (over ``_CODE_BITS``, HASH-JOIN's boundary too) are lexsorted column
-  by column; both orders are the same;
+  code (over ``_CODE_BITS``) are lexsorted column by column; both orders
+  are the same.  A HASH-JOIN key that wide is a :class:`PlanError`;
 * expansion into built frames is chunked (``_expansion_segments``) so no
   output frame grows far beyond ``batch_size`` rows regardless of per-row
   fanout, bounding peak memory multiplicatively through an operator chain;
@@ -151,8 +153,7 @@ from repro.query.isomorphism import isomorphism_mapping
 _EMPTY_I64 = np.array([], dtype=np.int64)
 
 # E/I adjacency keys and hash-join keys are packed into one int64 code; beyond
-# this many bits E/I lexsorts the key columns and the hash join falls back to a
-# per-row Python hash table.
+# this many bits E/I lexsorts the key columns and a HASH-JOIN is refused.
 _CODE_BITS = 62
 
 
@@ -263,6 +264,37 @@ def _expansion_segments(counts: np.ndarray, cap: int) -> Iterator[Tuple[int, int
         end = max(end, start + 1)
         yield start, min(end, n)
         start = end
+
+
+def count_tagged_pairs(codes: np.ndarray, slice_size: int = 1 << 17) -> int:
+    """Σ over keys ``k`` of #``2k`` x #``2k + 1`` in the sorted ``codes``: a
+    join's match count when its build side tagged each key ``k << 1`` and
+    its probe side ``k << 1 | 1``.
+
+    The scan takes slices of about ``slice_size`` codes, each cut back to
+    the first code of the key it would split (or, when that key began the
+    slice, stretched to its last code), so a key lies in one slice and the
+    temporaries stay small.  A run of an even ``v`` followed by a run of
+    ``v + 1`` (values differing in the low bit only) is a key both sides
+    hold."""
+    total = 0
+    n = len(codes)
+    lo = 0
+    while lo < n:
+        hi = lo + slice_size
+        if hi < n:
+            first = (codes[hi] >> 1) << 1
+            hi = lo + int(np.searchsorted(codes[lo:hi], first))
+            if hi == lo:
+                hi += int(np.searchsorted(codes[lo:], first + 1, side="right"))
+        part = codes[lo:hi]
+        bounds = np.concatenate(([0], np.flatnonzero(part[1:] != part[:-1]) + 1, [len(part)]))
+        lengths = np.diff(bounds)
+        values = part[bounds[:-1]]
+        both = np.flatnonzero((values[1:] ^ values[:-1]) == 1)
+        total += int(np.dot(lengths[both], lengths[both + 1]))
+        lo = hi
+    return total
 
 
 class BatchOperator:
@@ -724,42 +756,41 @@ class BatchAdaptiveOperator(_FrameExpander):
 class BatchHashJoinOperator(BatchOperator):
     """Hash join over columnar batches.
 
-    The build side is reduced to its join keys, packed into one ``int64`` code
-    per row and sorted; runs of equal codes are the table's buckets.  The
-    probe side is *located* in that table: its join codes sorted, one
-    ``searchsorted`` against the distinct build codes, and per hit the bucket
-    it landed in.  Two consumers read that:
+    Every join key is packed into one code, ``((k0*n + k1)*n + k2)...``; a
+    key whose code would overflow ``_CODE_BITS`` is refused with a
+    :class:`PlanError` when the operator is built.  Two ways to join:
 
     * :meth:`counts` (the plan's root under ``collect=False``) with no
-      predicate to evaluate sums the bucket sizes.  It locates the probe side
-      in *runs* of at least as many codes as the table has buckets, so one
-      sort and one ``searchsorted`` of sorted needles walk the table once per
-      run (the sort-merge form of the join), and yields one count per run.
-      No output row exists, and the build side keeps neither payload nor
-      bucket starts.
-    * :meth:`frames` locates one probe frame at a time and writes
-      ``probe row x bucket`` into one preallocated frame, column by column.
+      predicate to evaluate and no ``output_limit`` tags the codes instead
+      of building a table: ``key << 1`` for every build row and
+      ``key << 1 | 1`` for every probe row, ``uint32`` while ``2 * n**k``
+      fits 32 bits and ``int64`` otherwise.  One in-place sort of all of
+      them puts each key's build codes right before its probe codes, and
+      :func:`count_tagged_pairs` sums ``build run x probe run`` per key: the
+      counting join of Sections 3.2 and 4.2, build plus probe, with no
+      output term and no per-row lookup.  It yields one count.
+    * Otherwise the build side is sorted by code with its payload columns,
+      runs of equal codes being the table's buckets, and each probe frame is
+      *located* in it (its codes sorted, one ``searchsorted`` against the
+      distinct build codes).  :meth:`frames` writes ``probe row x bucket``
+      into one preallocated frame, column by column; a count with
+      predicates or a row limit sums what passes, frame by frame.
 
     Predicates over the joined row (pairwise distinctness across the two
     sides under ``isomorphism``, query edges neither child covers) are
     evaluated on the expanded 1-D columns they read, before anything is
-    filled; a counting sink with predicates expands those columns only, frame
-    by frame like :meth:`frames`.  Each side arrives pairwise distinct
-    already, so only probe x payload pairs are compared, and of those only
-    the ones whose probe column is not a join key: a key column equals a
-    build key column, which no payload column of its row can equal.
-
-    Join keys whose packed width would overflow 62 bits are kept as rows and
-    located through a Python dict (unreachable for realistic graph sizes, kept
-    for safety); everything after the locate step is shared.
+    filled.  Each side arrives pairwise distinct already, so only probe x
+    payload pairs are compared, and of those only the ones whose probe
+    column is not a join key: a key column equals a build key column, which
+    no payload column of its row can equal.
 
     The probe input has one of two sources: the ``probe`` child or, under a
     ``mirror`` (the probe sub-query is the build sub-query under a renaming,
     :func:`_mirror_columns`), the build drain itself.  Then ``probe`` is
-    None, and the drain keeps per build frame the frame, read through the
-    mirror as a probe frame, or for :meth:`counts` only the frame's mirrored
-    join codes.  Either source feeds the same locate, expand and count code,
-    with the same ``hash_probes``, deadline checks and row limits.
+    None: the tagged count reads each build frame's probe codes through the
+    mirror as it drains, and the located join keeps the build frames and
+    reads them through the mirror as probe frames.  Either source records
+    the same ``hash_probes``.
     """
 
     def __init__(
@@ -772,15 +803,22 @@ class BatchHashJoinOperator(BatchOperator):
         **kwargs,
     ) -> None:
         super().__init__(node, *args, **kwargs)
-        self.build_child = build
-        self.probe_child = probe
+        self._name = node.display_name()
         build_key_idx, probe_key_idx, build_payload_idx, self._filter_edges = (
             resolve_hash_join(node)
         )
+        k, n = len(build_key_idx), self.graph.num_vertices
+        if not _codes_fit(k, n):
+            raise PlanError(
+                f"{self._name}: a join key of {k} vertex ids needs {k * math.log2(n):.1f} "
+                f"bits at num_vertices={n}, over the {_CODE_BITS} of a join code"
+            )
+        self.build_child = build
+        self.probe_child = probe
         self._build_key_idx = np.array(build_key_idx, dtype=np.int64)
         self._probe_key_idx = np.array(probe_key_idx, dtype=np.int64)
         self._mirror = mirror
-        #: What a mirrored drain keeps per build frame for the probe side.
+        #: The drained build frames a mirrored located join probes with.
         self._mirrored: Deque[np.ndarray] = deque()
         self._build_payload_idx = np.array(build_payload_idx, dtype=np.int64)
         self._probe_width = len(node.probe.out_vertices)
@@ -799,83 +837,50 @@ class BatchHashJoinOperator(BatchOperator):
             {c for pair in self._distinct_pairs for c in pair}
             | {c for src, dst, _ in self._filter_edges for c in (src, dst)}
         )
-        self._codes_fit = _codes_fit(len(build_key_idx), self.graph.num_vertices)
-        self._name = node.display_name()
 
     # ------------------------------------------------------------------ #
-    def _keys(self, key_cols: np.ndarray) -> np.ndarray:
-        """Join keys of a frame: one packed code per row, or the key columns
-        themselves when a code would not fit."""
-        return _pack(key_cols, self.graph.num_vertices) if self._codes_fit else key_cols
-
-    def _build(self, keep_payload: bool) -> bool:
-        """Drain the build child into the sorted table; False when it is empty."""
-        key_parts: List[np.ndarray] = []
-        payload_parts: List[np.ndarray] = []
-        if self._mirror is not None:
-            mirror_key_idx = self._mirror[self._probe_key_idx]
-        for frame in self.build_child.frames():
-            t0 = time.perf_counter()
-            key_parts.append(self._keys(frame[:, self._build_key_idx]))
-            if keep_payload:
-                payload_parts.append(frame[:, self._build_payload_idx])
-            if self._mirror is not None:
-                self._mirrored.append(
-                    frame if keep_payload else self._keys(frame[:, mirror_key_idx])
-                )
-            self.profile.record_operator_time(self._name, time.perf_counter() - t0)
-        if not key_parts:
-            return False
+    def _record_build(self, entries: int) -> None:
+        """Accounting of a drained, non-empty build side."""
+        self.profile.hash_table_entries += entries
         if self._mirror is not None:
             self.profile.mirrored_joins += 1
             self.profile.record_operator(self._name, mirrored=1)
+
+    def _build(self) -> bool:
+        """Drain the build child into the sorted table; False when it is empty."""
+        key_parts: List[np.ndarray] = []
+        payload_parts: List[np.ndarray] = []
+        for frame in self.build_child.frames():
+            t0 = time.perf_counter()
+            key_parts.append(_pack(frame[:, self._build_key_idx], self.graph.num_vertices))
+            payload_parts.append(frame[:, self._build_payload_idx])
+            if self._mirror is not None:
+                self._mirrored.append(frame)
+            self.profile.record_operator_time(self._name, time.perf_counter() - t0)
+        if not key_parts:
+            return False
         t0 = time.perf_counter()
         keys = np.concatenate(key_parts)
-        # Let the parts go before the sort: a mirrored drain holds a second
-        # array of codes until the probe runs release it.
-        key_parts.clear()
-        self.profile.hash_table_entries += keys.shape[0]
-        if self._codes_fit and not keep_payload:
-            # No row has to follow its code: a plain sort is a quarter of
-            # the argsort (10 ms against 38 ms for 1.1 M codes).
-            keys.sort()
-        else:
-            order = np.argsort(keys) if self._codes_fit else np.lexsort(keys[:, ::-1].T)
-            keys = keys[order]
-        starts, self._table_counts, _ = _group_runs(keys, rows=False)
-        if keep_payload:
-            # One contiguous array per payload column, and where each bucket
-            # begins in them: the fill gathers the columns one at a time.
-            self._payload = np.ascontiguousarray(np.concatenate(payload_parts)[order].T)
-            self._table_starts = starts
-        unique_keys = keys[starts]
-        if self._codes_fit:
-            self._unique_codes = unique_keys
-        else:
-            self._bucket_of_key = {tuple(key): i for i, key in enumerate(unique_keys.tolist())}
+        key_parts.clear()  # let the parts go before the sort
+        self._record_build(keys.shape[0])
+        order = np.argsort(keys)
+        keys = keys[order]
+        self._table_starts, self._table_counts, _ = _group_runs(keys, rows=False)
+        self._unique_codes = keys[self._table_starts]
+        # One contiguous array per payload column: the fill gathers the
+        # columns one at a time.
+        self._payload = np.ascontiguousarray(np.concatenate(payload_parts)[order].T)
         self.profile.record_operator_time(self._name, time.perf_counter() - t0)
         return True
 
-    def _lookup(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The bucket of every join key (``loc``) and whether it has one
-        (``hit``).  Packed codes are binary-searched, fastest in sorted order:
-        sorted needles walk the table front to back."""
-        if self._codes_fit:
-            return locate_sorted(self._unique_codes, keys)
-        loc = np.array(
-            [self._bucket_of_key.get(tuple(key), -1) for key in keys.tolist()],
-            dtype=np.int64,
-        )
-        return loc, loc >= 0
-
     def _locate(self, probe_frame: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The probe rows that hit and the bucket of the sorted build side
-        each of them hit."""
-        keys = self._keys(probe_frame[:, self._probe_key_idx])
-        order = np.argsort(keys) if self._codes_fit else None
-        loc, hit = self._lookup(keys if order is None else keys[order])
+        each of them hit.  Sorted needles walk the table front to back."""
+        keys = _pack(probe_frame[:, self._probe_key_idx], self.graph.num_vertices)
+        order = np.argsort(keys)
+        loc, hit = locate_sorted(self._unique_codes, keys[order])
         hits = np.flatnonzero(hit)
-        return probe_frame[hits if order is None else order[hits]], loc[hits]
+        return probe_frame[order[hits]], loc[hits]
 
     def _expanded_columns(
         self, rows: np.ndarray, buckets: np.ndarray, counts: np.ndarray, wanted: Sequence[int]
@@ -908,7 +913,7 @@ class BatchHashJoinOperator(BatchOperator):
         """Locate probe frame by probe frame and expand every hit: output
         frames or, under ``count_only``, how many expanded rows pass the
         predicates."""
-        if not self._build(keep_payload=True):
+        if not self._build():
             return
         width = len(self.node.out_vertices)
         wanted = self._predicate_columns if count_only else range(width)
@@ -953,70 +958,60 @@ class BatchHashJoinOperator(BatchOperator):
         while self._mirrored:
             yield self._mirrored.popleft()[:, self._mirror]
 
-    def _probe_keys(self) -> Iterator[np.ndarray]:
-        """The probe side's join keys, one array per probe frame: computed
-        here from the probe child's frames or, under a mirror, the ones the
-        drain computed, each let go as it is handed out."""
-        if self._mirror is not None:
-            while self._mirrored:
-                yield self._mirrored.popleft()
-            return
-        for probe_frame in self.probe_child.frames():
-            t0 = time.perf_counter()
-            keys = self._keys(probe_frame[:, self._probe_key_idx])
-            self.profile.record_operator_time(self._name, time.perf_counter() - t0)
-            yield keys
+    def _count_tagged(self) -> Iterator[int]:
+        """Σ build rows x probe rows per join key, from one sort of both
+        sides' tagged codes; one count, or none when no key matches.  An
+        empty build side leaves the probe side unopened."""
+        n_keys = self.graph.num_vertices ** len(self._build_key_idx)
+        dtype = np.uint32 if 2 * n_keys <= 2**32 else np.int64
 
-    def _probe_runs(self, run_length: int) -> Iterator[np.ndarray]:
-        """The probe side's join keys in runs of at least ``run_length`` keys
-        (the last run may be shorter)."""
+        def tagged(frame: np.ndarray, key_idx: np.ndarray, tag: int) -> np.ndarray:
+            codes = _pack(frame[:, key_idx], self.graph.num_vertices)
+            codes <<= 1
+            codes |= tag
+            return codes.astype(dtype, copy=False)
+
         parts: List[np.ndarray] = []
-        buffered = 0
-        for keys in self._probe_keys():
-            self._check_deadline()
+        entries = 0
+        mirror_key_idx = None if self._mirror is None else self._mirror[self._probe_key_idx]
+        for frame in self.build_child.frames():
             t0 = time.perf_counter()
-            self.profile.hash_probes += keys.shape[0]
-            parts.append(keys)
-            buffered += keys.shape[0]
+            parts.append(tagged(frame, self._build_key_idx, 0))
+            if mirror_key_idx is not None:
+                parts.append(tagged(frame, mirror_key_idx, 1))
+            entries += frame.shape[0]
             self.profile.record_operator_time(self._name, time.perf_counter() - t0)
-            if buffered >= run_length:
-                # The frames' keys are let go before the run is located.
-                run = np.concatenate(parts)
-                parts, buffered = [], 0
-                yield run
-        if parts:
-            yield np.concatenate(parts)
-
-    def _count_runs(self) -> Iterator[int]:
-        """Σ bucket sizes over the probe side, one count per run of probe
-        keys.  A run holds at least as many keys as the table has buckets,
-        so sorting it and binary-searching the table with it is one pass over
-        the table per run, not one per frame.  A row-limited query still
-        locates each probe frame as it arrives: there the SCAN sizes the
-        frames to the limit, and buffering would undo that."""
-        if not self._build(keep_payload=False):
+        if not parts:
             return
-        run_length = (
-            1
-            if self.config.output_limit is not None
-            else max(self.config.batch_size, len(self._table_counts))
-        )
-        for keys in self._probe_runs(run_length):
-            t0 = time.perf_counter()
-            if self._codes_fit:
-                keys.sort()
-            loc, hit = self._lookup(keys)
-            total = int(self._table_counts[loc].sum(where=hit))
-            self.profile.record_operator_time(self._name, time.perf_counter() - t0)
-            if total:
-                self._account_frame(self._name, total)
-                yield total
+        self._record_build(entries)
+        if mirror_key_idx is not None:
+            self.profile.hash_probes += entries
+        else:
+            for frame in self.probe_child.frames():
+                self._check_deadline()
+                t0 = time.perf_counter()
+                self.profile.hash_probes += frame.shape[0]
+                parts.append(tagged(frame, self._probe_key_idx, 1))
+                self.profile.record_operator_time(self._name, time.perf_counter() - t0)
+        self._check_deadline()
+        t0 = time.perf_counter()
+        codes = np.concatenate(parts)
+        parts.clear()
+        codes.sort()
+        total = count_tagged_pairs(codes)
+        del codes  # not held while the count waits at the yield
+        self.profile.record_operator_time(self._name, time.perf_counter() - t0)
+        if total:
+            self._account_frame(self._name, total)
+            yield total
 
     def frames(self) -> Iterator[np.ndarray]:
         return self._run(count_only=False)
 
     def counts(self) -> Iterator[int]:
-        return self._run(count_only=True) if self._predicate_columns else self._count_runs()
+        if self._predicate_columns or self.config.output_limit is not None:
+            return self._run(count_only=True)
+        return self._count_tagged()
 
 
 def build_batch_operator_tree(
@@ -1088,8 +1083,9 @@ def execute_plan_vectorized(
     root is asked for row counts only (:meth:`BatchOperator.counts`), so the
     final operator's output is never built.  Both record the same profile,
     except the root's ``batches``: an E/I root without isomorphism counts
-    once per input frame and a HASH-JOIN root without predicates once per
-    probe run, where collecting yields one frame per ``batch_size`` rows.
+    once per input frame and a HASH-JOIN root without predicates or a row
+    limit counts once, from one sort of both sides' tagged join codes,
+    where collecting yields one frame per ``batch_size`` rows.
     """
     from repro.executor.pipeline import ExecutionResult
 

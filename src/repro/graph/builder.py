@@ -59,6 +59,22 @@ class GraphBuilder:
         self._labels.append(label)
         return self
 
+    def add_edge_arrays(self, src, dst, labels) -> "GraphBuilder":
+        """Add the edges ``src[i] -> dst[i]`` with label ``labels[i]`` in one
+        call, in order.  Validated as :meth:`add_edge` validates; on an error
+        no edge of the call is added."""
+        columns = [np.asarray(c, dtype=np.int64) for c in (src, dst, labels)]
+        src, dst, labels = columns
+        if not (src.shape == dst.shape == labels.shape) or src.ndim != 1:
+            raise GraphConstructionError("src, dst and labels must be 1-D and of equal length")
+        if (src < 0).any() or (dst < 0).any():
+            raise GraphConstructionError("vertex ids must be non-negative")
+        if (src == dst).any():
+            raise GraphConstructionError("self-loops are not supported")
+        for column, values in zip((self._src, self._dst, self._labels), columns):
+            column.frombytes(values.tobytes())
+        return self
+
     def add_edges(self, edges: Iterable[Tuple[int, ...]]) -> "GraphBuilder":
         """Add edges from an iterable of ``(src, dst)`` or ``(src, dst, label)``."""
         for edge in edges:

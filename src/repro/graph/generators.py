@@ -137,8 +137,7 @@ def clustered_social(
         name=name,
     )
     builder = GraphBuilder()
-    for s, d, l in base.iter_edges():
-        builder.add_edge(s, d, l)
+    builder.add_edge_arrays(base.edge_src, base.edge_dst, base.edge_labels)
     # Triadic closure: for random vertices, connect two of their neighbours.
     extra = int(clustering * base.num_edges)
     from repro.graph.graph import Direction

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.leapfrog import LeapfrogTrieJoin
+from repro.errors import PlanError
 from repro.executor.adaptive import adapt
 from repro.executor.operators import ExecutionConfig
 from repro.executor.parallel import primary_scan
@@ -35,8 +36,10 @@ from repro.executor.vectorized import (
     _ragged_positions,
     _sort_by_key,
     build_batch_operator_tree,
+    count_tagged_pairs,
 )
 from repro.executor.profile import ExecutionProfile
+from repro.graph.builder import GraphBuilder
 from repro.graph.generators import clustered_social, complete_graph, erdos_renyi, power_law
 from repro.graph.labeling import with_random_vertex_labels
 from repro.planner.plan import (
@@ -468,10 +471,11 @@ def _counters(profile, plan=None):
 
     With ``plan``, the root's ``batches`` and the profile's total are left
     out.  A count needs no frame chunking: a counting sink reads a HASH-JOIN
-    root without predicates one count per run of probe keys, a run as long
-    as the table, and an E/I root without isomorphism one count per input
-    frame, where the materialising root yields one frame per ``batch_size``
-    output rows.  Every other counter is the same in the two modes."""
+    root without predicates or a row limit as one count, from one sort of
+    both sides' tagged join codes, and an E/I root without isomorphism one
+    count per input frame, where the materialising root yields one frame
+    per ``batch_size`` output rows.  Every other counter is the same in the
+    two modes."""
     counters = dataclasses.asdict(profile)
     del counters["elapsed_seconds"]
     counters["operator_seconds"] = sorted(counters["operator_seconds"])
@@ -597,27 +601,25 @@ class TestHashJoin:
     @pytest.mark.parametrize("isomorphism", [False, True], ids=["hom", "iso"])
     @pytest.mark.parametrize("name", ["Q3", "Q8", "two-triangle-clique"])
     def test_key_packing_boundary(self, random_graph, join_oracle, monkeypatch, name, isomorphism):
-        """Join keys that stop fitting one int64 code are located through the
-        dict instead; both sides of the boundary give the same answers, and
-        the dict side's time is on the operator."""
+        """Join keys whose codes just fit run and give the reference's
+        answers; one bit less and the plan is refused before anything runs."""
         plan = dict(JOIN_PLANS)[name]
         expected = join_oracle(random_graph, name, plan, isomorphism)
         key_bits = len(plan.root.join_vertices) * math.log2(random_graph.num_vertices)
-        for code_bits, fits in ((math.floor(key_bits), False), (math.floor(key_bits) + 1, True)):
-            monkeypatch.setattr(vectorized, "_CODE_BITS", code_bits)
-            for ranged in PATHS:
-                config = self._config(plan, random_graph, ranged)
-                root = build_batch_operator_tree(
-                    plan.root, random_graph, ExecutionProfile(), config
-                )
-                assert root._codes_fit == fits
-                counted, collected = self._both_modes(
-                    plan, random_graph, ranged, isomorphism=isomorphism
-                )
-                assert sorted(collected.matches) == expected
-                assert counted.num_matches == len(expected)
-                assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
-                assert counted.profile.operator_seconds[plan.root.display_name()] > 0
+        monkeypatch.setattr(vectorized, "_CODE_BITS", math.floor(key_bits) + 1)
+        for ranged in PATHS:
+            counted, collected = self._both_modes(
+                plan, random_graph, ranged, isomorphism=isomorphism
+            )
+            assert sorted(collected.matches) == expected
+            assert counted.num_matches == len(expected)
+            assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
+            assert counted.profile.operator_seconds[plan.root.display_name()] > 0
+        monkeypatch.setattr(vectorized, "_CODE_BITS", math.floor(key_bits))
+        for ranged, collect in itertools.product(PATHS, (False, True)):
+            config = self._config(plan, random_graph, ranged, isomorphism=isomorphism)
+            with pytest.raises(PlanError):
+                execute_plan(plan, random_graph, config, collect=collect)
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -696,9 +698,8 @@ class TestHashJoin:
     )
     @settings(max_examples=40, deadline=None)
     def test_counting_runs_agree_on_random_graphs(self, seed, index, batch_size, dirty, ranged):
-        """Counted == collected == LFTJ whether the probe side spans many
-        runs, one run, or ends in a partial one, on clean and dirty
-        snapshots."""
+        """Counted == collected == LFTJ whether the sides arrive in many
+        frames, a few or one, on clean and dirty snapshots."""
         graph = erdos_renyi(40, 320, seed=seed)
         if dirty:
             graph = _dirty_snapshot(graph, seed)
@@ -708,26 +709,58 @@ class TestHashJoin:
         assert counted.num_matches == LeapfrogTrieJoin(graph).count(plan.query).num_matches
         assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
 
-    @pytest.mark.parametrize("batch_size", [1, 3, 2048])
-    def test_dict_located_runs_count_the_same(self, random_graph, join_oracle, batch_size):
-        """Runs located through the > 62-bit dict count what packed runs do,
-        and either way a run is at least as long as the table."""
+    def test_a_join_key_wider_than_a_code_is_refused(self, random_graph, monkeypatch):
+        """A join key whose packed code would overflow ``_CODE_BITS`` is a
+        PlanError naming the key's width and the graph's vertex count."""
         plan = dict(JOIN_PLANS)["Q2"]
-        expected = len(join_oracle(random_graph, "Q2", plan, False))
+        monkeypatch.setattr(vectorized, "_CODE_BITS", 13)  # 2 x log2(120) = 13.8
         for ranged in PATHS:
-            config = self._config(plan, random_graph, ranged, batch_size=batch_size)
-            counters = []
-            for fits in (True, False):
-                profile = ExecutionProfile()
-                root = build_batch_operator_tree(plan.root, random_graph, profile, config)
-                root._codes_fit = fits
-                assert sum(root.counts()) == expected
-                assert hasattr(root, "_unique_codes") == fits
-                assert not hasattr(root, "_table_starts")
-                runs = profile.per_operator[root._name]["batches"]
-                assert runs <= math.ceil(profile.hash_probes / len(root._table_counts)) + 1
-                counters.append(_counters(profile))
-            assert counters[0] == counters[1]
+            config = self._config(plan, random_graph, ranged)
+            message = r"2 vertex ids needs 13\.8 bits at num_vertices=120"
+            with pytest.raises(PlanError, match=message):
+                build_batch_operator_tree(plan.root, random_graph, ExecutionProfile(), config)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 2048])
+    def test_codes_that_just_fit_count_once(self, random_graph, monkeypatch, batch_size):
+        """With ``_CODE_BITS`` at the key's width, an unlimited count is one
+        sort of both sides' tagged codes and one count: counted == collected
+        == LFTJ, with every other counter as the collecting run's."""
+        plan = dict(JOIN_PLANS)["Q2"]
+        key_bits = len(plan.root.join_vertices) * math.log2(random_graph.num_vertices)
+        monkeypatch.setattr(vectorized, "_CODE_BITS", math.floor(key_bits) + 1)
+        expected = LeapfrogTrieJoin(random_graph).count(plan.query).num_matches
+        for ranged in PATHS:
+            counted, collected = self._both_modes(
+                plan, random_graph, ranged, batch_size=batch_size
+            )
+            assert counted.num_matches == collected.num_matches == expected > 0
+            assert counted.profile.per_operator[plan.root.display_name()]["batches"] == 1
+            assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
+
+    @pytest.mark.parametrize("name", ["Q2", "Q3"])
+    def test_int64_tagged_codes_count_end_to_end(self, monkeypatch, name):
+        """On a graph with more vertices than ``2 * n**2`` fits in 32 bits
+        the tagged codes of a two-vertex key are ``int64``: counted ==
+        collected == LFTJ on both paths."""
+        small = erdos_renyi(40, 320, seed=5)
+        builder = GraphBuilder()
+        builder.add_edge_arrays(small.edge_src * 1250, small.edge_dst * 1250, small.edge_labels)
+        graph = builder.build(num_vertices=50_000)
+        assert 2 * graph.num_vertices**2 > 2**32
+        plan = dict(JOIN_PLANS)[name]
+        assert len(plan.root.join_vertices) == 2
+        dtypes = []
+
+        def spy(codes):
+            dtypes.append(codes.dtype)
+            return count_tagged_pairs(codes)
+
+        monkeypatch.setattr(vectorized, "count_tagged_pairs", spy)
+        expected = LeapfrogTrieJoin(graph).count(plan.query).num_matches
+        for ranged in PATHS:
+            counted, collected = self._both_modes(plan, graph, ranged)
+            assert counted.num_matches == collected.num_matches == expected > 0
+        assert dtypes == [np.dtype(np.int64)] * len(PATHS)
 
 
 #: JOIN_PLANS and two joins whose probe side lists the build side's columns
@@ -1185,6 +1218,58 @@ class TestModeComposition:
             assert limited.status == "truncated" and limited.num_matches == 3
         with QueryService(db, vectorized=False) as service:
             assert service.execute(cq.triangle()).num_matches == expected
+
+
+def _tagged_sides():
+    """Build and probe join keys over a few distinct values placed just below
+    the top of the code type (keys repeat, often on one side only), the code
+    type, and a slice size."""
+    dtype = st.sampled_from([np.uint32, np.int64])
+    return dtype.flatmap(
+        lambda dtype: st.tuples(
+            st.just(dtype),
+            st.lists(st.integers(0, 6), max_size=40),
+            st.lists(st.integers(0, 6), max_size=40),
+            st.sampled_from([0, (np.iinfo(dtype).max >> 1) - 6]),
+            st.sampled_from([1, 2, 3, 1 << 17]),
+        )
+    )
+
+
+class TestTaggedPairCount:
+    """``count_tagged_pairs`` against a Counter model: Σ over keys of
+    build multiplicity x probe multiplicity."""
+
+    @staticmethod
+    def _codes(build, probe, dtype):
+        codes = np.array(
+            [k << 1 for k in build] + [k << 1 | 1 for k in probe], dtype=dtype
+        )
+        codes.sort()
+        return codes
+
+    @given(case=_tagged_sides())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_counter_model(self, case):
+        dtype, build, probe, base, slice_size = case
+        build = [base + k for k in build]
+        probe = [base + k for k in probe]
+        probes = Counter(probe)
+        expected = sum(n * probes[k] for k, n in Counter(build).items())
+        codes = self._codes(build, probe, dtype)
+        assert codes.dtype == dtype
+        assert count_tagged_pairs(codes, slice_size) == expected
+
+    @pytest.mark.parametrize("slice_size", [1, 2, 3, 1 << 17])
+    def test_one_key_across_many_slices(self, slice_size):
+        codes = self._codes([5] * 50 + [6, 9], [4, 5] * 30 + [9], np.uint32)
+        assert count_tagged_pairs(codes, slice_size) == 50 * 30 + 1
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    def test_empty_sides(self, dtype):
+        assert count_tagged_pairs(np.array([], dtype=dtype), 2) == 0
+        assert count_tagged_pairs(self._codes([1, 1, 2], [], dtype), 2) == 0
+        assert count_tagged_pairs(self._codes([], [1, 2, 2], dtype), 2) == 0
 
 
 class TestVectorizedHelpers:

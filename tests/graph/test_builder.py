@@ -43,6 +43,14 @@ class ReferenceBuilder:
         self.labels.setdefault(s, 0)
         self.labels.setdefault(d, 0)
 
+    def add_edge_arrays(self, src, dst, labels) -> None:
+        """All of the call's edges or, when one is invalid, none."""
+        for s, d in zip(src, dst):
+            if s < 0 or d < 0 or s == d:
+                raise GraphConstructionError("invalid edge")
+        for edge in zip(src, dst, labels):
+            self.add_edge(*edge)
+
     def build(self, num_vertices: Optional[int]):
         max_seen = max(self.labels, default=-1)
         if num_vertices is not None and max_seen >= num_vertices:
@@ -56,12 +64,15 @@ class ReferenceBuilder:
 
 
 # Ids in -1..7 and labels in 0..2 make repeats, self-loops and negative ids
-# common; a vertex op may relabel an id an edge already mentioned.
+# common; a vertex op may relabel an id an edge already mentioned.  An
+# "edges" op adds its triples in one add_edge_arrays call.
 ids = st.integers(min_value=-1, max_value=7)
+triples = st.tuples(ids, ids, st.integers(min_value=0, max_value=2))
 ops = st.lists(
     st.one_of(
         st.tuples(st.just("edge"), ids, ids, st.integers(min_value=0, max_value=2)),
         st.tuples(st.just("vertex"), ids, st.integers(min_value=0, max_value=3)),
+        st.tuples(st.just("edges"), st.lists(triples, max_size=6)),
     ),
     max_size=40,
 )
@@ -72,6 +83,9 @@ def _apply(target, op) -> bool:
     try:
         if op[0] == "edge":
             target.add_edge(op[1], op[2], op[3])
+        elif op[0] == "edges":
+            src, dst, labels = (list(c) for c in zip(*op[1])) if op[1] else ([], [], [])
+            target.add_edge_arrays(np.array(src, dtype=np.int64), dst, labels)
         else:
             target.add_vertex(op[1], op[2])
     except GraphConstructionError:
@@ -110,6 +124,14 @@ class TestBuilderMatchesReference:
             assert got.tolist() == want
         # build() does not consume the builder.
         assert builder.build(num_vertices=num_vertices).edge_src.tolist() == want_src
+
+    def test_bulk_columns_of_unequal_length_are_refused(self):
+        builder = GraphBuilder().add_edge(0, 1)
+        with pytest.raises(GraphConstructionError):
+            builder.add_edge_arrays([1, 2], [2], [0, 0])
+        with pytest.raises(GraphConstructionError):
+            builder.add_edge_arrays([[1]], [[2]], [[0]])
+        assert builder.num_edges == 1
 
 
 raw_ids = st.sampled_from([3, 17, 17, 42, 1000, 7, 999])
