@@ -11,9 +11,16 @@ The WCO plan runs on the batch operators of :mod:`repro.executor.vectorized`,
 the engine that executes queries, with a query's default configuration and
 frame size: its SCAN is handed the sampled edges, and one more E/I with the
 entry's descriptors does the measuring, one count per frame of sampled
-matches.  Both averages are integer sums divided by the number of sampled
-matches, so an entry is a function of the graph, the triple, ``z`` and the
-``rng`` state alone, whatever the framing.
+matches.  That E/I counts as a query's does.  With one descriptor the count
+is the matches' degrees in the label-filtered partition, and no list is
+gathered.  Above an E/I, lists anchored on that E/I's input columns are
+intersected once per distinct key of them when they are two or more and
+another list hangs off its to-vertex (a 2-path entry extended through all
+three of its vertices is the common case: every match grown from one
+sampled edge shares that edge's two lists).  Both averages are integer sums
+divided by the number of sampled matches, so an entry is a function of the
+graph, the triple, ``z`` and the ``rng`` state alone, whatever the framing
+or the seed source.
 """
 
 from __future__ import annotations
@@ -108,9 +115,12 @@ def measure_extension(
 
     The sampled matches of ``sub_query`` arrive frame by frame; ``|A|`` sums
     the degrees of each match's anchor vertices, and one last E/I with the
-    entry's descriptors is asked how many extensions it would produce.
-    Returns (average list size per descriptor, average number of extensions,
-    number of sampled matches the averages are over).
+    entry's descriptors is asked how many extensions it would produce: the
+    degrees again for one descriptor, otherwise an intersection per distinct
+    key, shared by the matches grown from one sampled edge where their lists
+    hang off that edge's columns.  Returns (average list size per
+    descriptor, average number of extensions, number of sampled matches the
+    averages are over).
     """
     # Deferred for the same import cycle as in sample_subquery_matches.
     from repro.executor.vectorized import BatchExtendIntersectOperator

@@ -41,6 +41,10 @@ class ExecutionProfile:
     # E/I input frames whose rows were not already in adjacency-key order,
     # so that E/I had to sort them before grouping (batch engine).
     sorted_frames: int = 0
+    # E/I input frames in which the lists anchored before the child's
+    # to-vertex were intersected once per distinct key and shared by the
+    # groups below it (batch engine).
+    shared_frames: int = 0
     batches: int = 0
     # Wall-clock duration of the run.  Under `merge` this takes the max of
     # the two sides: parallel morsels overlap in time, so their wall clocks
@@ -127,6 +131,7 @@ class ExecutionProfile:
             hash_probes=self.hash_probes + other.hash_probes,
             mirrored_joins=self.mirrored_joins + other.mirrored_joins,
             sorted_frames=self.sorted_frames + other.sorted_frames,
+            shared_frames=self.shared_frames + other.shared_frames,
             batches=self.batches + other.batches,
             elapsed_seconds=max(self.elapsed_seconds, other.elapsed_seconds),
             workers=self.workers + other.workers,
@@ -152,6 +157,7 @@ class ExecutionProfile:
             "hash_probes": self.hash_probes,
             "mirrored_joins": self.mirrored_joins,
             "sorted_frames": self.sorted_frames,
+            "shared_frames": self.shared_frames,
             "batches": self.batches,
             "elapsed_seconds": self.elapsed_seconds,
             "busy_seconds": self.busy_seconds,

@@ -32,13 +32,21 @@ columns aligned to the plan node's ``out_vertices`` order.
   *filter the survivors* by each remaining descriptor with a vectorized
   membership test (a bit filter, then a binary search for what passes it:
   galloping at batch scale), compacting after every filter so a candidate
-  one list rejected is never probed again.  The
-  seeds are either the most selective adjacency list of every key (one ragged
-  CSR gather) or, when the child is an E/I that intersected two or more
-  lists, all of them among this node's, the child's own extension sets read
-  back off the frame (*prefix-intersection reuse*: the batch form of the
-  cache hit on ``N(a1) ∩ N(a2)`` that a chained E/I would otherwise
-  recompute).
+  one list rejected is never probed again.  The seeds come from one of
+  three sources.  (a) The most selective adjacency list of every key (one
+  ragged CSR gather).  (b) When the child is an E/I that intersected two or
+  more lists, all of them among this node's: the child's own extension sets
+  read back off the frame (*prefix-intersection reuse*: the batch form of
+  the cache hit on ``N(a1) ∩ N(a2)`` that a chained E/I would otherwise
+  recompute).  (c) When (b) does not apply, the child is an E/I and two or
+  more of this node's lists hang off the child's input columns (*shared
+  lists*) while one or more hang off its to-vertex: the shared lists are
+  intersected once per distinct key of theirs, and that set, filtered per
+  group by the to-vertex's lists, seeds every group of a run of two or
+  more; a run of one group takes (a), which reads less for it.  Like
+  LFTJ's prefix intersections, the set is computed, not read off the
+  frame, so (c) does not rely on whole-row frames.  Both (b) and (c) are
+  the cache's and are off without it.
   Isomorphism violations are filtered with broadcast compares against the
   prefix columns, and the ``(prefix x extension)`` product is expanded with
   ``np.repeat`` + ragged gathers.
@@ -69,7 +77,9 @@ the root is asked for counts; every operator below it produces frames.  A
 count needs no frame chunking, so a counting E/I without isomorphism yields
 one count per input frame and a counting HASH-JOIN without predicates or a
 row limit one count in all, rather than one per would-be frame: the root's
-``batches`` counter is the one that differs from a collecting run.
+``batches`` counter is the one that differs from a collecting run.  A
+counting E/I of one list without isomorphism reads its count off the CSR
+offsets of that list's label-filtered partition, with no gather.
 
 Batch-grouping invariants — what the operators assume of their inputs and
 guarantee of their outputs:
@@ -106,7 +116,8 @@ guarantee of their outputs:
 * **one input row's expansions never straddle frames**: the chunking splits
   on row boundaries only, and a row whose own fanout exceeds the cap is a
   segment (and a frame) of its own.  Prefix-intersection reuse relies on
-  this.  An E/I that reads its child's extension set ``E(k)`` back off a
+  this, and only it: seed sources (a) and (c) read the graph.  An E/I
+  that reads its child's extension set ``E(k)`` back off a
   frame takes the distinct child-to-vertex values among the frame's rows
   sharing the child's key ``k``; because every row with key ``k`` arrives
   with its whole expansion, that set is ``E(k)`` minus only the values the
@@ -200,6 +211,29 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     if np.any(codes[1:] <= codes[:-1]):
         return np.unique(codes)
     return codes
+
+
+def _shared_lists(resolved: Sequence[Tuple[int, Direction, Optional[int]]], to_column: int) -> int:
+    """How many of an E/I's ``resolved`` descriptors its shared-list seed
+    intersects once per key: the ones anchored before ``to_column``, its
+    child's to-vertex, when there are two or more of them and at least one
+    list on the to-vertex is left to filter each group; otherwise 0."""
+    shared = sum(idx < to_column for idx, _, _ in resolved)
+    return shared if 2 <= shared < len(resolved) else 0
+
+
+def _by_group(parts: Sequence[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(group, value)`` candidates from parts that each hold non-decreasing
+    groups with sorted values, no group in two parts, merged into one such
+    layout."""
+    if not parts:
+        return _EMPTY_I64, _EMPTY_I64
+    groups = np.concatenate([groups for groups, _ in parts])
+    values = np.concatenate([values for _, values in parts])
+    if len(parts) > 1:
+        order = np.argsort(groups, kind="stable")
+        groups, values = groups[order], values[order]
+    return groups, values
 
 
 def _ragged_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -484,6 +518,20 @@ class BatchExtendIntersectOperator(_FrameExpander):
             # off it.
             assert child.node.out_vertices[-1] == child.extend_node.to_vertex
             assert all(idx < len(child.node.out_vertices) - 1 for idx, _, _ in covered)
+        # Shared lists (seed source (c)): rows the child extended from one
+        # input row share every list anchored before its to-vertex, so their
+        # intersection is computed once per distinct such key.  They move to
+        # the front, the to-vertex's lists to the back.
+        self._num_shared = 0
+        if (
+            not self._num_covered
+            and self.config.enable_intersection_cache
+            and isinstance(child, BatchExtendIntersectOperator)
+        ):
+            to_column = len(child.node.out_vertices) - 1
+            self._num_shared = _shared_lists(resolved, to_column)
+            if self._num_shared:
+                resolved.sort(key=lambda descriptor: descriptor[0] == to_column)
         if isinstance(child, BatchScanOperator):
             # An unlimited SCAN emits its edges in (src, dst) order: key the
             # scanned source's column first, so its frames arrive sorted.
@@ -529,47 +577,69 @@ class BatchExtendIntersectOperator(_FrameExpander):
                 groups, values = groups[keep], values[keep]
         return groups, values
 
-    def _extensions_from_smallest_list(
-        self, unique_keys: np.ndarray, group_sizes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Seed source (a): the most selective adjacency list of every key,
-        one ragged CSR gather per descriptor partition; every other
-        descriptor filters the survivors."""
-        num_desc = len(self._resolved)
-        degrees = self._degrees(unique_keys, range(num_desc))
-        accessed = degrees.sum(axis=1)
+    def _record_reads(self, accessed: np.ndarray, weights: Optional[np.ndarray]) -> None:
+        """i-cost of reading lists whose summed lengths per distinct key are
+        ``accessed``; ``weights`` are the keys' row counts, read only without
+        the cache."""
         if self.config.enable_intersection_cache:
             self.profile.record_intersection(int(accessed.sum()))
         else:
             # Without the cache the iterator recomputes per duplicate tuple;
             # mirror that in the i-cost accounting.
-            self.profile.record_intersection(int((accessed * group_sizes).sum()))
+            self.profile.record_intersection(int((accessed * weights).sum()))
+
+    def _intersect(
+        self, unique_keys: np.ndarray, weights: Optional[np.ndarray], descriptors: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The intersection of the lists ``descriptors`` for every key.
+        Seed source (a): the most selective list of each key, one ragged CSR
+        gather per descriptor partition; every other list filters the
+        survivors."""
+        degrees = self._degrees(unique_keys, descriptors)
+        self._record_reads(degrees.sum(axis=1), weights)
         seed_choice = np.argmin(degrees, axis=1)
-        group_parts: List[np.ndarray] = []
-        value_parts: List[np.ndarray] = []
-        for d in range(num_desc):
-            group_ids = np.flatnonzero(seed_choice == d)
-            counts = degrees[group_ids, d]
+        parts: List[Tuple[np.ndarray, np.ndarray]] = []
+        for slot, d in enumerate(descriptors):
+            group_ids = np.flatnonzero(seed_choice == slot)
+            counts = degrees[group_ids, slot]
             if int(counts.sum()) == 0:
                 continue
             csr = self._csrs[d]
             starts = csr.indptr[unique_keys[group_ids, d]]
-            groups, values = self._filter_survivors(
+            parts.append(self._filter_survivors(
                 np.repeat(group_ids, counts),
                 csr.indices[_ragged_positions(starts, counts)],
                 unique_keys,
-                [e for e in range(num_desc) if e != d],
-            )
-            group_parts.append(groups)
-            value_parts.append(values)
-        if not group_parts:
-            return _EMPTY_I64, _EMPTY_I64
-        groups = np.concatenate(group_parts)
-        values = np.concatenate(value_parts)
-        if len(group_parts) > 1:
-            order = np.argsort(groups, kind="stable")
-            groups, values = groups[order], values[order]
-        return groups, values
+                [e for e in descriptors if e != d],
+            ))
+        return _by_group(parts)
+
+    def _extensions_from_sets(
+        self,
+        group_ids: np.ndarray,
+        set_of_group: np.ndarray,
+        sets: Tuple[np.ndarray, np.ndarray],
+        num_sets: int,
+        unique_keys: np.ndarray,
+        descriptors: Sequence[int],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Seed every group of ``group_ids`` with its set, ``set_of_group``
+        of ``sets`` (set ids non-decreasing, values sorted in each set), and
+        let the lists ``descriptors`` filter the survivors."""
+        set_ids, set_values = sets
+        set_sizes = np.bincount(set_ids, minlength=num_sets)
+        set_starts = np.cumsum(set_sizes) - set_sizes
+        sizes = set_sizes[set_of_group]
+        # What is really read: the sets plus the lists that filter them.
+        self.profile.record_intersection(
+            int(sizes.sum() + self._degrees(unique_keys[group_ids], descriptors).sum())
+        )
+        return self._filter_survivors(
+            np.repeat(group_ids, sizes),
+            set_values[_ragged_positions(set_starts[set_of_group], sizes)],
+            unique_keys,
+            descriptors,
+        )
 
     def _extensions_from_siblings(
         self,
@@ -600,22 +670,56 @@ class BatchExtendIntersectOperator(_FrameExpander):
         # increasing already.
         codes = _distinct(child_group_of_row * n_vertices + sorted_frame[:, -1])
         sibling_group = codes // n_vertices
-        sibling_values = codes - sibling_group * n_vertices
-        set_sizes = np.bincount(sibling_group)
-        set_starts = np.cumsum(set_sizes) - set_sizes
-        child_group = child_group_of_row[starts]
-        sizes = set_sizes[child_group]
-        uncovered = range(self._num_covered, len(self._resolved))
-        # What is really read: the child's set plus the uncovered lists.
-        self.profile.record_intersection(
-            int(sizes.sum() + self._degrees(unique_keys, uncovered).sum())
-        )
-        return self._filter_survivors(
-            np.repeat(np.arange(len(starts), dtype=np.int64), sizes),
-            sibling_values[_ragged_positions(set_starts[child_group], sizes)],
+        return self._extensions_from_sets(
+            np.arange(len(starts), dtype=np.int64),
+            child_group_of_row[starts],
+            (sibling_group, codes - sibling_group * n_vertices),
+            0,  # every child key's run holds a value, so no set is empty
             unique_keys,
-            uncovered,
+            range(self._num_covered, len(self._resolved)),
         )
+
+    def _extensions_from_shared(
+        self, unique_keys: np.ndarray, group_sizes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Seed source (c), shared lists: the groups are runs of equal
+        shared keys, the columns the child's input held; for every run of
+        two or more groups the shared lists are intersected once, and the
+        to-vertex's lists filter that set per group.  A run of one group
+        takes the smallest-list seed, which reads less for it.
+
+        Nothing is read off the frame, so unlike seed source (b) this does
+        not rely on whole-row frames.  With at least two shared lists a set
+        is at most half their summed lengths, so a run of ``g >= 2`` groups
+        reads no more than ``g`` smallest-list intersections would."""
+        shared = range(self._num_shared)
+        run_starts, run_sizes, run_of_group = _group_runs(unique_keys[:, shared])
+        multi = run_sizes >= 2
+        runs = np.flatnonzero(multi)
+        if len(runs) == 0:
+            return self._intersect(unique_keys, group_sizes, range(len(self._resolved)))
+        self.profile.shared_frames += 1
+        self.profile.record_operator(
+            self._name, shared=len(runs), shared_lists=len(runs) * self._num_shared
+        )
+        in_multi = multi[run_of_group]
+        grouped = np.flatnonzero(in_multi)
+        parts = [self._extensions_from_sets(
+            grouped,
+            (np.cumsum(multi) - 1)[run_of_group[grouped]],
+            # Level 1, under the cache (seed source (c) needs it).
+            self._intersect(unique_keys[run_starts[runs]], None, shared),
+            len(runs),
+            unique_keys,
+            range(self._num_shared, len(self._resolved)),
+        )]
+        singles = np.flatnonzero(~in_multi)
+        if len(singles):
+            groups, values = self._intersect(
+                unique_keys[singles], group_sizes[singles], range(len(self._resolved))
+            )
+            parts.append((singles[groups], values))
+        return _by_group(parts)
 
     # ------------------------------------------------------------------ #
     def _process(
@@ -640,14 +744,27 @@ class BatchExtendIntersectOperator(_FrameExpander):
             # a distinct key is served from the one computed intersection.
             self.profile.cache_hits += int(n - num_groups)
             self.profile.cache_misses += int(num_groups)
-        # Both seed sources return non-decreasing group ids with sorted
+        if count_only and not self.config.isomorphism and len(self._resolved) == 1:
+            # One list: its extensions are the list, so a count is its
+            # length, read off the CSR offsets without gathering it.
+            degrees = self._degrees(unique_keys, [0])[:, 0]
+            self._record_reads(degrees, group_sizes)
+            total = int(degrees @ group_sizes)
+            if total:
+                yield total
+            return
+        # Every seed source returns non-decreasing group ids with sorted
         # values inside each group, the layout the expansion below indexes.
         if self._num_covered:
             groups, values = self._extensions_from_siblings(
                 sorted_frame, keys, starts, unique_keys
             )
+        elif self._num_shared:
+            groups, values = self._extensions_from_shared(unique_keys, group_sizes)
         else:
-            groups, values = self._extensions_from_smallest_list(unique_keys, group_sizes)
+            groups, values = self._intersect(
+                unique_keys, group_sizes, range(len(self._resolved))
+            )
         counts_per_group = (
             np.bincount(groups, minlength=num_groups)
             if len(groups)

@@ -77,6 +77,11 @@ class OperatorStats:
     mirrored: bool = False
     #: Input frames an E/I had to sort into adjacency-key order first.
     sorted_frames: int = 0
+    #: An E/I's lists anchored before its child's to-vertex, intersected
+    #: once per distinct key of them and shared by the rows below it ...
+    shared_lists: int = 0
+    #: ... and how many such keys it intersected.
+    shared_keys: int = 0
 
     @property
     def has_estimate(self) -> bool:
@@ -92,6 +97,8 @@ class OperatorStats:
             "batches": self.batches,
             "mirrored": self.mirrored,
             "sorted_frames": self.sorted_frames,
+            "shared_lists": self.shared_lists,
+            "shared_keys": self.shared_keys,
         }
 
 
@@ -240,9 +247,14 @@ class QueryTrace:
                 timing = f" {op.seconds * 1e3:.2f}ms" if op.seconds else ""
                 mirrored = "  probe side mirrored from build" if op.mirrored else ""
                 resorted = f"  sorted {op.sorted_frames} input frame(s)" if op.sorted_frames else ""
+                shared = (
+                    f"  shared {op.shared_lists} lists over {op.shared_keys} keys"
+                    if op.shared_keys
+                    else ""
+                )
                 lines.append(
                     f"    {op.name:<28} actual={op.actual:<10} est={est:<10} "
-                    f"q-error={qe}{timing}{mirrored}{resorted}"
+                    f"q-error={qe}{timing}{mirrored}{resorted}{shared}"
                 )
         return "\n".join(lines)
 
@@ -262,6 +274,9 @@ def operator_stats_from_profile(
     estimates = estimates or {}
     for name, counters in per_operator.items():
         actual = int(counters.get("out", 0))
+        # Every key an E/I shares intersects its same lists, so the summed
+        # list count divides evenly, merged morsels included.
+        shared_keys = int(counters.get("shared", 0))
         estimated = estimates.get(name, float("nan"))
         error = q_error(estimated, actual) if estimated == estimated else float("nan")
         rows.append(
@@ -274,6 +289,8 @@ def operator_stats_from_profile(
                 batches=int(counters.get("batches", 0)),
                 mirrored=bool(counters.get("mirrored", 0)),
                 sorted_frames=int(counters.get("sorted", 0)),
+                shared_lists=int(counters.get("shared_lists", 0)) // max(shared_keys, 1),
+                shared_keys=shared_keys,
             )
         )
     return rows

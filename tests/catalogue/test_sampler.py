@@ -22,7 +22,9 @@ from repro.catalogue.construction import (
     extension_triples_for_query,
     measure_extension,
 )
+from repro.executor import vectorized
 from repro.executor.operators import ExecutionConfig
+from repro.executor.vectorized import BatchExtendIntersectOperator
 from repro.graph.builder import graph_from_edges
 from repro.graph.graph import Graph
 from repro.planner.descriptors import AdjListDescriptor
@@ -50,7 +52,17 @@ SHAPES = {
     "reciprocal": QueryGraph(
         [("a1", "a2"), ("a2", "a1"), ("a2", "a3"), ("a1", "a3"), ("a3", "a4")]
     ),
+    # a4 closes the 2-path a1 -> a2 -> a3 through all three: the measuring
+    # E/I shares the two lists of the scanned edge's columns.
+    "shared-2-path": QueryGraph(
+        [("a1", "a2"), ("a2", "a3"), ("a1", "a4"), ("a2", "a4"), ("a4", "a3")]
+    ),
+    # Every entry extends by one list: the measuring E/I counts degrees.
+    "one-list-path": QueryGraph([("a1", "a2"), ("a2", "a3"), ("a4", "a3")]),
 }
+
+#: The queries of the benchmark's plan_cold workload.
+PLAN_COLD = ("Q1", "Q2", "Q3", "Q5", "Q6", "Q7", "Q11", "Q12", "Q13")
 
 
 def _random_edges(rng, count, num_edge_labels):
@@ -66,14 +78,19 @@ def _random_edges(rng, count, num_edge_labels):
     return sorted(edges)
 
 
-def _graph(seed, labelled, dirty):
+def _graph(seed, labelled, dirty, hub=False):
     """A random graph with reciprocal edges; ``dirty`` serves it as the
-    snapshot of a DynamicGraph after three insert/delete batches."""
+    snapshot of a DynamicGraph after three insert/delete batches.  A ``hub``
+    adds vertex 0's edges to and from every other vertex."""
     rng = np.random.default_rng(seed)
     vertex_labels = {
         v: int(rng.integers(0, 2)) if labelled else 0 for v in range(NUM_VERTICES)
     }
     edges = _random_edges(rng, 60, 2 if labelled else 1)
+    if hub:
+        spokes = [(0, v, 0) for v in range(1, NUM_VERTICES)]
+        spokes += [(v, 0, 0) for v in range(1, NUM_VERTICES)]
+        edges = sorted(set(edges) | set(spokes))
     if not dirty:
         return graph_from_edges(edges, vertex_labels=vertex_labels)
     dynamic = DynamicGraph(
@@ -103,15 +120,17 @@ class TestBatchSamplerEqualsOracle:
         dirty=st.booleans(),
         # Relative to the edge count, which is the scanned partition's on the
         # unlabelled shapes and above it on the labelled one.
-        z=st.sampled_from(["few", "below", "at", "above"]),
+        # "hub" is one above the hub's fan-out.
+        z=st.sampled_from(["few", "hub", "below", "at", "above"]),
         # One match per frame, a few, and every match of these graphs in one.
         batch_size=st.sampled_from([1, 7, 2048]),
+        hub=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_every_triple(self, seed, shape, dirty, z, batch_size):
-        graph = _graph(seed, labelled=shape == "labelled", dirty=dirty)
-        z = {"few": 4, "below": graph.num_edges - 1, "at": graph.num_edges,
-             "above": graph.num_edges + 7}[z]
+    def test_every_triple(self, seed, shape, dirty, z, batch_size, hub):
+        graph = _graph(seed, labelled=shape == "labelled", dirty=dirty, hub=hub)
+        z = {"few": 4, "hub": NUM_VERTICES, "below": graph.num_edges - 1,
+             "at": graph.num_edges, "above": graph.num_edges + 7}[z]
         triples = extension_triples_for_query(SHAPES[shape], h=3)
         assert triples
         # The sampler runs at the query default frame size; it imports the
@@ -121,6 +140,66 @@ class TestBatchSamplerEqualsOracle:
             for sub, descriptors, to_label in triples:
                 got, expected = _both(graph, sub, descriptors, to_label, z, seed)
                 assert got == expected, (sub, descriptors, to_label)
+
+    @pytest.mark.parametrize("dirty", [False, True], ids=["clean", "dirty"])
+    def test_the_shared_and_one_list_entries_take_their_paths(self, dirty):
+        """Every edge of a hub graph sampled: the 2-path entry's measuring
+        E/I shares the lists of the scanned edge's two columns, and a
+        one-list entry's counts its matches' degrees without gathering."""
+        graph = _graph(3, labelled=False, dirty=dirty, hub=True)
+        calls = {"shared": 0, "measuring gathers": 0}
+        shared = BatchExtendIntersectOperator._extensions_from_shared
+        intersect = BatchExtendIntersectOperator._intersect
+
+        def sharing(op, *args):
+            calls["shared"] += 1
+            return shared(op, *args)
+
+        def gathering(op, *args):
+            # The measuring E/I extends to a vertex no sub-query names.
+            calls["measuring gathers"] += op.extend_node.to_vertex.endswith("'")
+            return intersect(op, *args)
+
+        for name in ("shared-2-path", "one-list-path"):
+            query = SHAPES[name]
+            sub = query.project(["a1", "a2", "a3"])
+            descriptors = [
+                AdjListDescriptor.for_extension(e, "a4") for e in query.edges_touching("a4")
+            ]
+            calls.update({"shared": 0, "measuring gathers": 0})
+            with mock.patch.multiple(
+                BatchExtendIntersectOperator, _extensions_from_shared=sharing, _intersect=gathering
+            ):
+                got, expected = _both(graph, sub, descriptors, None, graph.num_edges)
+            assert got == expected and got[2] > graph.num_edges
+            if name == "shared-2-path":
+                assert calls["shared"] > 0
+            else:
+                assert calls == {"shared": 0, "measuring gathers": 0}
+
+    def test_plan_cold_entries_do_not_depend_on_the_shared_path(self, monkeypatch):
+        """The entries the benchmark's cold-planned queries draw, with the
+        shared-list seed and with it patched out (smallest-list seeds)."""
+        graph = datasets.load("livejournal", scale=0.1)
+        queries = [cq.get(name) for name in PLAN_COLD]
+        shared_lists = vectorized._shared_lists
+        sharing = []
+
+        def spy(resolved, to_column):
+            sharing.append(shared_lists(resolved, to_column))
+            return sharing[-1]
+
+        monkeypatch.setattr(vectorized, "_shared_lists", spy)
+        shared = build_catalogue(graph, seed=5, queries=queries)
+        assert any(sharing)
+        monkeypatch.setattr(vectorized, "_shared_lists", lambda resolved, to_column: 0)
+        unshared = build_catalogue(graph, seed=5, queries=queries)
+        assert shared.num_entries == unshared.num_entries > 0
+        for key, entry in shared.entries.items():
+            other = unshared.entries[key]
+            assert (entry.avg_list_sizes, entry.mu, entry.num_samples) == (
+                other.avg_list_sizes, other.mu, other.num_samples,
+            )
 
     def test_full_sample_is_the_exact_average(self, social_graph):
         """With every scan edge sampled, ``n`` and ``n * mu`` are the match

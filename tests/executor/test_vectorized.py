@@ -11,6 +11,7 @@ import itertools
 import math
 import time
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +42,9 @@ from repro.executor.vectorized import (
 from repro.executor.profile import ExecutionProfile
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import clustered_social, complete_graph, erdos_renyi, power_law
-from repro.graph.labeling import with_random_vertex_labels
+from repro.graph.intersect import KeySet
+from repro.graph.labeling import with_random_labels, with_random_vertex_labels
+from repro.obs.trace import QueryTrace, operator_stats_from_profile
 from repro.planner.plan import (
     HashJoinNode,
     Plan,
@@ -400,6 +403,200 @@ class TestChainedExtendIntersect:
         counted, child_frames = batches(collect=False)
         collected, _ = batches(collect=True)
         assert counted <= child_frames < collected
+
+
+# --------------------------------------------------------------------------- #
+# shared lists: the lists anchored before the child's to-vertex, intersected
+# once per distinct key of them; and one-list counts read off the degrees
+# --------------------------------------------------------------------------- #
+def _unshared():
+    """The shared-list seed patched out: every E/I that would take it seeds
+    from its smallest list instead."""
+    return mock.patch.object(vectorized, "_shared_lists", lambda resolved, to_column: 0)
+
+
+def _num_shared(plan, graph, **config):
+    root = build_batch_operator_tree(
+        plan.root, graph, ExecutionProfile(), ExecutionConfig(**config)
+    )
+    return [op._num_shared for op in _ei_operators(root)]
+
+
+def _mixed_label_q5_graph():
+    """Label-0 vertices 0-5 and label-1 vertices 6-9; 0 and 1 reach every
+    label-1 vertex, 2 reaches only 6 and 3 only 7."""
+    builder = GraphBuilder()
+    for v in range(10):
+        builder.add_vertex(v, 0 if v < 6 else 1)
+    for u in (0, 1):
+        for w in range(6, 10):
+            builder.add_edge(u, w)
+    builder.add_edge(2, 6)
+    builder.add_edge(3, 7)
+    return builder.build()
+
+
+class TestSharedLists:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        avg_degree=st.sampled_from([2.4, 3.2, 4.0]),
+        isomorphism=st.booleans(),
+        batch_size=st.sampled_from([1, 3, 8192]),
+        dirty=st.booleans(),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_every_shared_ordering_of_generated_queries(
+        self, seed, avg_degree, isomorphism, batch_size, dirty
+    ):
+        """On every WCO ordering with an E/I that shares lists: counted ==
+        collected == reference executor == LFTJ, equal counters in both
+        modes, and no more i-cost than with the shared path patched out or,
+        at whole frames, than the reference executor.  The cache switch
+        turns the path off."""
+        graph = with_random_labels(erdos_renyi(24, 170, seed=seed), 2, 2, seed=seed)
+        if dirty:
+            graph = _dirty_snapshot(graph, seed)
+        query = random_connected_query(
+            4, avg_degree=avg_degree, seed=seed, num_edge_labels=2, num_vertex_labels=2
+        )
+        plans = [plan for plan in enumerate_wco_plans(query) if any(_num_shared(plan, graph))]
+        assert plans
+        reference = execute_plan(
+            plans[0], graph, ExecutionConfig(isomorphism=isomorphism, **ITER), collect=True
+        )
+        if not isomorphism:
+            assert LeapfrogTrieJoin(graph).count(query).num_matches == reference.num_matches
+        config = ExecutionConfig(isomorphism=isomorphism, batch_size=batch_size, **VEC)
+        for plan in plans:
+            assert not any(_num_shared(plan, graph, enable_intersection_cache=False))
+            columns = [reference.vertex_order.index(v) for v in plan.root.out_vertices]
+            collected = execute_plan(plan, graph, config, collect=True)
+            assert sorted(collected.matches) == sorted(
+                tuple(row[c] for c in columns) for row in reference.matches
+            )
+            counted = execute_plan(plan, graph, config)
+            assert counted.num_matches == collected.num_matches
+            assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
+            with _unshared():
+                unshared = execute_plan(plan, graph, config)
+            assert unshared.num_matches == counted.num_matches
+            assert unshared.profile.shared_frames == 0
+            assert counted.profile.intersection_cost <= unshared.profile.intersection_cost
+            if batch_size == 8192:
+                iterator = execute_plan(plan, graph, ExecutionConfig(**ITER))
+                assert counted.profile.intersection_cost <= iterator.profile.intersection_cost
+
+    def test_only_runs_of_two_or_more_groups_share(self):
+        """a4 of the mixed-label 4-clique keys on ``(a1, a2 | a3)``.  Rows
+        (0, 1, 2) and (0, 1, 3) share the key (0, 1): N(0) ∩ N(1) is computed
+        once and filtered by N(2) and by N(3).  Row (1, 0, 2) is a run of one,
+        and seeds from N(2), its smallest list: one element, probed into two
+        lists, where the shared set would have probed four."""
+        name = "mixed-label-4-clique"
+        query, order, _ = {shape[0]: shape[1:] for shape in CHAINED_SHAPES}[name]
+        graph = _mixed_label_q5_graph()
+        plan = wco_plan_from_order(query, order)
+        probes = []
+        contains = KeySet.contains
+
+        def counting(keys, probe):
+            probes.append(len(probe))
+            return contains(keys, probe)
+
+        def run(frame):
+            probes.clear()
+            profile = ExecutionProfile()
+            root = build_batch_operator_tree(plan.root, graph, profile, ExecutionConfig())
+            assert root._num_shared == 2
+            with mock.patch.object(KeySet, "contains", counting):
+                rows = [row for out in root._process(frame, False) for row in out.tolist()]
+            return sorted(map(tuple, rows)), profile, root._name
+
+        frame = np.array([[0, 1, 2], [0, 1, 3], [1, 0, 2]], dtype=np.int64)
+        rows, profile, name = run(frame)
+        assert rows == [(0, 1, 2, 6), (0, 1, 3, 7), (1, 0, 2, 6)]
+        assert profile.shared_frames == 1
+        assert profile.per_operator[name]["shared"] == 1
+        assert profile.per_operator[name]["shared_lists"] == 2
+        # Level 1 reads N(0) and N(1) once (8); each of the two groups reads
+        # the set (4) and its own list (1); the run of one reads its three.
+        assert profile.intersection_cost == 8 + 2 * (4 + 1) + (4 + 4 + 1)
+        # N(0) ∩ N(1): four probes; the set through N(2) and N(3): eight;
+        # the run of one: N(2)'s element through N(1) and N(0).
+        assert sum(probes) == 4 + 8 + 2
+
+        rows, profile, name = run(frame[[0, 2]])
+        assert rows == [(0, 1, 2, 6), (1, 0, 2, 6)]
+        assert profile.shared_frames == 0
+        assert "shared" not in profile.per_operator.get(name, {})
+        assert profile.intersection_cost == 2 * (4 + 4 + 1)
+        assert sum(probes) == 2 * 2
+
+    def test_the_trace_names_the_shared_lists(self, chained_graph):
+        name = "mixed-label-4-clique"
+        query, order, _ = {shape[0]: shape[1:] for shape in CHAINED_SHAPES}[name]
+        plan = wco_plan_from_order(query, order)
+        profile = execute_plan(plan, chained_graph, ExecutionConfig(**VEC)).profile
+        keys = profile.per_operator[plan.root.display_name()]["shared"]
+        assert profile.shared_frames > 0 and keys > 0
+        assert profile.as_dict()["shared_frames"] == profile.shared_frames
+        operators = operator_stats_from_profile(
+            profile.per_operator, profile.operator_seconds, None
+        )
+        (row,) = [
+            line for line in QueryTrace(name, operators=operators).format().splitlines()
+            if line.strip().startswith(plan.root.display_name())
+        ]
+        assert row.endswith(f"shared 2 lists over {keys} keys")
+        off = execute_plan(
+            plan, chained_graph, ExecutionConfig(enable_intersection_cache=False, **VEC)
+        ).profile
+        assert off.shared_frames == 0
+
+
+#: A labelled path whose last E/I reads one list and filters its to-vertex's
+#: label: (a1 -0-> a2 -1-> a3), a3 labelled 1.
+ONE_LIST_PATH = QueryGraph(
+    [("a1", "a2", 0), ("a2", "a3", 1)], vertex_labels={"a1": 0, "a2": 0, "a3": 1}
+)
+
+
+class TestOneListCount:
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        graph = with_random_labels(erdos_renyi(40, 400, seed=8), 2, 2, seed=8)
+        return {"clean": graph, "dirty": _dirty_snapshot(graph, seed=8)}
+
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache", "nocache"])
+    @pytest.mark.parametrize("state", ["clean", "dirty"])
+    @pytest.mark.parametrize("isomorphism", [False, True], ids=["hom", "iso"])
+    def test_a_count_reads_degrees_and_equals_the_gather(
+        self, graphs, state, cache, isomorphism
+    ):
+        """The count equals the collected rows and the reference executor's,
+        with every counter but the root's ``batches`` equal to the gathering
+        run's.  Under isomorphism the count still has the frames built."""
+        graph = graphs[state]
+        config = ExecutionConfig(
+            enable_intersection_cache=cache, isomorphism=isomorphism, batch_size=64, **VEC
+        )
+        reference = ExecutionConfig(isomorphism=isomorphism, **ITER)
+        for plan in enumerate_wco_plans(ONE_LIST_PATH):
+            root = build_batch_operator_tree(plan.root, graph, ExecutionProfile(), config)
+            assert len(root._resolved) == 1
+            collected = execute_plan(plan, graph, config, collect=True)
+            counted = execute_plan(plan, graph, config)
+            assert counted.num_matches == collected.num_matches > 0
+            assert counted.num_matches == execute_plan(plan, graph, reference).num_matches
+            assert _counters(counted.profile, plan) == _counters(collected.profile, plan)
+            # A SCAN gathers nothing, so only the root could: a count reads
+            # no list, but under isomorphism it still builds the frames.
+            assert isinstance(root.child, BatchScanOperator)
+            with mock.patch.object(
+                vectorized, "_ragged_positions", wraps=vectorized._ragged_positions
+            ) as gather:
+                execute_plan(plan, graph, config)
+            assert gather.called == isomorphism
 
 
 def _join_plan(query, build_order, probe_order, extend_to=()):

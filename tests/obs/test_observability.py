@@ -324,12 +324,14 @@ class TestCardinalityFeedback:
 class TestProfileMergeSemantics:
     def test_wall_clock_takes_max_and_work_sums(self):
         a = ExecutionProfile(
-            intersection_cost=10, mirrored_joins=1, sorted_frames=4, elapsed_seconds=2.0
+            intersection_cost=10, mirrored_joins=1, sorted_frames=4, shared_frames=2,
+            elapsed_seconds=2.0,
         )
         a.record_operator("SCAN[e]", out=5)
         a.record_operator_time("SCAN[e]", 1.5)
         b = ExecutionProfile(
-            intersection_cost=7, mirrored_joins=2, sorted_frames=1, elapsed_seconds=3.0
+            intersection_cost=7, mirrored_joins=2, sorted_frames=1, shared_frames=3,
+            elapsed_seconds=3.0,
         )
         b.record_operator("SCAN[e]", out=4)
         b.record_operator_time("SCAN[e]", 2.5)
@@ -340,6 +342,8 @@ class TestProfileMergeSemantics:
         assert merged.as_dict()["mirrored_joins"] == 3
         assert merged.sorted_frames == 5
         assert merged.as_dict()["sorted_frames"] == 5
+        assert merged.shared_frames == 5
+        assert merged.as_dict()["shared_frames"] == 5
         assert merged.per_operator["SCAN[e]"]["out"] == 9
         assert merged.operator_seconds["SCAN[e]"] == pytest.approx(4.0)
         assert merged.busy_seconds == pytest.approx(4.0)
