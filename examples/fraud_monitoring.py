@@ -1,13 +1,12 @@
-"""Continuous fraud monitoring on a transaction network.
+"""Fraud monitoring on a transaction network that keeps changing.
 
 The paper's introduction motivates subgraph queries with fraud detection:
-cyclic patterns in transaction networks indicate fraudulent activity, and
-Graphflow — the system the optimizer lives in — is an *active* graph database
-that keeps registered queries up to date as edges stream in.
+cyclic patterns in transaction networks indicate fraudulent activity.
 
 This example builds a labeled payment network, writes the fraud patterns in
-Cypher, registers them with the continuous engine, and streams in transaction
-batches.  After every batch it reports how many new instances of each pattern
+Cypher, and streams transaction batches into a ``GraphflowDB`` over a
+``DynamicGraph`` with ``apply_updates``.  After every batch it counts each
+pattern again on the updated graph and reports how many new instances
 appeared, and finally drills into the most implicated accounts with the
 aggregation helpers.
 
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.continuous import ContinuousQueryEngine
+from repro import DynamicGraph, GraphflowDB
 from repro.executor.aggregates import top_k_vertices
 from repro.graph.builder import GraphBuilder
 from repro.graph.schema import GraphSchema
@@ -66,12 +65,14 @@ def main() -> None:
         name="fan-in-out",
     )
 
-    engine = ContinuousQueryEngine(graph)
-    for query in (cycle3, round_trip, fan_in_out):
-        initial = engine.register(query.name, query)
-        print(f"registered {query.name:<14} initial matches: {initial}")
+    db = GraphflowDB(DynamicGraph(graph))
+    patterns = (cycle3, round_trip, fan_in_out)
+    totals = {}
+    for query in patterns:
+        totals[query.name] = db.execute(query).num_matches
+        print(f"counted {query.name:<14} initial matches: {totals[query.name]}")
 
-    # Stream in new transaction batches.
+    # Stream in new transaction batches, counting every pattern after each.
     rng = np.random.default_rng(13)
     print("\nstreaming transaction batches:")
     for batch_number in range(1, 6):
@@ -81,14 +82,18 @@ def main() -> None:
             dst = int(rng.integers(0, graph.num_vertices))
             if src != dst:
                 batch.append((src, dst, pays))
-        results = engine.insert_edges(batch)
-        summary = ", ".join(f"{r.query_name}: {r.delta:+d} (total {r.total})" for r in results)
-        print(f"  batch {batch_number}: {summary}")
+        db.apply_updates(inserts=batch)
+        deltas = []
+        for query in patterns:
+            total = db.execute(query).num_matches
+            deltas.append(f"{query.name}: {total - totals[query.name]:+d} (total {total})")
+            totals[query.name] = total
+        print(f"  batch {batch_number}: {', '.join(deltas)}")
 
     # Which accounts sit in the middle of the most 3-cycles right now?
     ordering = enumerate_orderings(cycle3)[0]
     plan = wco_plan_from_order(cycle3, ordering)
-    suspicious = top_k_vertices(plan, engine.graph, cycle3.vertices[0], k=5)
+    suspicious = top_k_vertices(plan, db.graph, cycle3.vertices[0], k=5)
     print("\nmost implicated accounts (account id, cycles through it):")
     for account_id, count in suspicious:
         print(f"  account {account_id:>4}: {count} cycles")

@@ -694,22 +694,6 @@ class GraphflowDB:
         # should be running is a readiness failure.
         self.health.unregister("compaction_thread")
 
-    def note_external_writes(
-        self,
-        inserted: Sequence[Tuple[int, int, int]] = (),
-        deleted: Sequence[Tuple[int, int, int]] = (),
-    ) -> None:
-        """Refresh planning state after writes applied directly to the shared
-        :class:`DynamicGraph` (e.g. through a
-        :class:`~repro.continuous.engine.ContinuousQueryEngine`).
-
-        ``inserted`` / ``deleted`` must be exactly the effectively-applied
-        ``(src, dst, label)`` triples, so the catalogue statistics stay
-        exact.
-        """
-        with self._write_lock:
-            self._note_writes_locked(list(inserted), list(deleted))
-
     def _note_writes_locked(
         self,
         inserted: Sequence[Tuple[int, int, int]],

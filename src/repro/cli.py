@@ -513,13 +513,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_update(args: argparse.Namespace) -> int:
     """Replay a live-update workload: random edge batches flow through
     ``GraphflowDB.apply_updates`` (versioned delta-CSR storage, incremental
-    catalogue stats, plan-cache invalidation) while registered continuous
-    queries maintain their match counts incrementally."""
+    catalogue stats, plan-cache invalidation, the WAL when ``--data-dir`` is
+    set); the ``--queries`` are then counted on the updated graph."""
     import time
 
     import numpy as np
-
-    from repro.continuous import ContinuousQueryEngine
 
     if args.batches < 1 or args.batch_size < 1:
         print("error: --batches and --batch-size must be at least 1", file=sys.stderr)
@@ -529,11 +527,7 @@ def cmd_update(args: argparse.Namespace) -> int:
     start_seq = db.durable_store.last_seq if db.durable_store is not None else 0
     if args.background_compaction:
         db.enable_background_compaction()
-    engine = ContinuousQueryEngine(dynamic)
     names = [n.strip() for n in args.queries.split(",") if n.strip()]
-    for name in names:
-        total = engine.register(name, _resolve_query(name))
-        print(f"registered {name}: {total} initial matches")
 
     rng = np.random.default_rng(args.seed)
     n = dynamic.num_vertices
@@ -547,21 +541,12 @@ def cmd_update(args: argparse.Namespace) -> int:
             if src != dst and (src, dst) not in used and not dynamic.has_edge(src, dst, 0):
                 used.add((src, dst))
                 batch.append((src, dst, 0))
-        if db.durable_store is not None:
-            # WAL-append before the in-memory commit, under the store's
-            # commit lock — the engine's write goes through log_and_apply so
-            # a checkpoint can never capture a seq the graph hasn't seen.
-            _, results = db.durable_store.log_and_apply(
-                batch, (), None, lambda: engine.insert_edges(batch)
-            )
-        else:
-            results = engine.insert_edges(batch)
-        # The engine wrote straight to the shared DynamicGraph; refresh the
-        # database's catalogue stats / plan cache for the applied triples.
-        db.note_external_writes(inserted=batch)
-        applied_edges += len(batch)
-        deltas = ", ".join(f"{r.query_name}: {r.total} ({r.delta:+d})" for r in results)
-        print(f"batch {batch_no + 1}/{args.batches}: +{len(batch)} edges -> {deltas}")
+        result = db.apply_updates(inserts=batch)
+        applied_edges += len(result.inserted)
+        print(
+            f"batch {batch_no + 1}/{args.batches}: +{len(result.inserted)} edges "
+            f"-> version {result.version}"
+        )
     elapsed = time.perf_counter() - start
     print(
         f"applied {applied_edges} edges in {elapsed:.3f}s "
@@ -575,12 +560,9 @@ def cmd_update(args: argparse.Namespace) -> int:
             f"background compaction: {stats['compactions']} run(s), "
             f"{stats['total_compaction_seconds']:.3f}s off the write path"
         )
-    verify = db.execute(_resolve_query(names[0]))
-    print(
-        f"re-executed {names[0]} on version {db.graph_version}: "
-        f"{verify.num_matches} matches (continuous total "
-        f"{engine.current_count(names[0])})"
-    )
+    for name in names:
+        result = db.execute(_resolve_query(name))
+        print(f"{name} on version {db.graph_version}: {result.num_matches} matches")
     if db.durable_store is not None:
         logged = db.durable_store.last_seq - start_seq
         db.close()
@@ -1016,13 +998,13 @@ def build_parser() -> argparse.ArgumentParser:
     events.set_defaults(func=cmd_events)
 
     update = sub.add_parser(
-        "update", help="replay a live-update workload with continuous queries"
+        "update", help="replay a live-update workload, then count queries on the result"
     )
     add_common(update)
     update.add_argument(
         "--queries",
         default="Q1",
-        help="comma-separated continuous queries whose counts are maintained",
+        help="comma-separated queries counted after the updates",
     )
     update.add_argument("--batches", type=int, default=10, help="number of update batches")
     update.add_argument(

@@ -111,8 +111,181 @@ def _build_csr(
     return _CSR(indptr=indptr, indices=targets)
 
 
+_EMPTY = np.array([], dtype=np.int64)
+_EMPTY.setflags(write=False)
+
+
+class GraphReads:
+    """The read API shared by :class:`Graph` and the storage layer's
+    snapshots, written once over what each provides: ``vertex_labels``, the
+    edge arrays, a ``_scan_cache`` dict, and :meth:`csr`.
+
+    Every per-vertex read is a read of the partition :meth:`csr` serves.  An
+    id outside ``[0, num_vertices)`` has no edges: ``[]``, ``0``, ``False``.
+    """
+
+    vertex_labels: np.ndarray
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    edge_labels: np.ndarray
+    _scan_cache: Dict[
+        Tuple[Optional[int], Optional[int], Optional[int]], Tuple[np.ndarray, np.ndarray]
+    ]
+
+    def csr(
+        self,
+        direction: Direction,
+        edge_label: Optional[int] = ANY_LABEL,
+        neighbor_label: Optional[int] = ANY_LABEL,
+    ) -> _CSR:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    # vertices
+    # ------------------------------------------------------------------ #
+    @property
+    def num_vertices(self) -> int:
+        return int(len(self.vertex_labels))
+
+    @property
+    def vertex_label_values(self) -> np.ndarray:
+        """Distinct vertex labels present in the graph."""
+        return np.unique(self.vertex_labels)
+
+    def vertex_label(self, vertex: int) -> int:
+        return int(self.vertex_labels[vertex])
+
+    def vertices_with_label(self, label: Optional[int]) -> np.ndarray:
+        """All vertex ids carrying ``label`` (or all vertices for ANY_LABEL)."""
+        if label is ANY_LABEL:
+            return np.arange(self.num_vertices, dtype=np.int64)
+        return np.flatnonzero(self.vertex_labels == label).astype(np.int64)
+
+    # ------------------------------------------------------------------ #
+    # adjacency access
+    # ------------------------------------------------------------------ #
+    def neighbors(
+        self,
+        vertex: int,
+        direction: Direction,
+        edge_label: Optional[int] = ANY_LABEL,
+        neighbor_label: Optional[int] = ANY_LABEL,
+    ) -> np.ndarray:
+        """Sorted neighbour list of ``vertex`` in ``direction`` restricted to
+        edges with ``edge_label`` and neighbours with ``neighbor_label``."""
+        if not 0 <= vertex < self.num_vertices:
+            return _EMPTY
+        return self.csr(direction, edge_label, neighbor_label).neighbors(vertex)
+
+    def degree(
+        self,
+        vertex: int,
+        direction: Direction,
+        edge_label: Optional[int] = ANY_LABEL,
+        neighbor_label: Optional[int] = ANY_LABEL,
+    ) -> int:
+        """Size of the adjacency-list partition ``neighbors(...)`` would return."""
+        if not 0 <= vertex < self.num_vertices:
+            return 0
+        return self.csr(direction, edge_label, neighbor_label).degree(vertex)
+
+    def degree_array(
+        self,
+        direction: Direction,
+        edge_label: Optional[int] = ANY_LABEL,
+        neighbor_label: Optional[int] = ANY_LABEL,
+    ) -> np.ndarray:
+        """Vector of degrees for all vertices (used by statistics and costs)."""
+        return np.diff(self.csr(direction, edge_label, neighbor_label).indptr)
+
+    def adjacency_keys(
+        self,
+        direction: Direction,
+        edge_label: Optional[int] = ANY_LABEL,
+        neighbor_label: Optional[int] = ANY_LABEL,
+    ) -> KeySet:
+        """The :class:`KeySet` of the partition :meth:`csr` returns: the
+        batch executor's replacement for per-tuple :meth:`has_edge` calls."""
+        return self.csr(direction, edge_label, neighbor_label).keys
+
+    def has_edge(
+        self, src: int, dst: int, edge_label: Optional[int] = ANY_LABEL
+    ) -> bool:
+        """Membership test using binary search on the sorted forward list."""
+        nbrs = self.neighbors(src, Direction.FORWARD, edge_label, ANY_LABEL)
+        pos = np.searchsorted(nbrs, dst)
+        return bool(pos < len(nbrs) and nbrs[pos] == dst)
+
+    # ------------------------------------------------------------------ #
+    # edge scans
+    # ------------------------------------------------------------------ #
+    def edges(
+        self,
+        edge_label: Optional[int] = ANY_LABEL,
+        src_label: Optional[int] = ANY_LABEL,
+        dst_label: Optional[int] = ANY_LABEL,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Return ``(src, dst)`` arrays of all edges matching the label filters.
+
+        In input order: what the reference executor's SCAN, a row-limited
+        batch SCAN and the catalogue sampler iterate over (an unlimited
+        batch SCAN reads :meth:`scan_edges` instead).  The unfiltered case
+        (every filter ``ANY_LABEL``) is hot in catalogue construction, morsel
+        partitioning, and update-rate accounting, so it short-circuits to the
+        stored edge arrays instead of allocating full-edge boolean masks.
+        """
+        src, dst = self.edge_src, self.edge_dst
+        if edge_label is ANY_LABEL and src_label is ANY_LABEL and dst_label is ANY_LABEL:
+            return src, dst
+        mask: Optional[np.ndarray] = None
+        if edge_label is not ANY_LABEL:
+            mask = self.edge_labels == edge_label
+        if src_label is not ANY_LABEL:
+            part = self.vertex_labels[src] == src_label
+            mask = part if mask is None else mask & part
+        if dst_label is not ANY_LABEL:
+            part = self.vertex_labels[dst] == dst_label
+            mask = part if mask is None else mask & part
+        return src[mask], dst[mask]
+
+    def scan_edges(
+        self,
+        edge_label: Optional[int] = ANY_LABEL,
+        src_label: Optional[int] = ANY_LABEL,
+        dst_label: Optional[int] = ANY_LABEL,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The edges :meth:`edges` returns, as a multiset, in ``(src, dst)``
+        order: the pairs of the forward :meth:`csr` partition E/I reads,
+        filtered by the source label.  Consecutive edges then share their
+        source's adjacency list, which is what the batch SCAN emits.
+        Derived once per filter and kept with the graph."""
+        key = (edge_label, src_label, dst_label)
+        cached = self._scan_cache.get(key)
+        if cached is None:
+            csr = self.csr(Direction.FORWARD, edge_label, dst_label)
+            cached = csr.pairs(self.vertex_labels, src_label)
+            self._scan_cache[key] = cached
+        return cached
+
+    def count_edges(
+        self,
+        edge_label: Optional[int] = ANY_LABEL,
+        src_label: Optional[int] = ANY_LABEL,
+        dst_label: Optional[int] = ANY_LABEL,
+    ) -> int:
+        if edge_label is ANY_LABEL and src_label is ANY_LABEL and dst_label is ANY_LABEL:
+            return self.num_edges
+        src, _ = self.edges(edge_label, src_label, dst_label)
+        return int(len(src))
+
+    def iter_edges(self) -> Iterator[Tuple[int, int, int]]:
+        """Iterate over ``(src, dst, label)`` triples."""
+        for s, d, l in zip(self.edge_src, self.edge_dst, self.edge_labels):
+            yield int(s), int(d), int(l)
+
+
 @dataclass
-class Graph:
+class Graph(GraphReads):
     """A directed graph with integer vertex and edge labels.
 
     Vertices are identified by consecutive integers ``0..num_vertices-1``.
@@ -193,10 +366,6 @@ class Graph:
     # basic properties
     # ------------------------------------------------------------------ #
     @property
-    def num_vertices(self) -> int:
-        return int(len(self.vertex_labels))
-
-    @property
     def num_edges(self) -> int:
         return int(len(self.edge_src))
 
@@ -205,25 +374,16 @@ class Graph:
         """Distinct edge labels present in the graph."""
         return np.unique(self.edge_labels) if self.num_edges else np.array([], dtype=np.int64)
 
-    @property
-    def vertex_label_values(self) -> np.ndarray:
-        """Distinct vertex labels present in the graph."""
-        return np.unique(self.vertex_labels)
-
-    def vertex_label(self, vertex: int) -> int:
-        return int(self.vertex_labels[vertex])
-
-    def vertices_with_label(self, label: Optional[int]) -> np.ndarray:
-        """All vertex ids carrying ``label`` (or all vertices for ANY_LABEL)."""
-        if label is ANY_LABEL:
-            return np.arange(self.num_vertices, dtype=np.int64)
-        return np.flatnonzero(self.vertex_labels == label).astype(np.int64)
-
     # ------------------------------------------------------------------ #
     # adjacency access
     # ------------------------------------------------------------------ #
     def _partition_map(self, direction: Direction) -> Dict[Tuple[int, int], _CSR]:
         return self._fwd_partitions if direction is Direction.FORWARD else self._bwd_partitions
+
+    @cached_property
+    def _empty_csr(self) -> _CSR:
+        """The one CSR served for every filter no edge matches."""
+        return _CSR(np.zeros(self.num_vertices + 1, dtype=np.int64), _EMPTY)
 
     def _merged(
         self,
@@ -246,30 +406,15 @@ class Graph:
         return merged
 
     def _merge_partitions(self, parts) -> _CSR:
-        n = self.num_vertices
         if not parts:
-            return _CSR(np.zeros(n + 1, dtype=np.int64), np.array([], dtype=np.int64))
+            return self._empty_csr
         if len(parts) == 1:
             return parts[0]
         # One sort of every part's codes keeps each vertex's merged list
         # sorted, so intersections stay merge-based.
-        return _CSR.from_codes(np.sort(np.concatenate([csr.codes for csr in parts])), n)
-
-    def neighbors(
-        self,
-        vertex: int,
-        direction: Direction,
-        edge_label: Optional[int] = ANY_LABEL,
-        neighbor_label: Optional[int] = ANY_LABEL,
-    ) -> np.ndarray:
-        """Sorted neighbour list of ``vertex`` in ``direction`` restricted to
-        edges with ``edge_label`` and neighbours with ``neighbor_label``."""
-        if edge_label is not ANY_LABEL and neighbor_label is not ANY_LABEL:
-            csr = self._partition_map(direction).get((edge_label, neighbor_label))
-            if csr is None:
-                return np.array([], dtype=np.int64)
-            return csr.neighbors(vertex)
-        return self._merged(direction, edge_label, neighbor_label).neighbors(vertex)
+        return _CSR.from_codes(
+            np.sort(np.concatenate([csr.codes for csr in parts])), self.num_vertices
+        )
 
     def csr(
         self,
@@ -280,131 +425,13 @@ class Graph:
         """The CSR partition backing :meth:`neighbors` for these filters.
 
         The vectorized executor slices ``indptr``/``indices`` directly to
-        gather many adjacency lists in one NumPy operation; an empty CSR is
-        returned when no edge matches the filters.
+        gather many adjacency lists in one NumPy operation; the graph's one
+        empty CSR is returned when no edge matches the filters.
         """
         if edge_label is not ANY_LABEL and neighbor_label is not ANY_LABEL:
             csr = self._partition_map(direction).get((edge_label, neighbor_label))
-            if csr is None:
-                return _CSR(
-                    np.zeros(self.num_vertices + 1, dtype=np.int64),
-                    np.array([], dtype=np.int64),
-                )
-            return csr
+            return self._empty_csr if csr is None else csr
         return self._merged(direction, edge_label, neighbor_label)
-
-    def adjacency_keys(
-        self,
-        direction: Direction,
-        edge_label: Optional[int] = ANY_LABEL,
-        neighbor_label: Optional[int] = ANY_LABEL,
-    ) -> KeySet:
-        """The :class:`KeySet` of the partition :meth:`csr` returns: the
-        batch executor's replacement for per-tuple :meth:`has_edge` calls."""
-        return self.csr(direction, edge_label, neighbor_label).keys
-
-    def degree(
-        self,
-        vertex: int,
-        direction: Direction,
-        edge_label: Optional[int] = ANY_LABEL,
-        neighbor_label: Optional[int] = ANY_LABEL,
-    ) -> int:
-        """Size of the adjacency-list partition ``neighbors(...)`` would return."""
-        if edge_label is not ANY_LABEL and neighbor_label is not ANY_LABEL:
-            csr = self._partition_map(direction).get((edge_label, neighbor_label))
-            return 0 if csr is None else csr.degree(vertex)
-        return self._merged(direction, edge_label, neighbor_label).degree(vertex)
-
-    def degree_array(
-        self,
-        direction: Direction,
-        edge_label: Optional[int] = ANY_LABEL,
-        neighbor_label: Optional[int] = ANY_LABEL,
-    ) -> np.ndarray:
-        """Vector of degrees for all vertices (used by statistics and costs)."""
-        csr = (
-            self._partition_map(direction).get((edge_label, neighbor_label))
-            if edge_label is not ANY_LABEL and neighbor_label is not ANY_LABEL
-            else self._merged(direction, edge_label, neighbor_label)
-        )
-        if csr is None:
-            return np.zeros(self.num_vertices, dtype=np.int64)
-        return np.diff(csr.indptr)
-
-    # ------------------------------------------------------------------ #
-    # edge scans
-    # ------------------------------------------------------------------ #
-    def edges(
-        self,
-        edge_label: Optional[int] = ANY_LABEL,
-        src_label: Optional[int] = ANY_LABEL,
-        dst_label: Optional[int] = ANY_LABEL,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(src, dst)`` arrays of all edges matching the label filters.
-
-        In input order: what the reference executor's SCAN, a row-limited
-        batch SCAN and the catalogue sampler iterate over (an unlimited
-        batch SCAN reads :meth:`scan_edges` instead).  The unfiltered case
-        (every filter ``ANY_LABEL``) is hot in catalogue construction, morsel
-        partitioning, and update-rate accounting, so it short-circuits to the
-        stored edge arrays instead of allocating full-edge boolean masks.
-        """
-        if edge_label is ANY_LABEL and src_label is ANY_LABEL and dst_label is ANY_LABEL:
-            return self.edge_src, self.edge_dst
-        mask: Optional[np.ndarray] = None
-        if edge_label is not ANY_LABEL:
-            mask = self.edge_labels == edge_label
-        if src_label is not ANY_LABEL:
-            part = self.vertex_labels[self.edge_src] == src_label
-            mask = part if mask is None else mask & part
-        if dst_label is not ANY_LABEL:
-            part = self.vertex_labels[self.edge_dst] == dst_label
-            mask = part if mask is None else mask & part
-        return self.edge_src[mask], self.edge_dst[mask]
-
-    def scan_edges(
-        self,
-        edge_label: Optional[int] = ANY_LABEL,
-        src_label: Optional[int] = ANY_LABEL,
-        dst_label: Optional[int] = ANY_LABEL,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The edges :meth:`edges` returns, as a multiset, in ``(src, dst)``
-        order: the pairs of the forward :meth:`csr` partition E/I reads,
-        filtered by the source label.  Consecutive edges then share their
-        source's adjacency list, which is what the batch SCAN emits.
-        Derived once per filter and kept with the graph."""
-        key = (edge_label, src_label, dst_label)
-        cached = self._scan_cache.get(key)
-        if cached is None:
-            csr = self.csr(Direction.FORWARD, edge_label, dst_label)
-            cached = csr.pairs(self.vertex_labels, src_label)
-            self._scan_cache[key] = cached
-        return cached
-
-    def count_edges(
-        self,
-        edge_label: Optional[int] = ANY_LABEL,
-        src_label: Optional[int] = ANY_LABEL,
-        dst_label: Optional[int] = ANY_LABEL,
-    ) -> int:
-        if edge_label is ANY_LABEL and src_label is ANY_LABEL and dst_label is ANY_LABEL:
-            return self.num_edges
-        src, _ = self.edges(edge_label, src_label, dst_label)
-        return int(len(src))
-
-    def has_edge(
-        self, src: int, dst: int, edge_label: Optional[int] = ANY_LABEL
-    ) -> bool:
-        """Membership test using binary search on the sorted forward list."""
-        nbrs = self.neighbors(src, Direction.FORWARD, edge_label, ANY_LABEL)
-        pos = np.searchsorted(nbrs, dst)
-        return bool(pos < len(nbrs) and nbrs[pos] == dst)
-
-    def iter_edges(self) -> Iterator[Tuple[int, int, int]]:
-        """Iterate over ``(src, dst, label)`` triples."""
-        for s, d, l in zip(self.edge_src, self.edge_dst, self.edge_labels):
-            yield int(s), int(d), int(l)
 
     def edge_codes(self, src: np.ndarray, dst: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """One code per ``(src, dst, label)`` triple of this graph's ids and

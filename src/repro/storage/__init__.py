@@ -3,11 +3,12 @@
 The subsystem layers mutability on top of the immutable
 :class:`repro.graph.graph.Graph`:
 
-- :class:`DeltaStore` — immutable per-vertex sorted insert/delete deltas,
-  forward and backward, partitioned by ``(edge label, neighbour label)``
-  exactly like the base CSR;
-- :class:`GraphSnapshot` — an O(1) versioned view merging base + delta behind
-  the full ``Graph`` read API (both executors run on it unchanged);
+- :class:`DeltaStore` — immutable insert/delete deltas as sorted code
+  arrays, forward and backward, partitioned by ``(edge label, neighbour
+  label)`` exactly like the base CSR;
+- :class:`GraphSnapshot` — an O(1) versioned view behind the ``Graph`` read
+  API, merging base + delta lazily per partition (both executors run on it
+  unchanged);
 - :class:`DynamicGraph` — the mutable front end with ``add_edges`` /
   ``delete_edges`` / ``add_vertices``, an epoch version counter, and
   threshold- or explicitly-triggered compaction into a fresh CSR base;

@@ -6,12 +6,10 @@ Mirroring the base layout, inserted and deleted adjacency is kept **per
 direction**, partitioned by ``(edge label, neighbour label)``: each
 partition is one sorted, duplicate-free ``int64`` array of
 ``anchor << 32 | neighbour`` codes.  The codes sort like ``(anchor,
-neighbour)`` pairs, so one vertex's run is the slice two ``searchsorted``
-calls cut out of its partition (:func:`vertex_run`), and the partition
-filters of :meth:`Graph.neighbors` apply to deltas exactly as they do to the
-base CSR.  The forward partitions double as the edge-identity index: edge
-``(s, d, l)`` is the code ``s << 32 | d`` of forward partition
-``(l, label(d))``.
+neighbour)`` pairs, and the partition filters of :meth:`Graph.csr` apply to
+deltas exactly as they do to the base CSR.  The forward partitions double
+as the edge-identity index: edge ``(s, d, l)`` is the code ``s << 32 | d``
+of forward partition ``(l, label(d))``.
 
 A write batch is one vectorised step.  The batch is packed into codes and
 looked up by ``searchsorted``: in the base partition's sorted CSR codes
@@ -26,10 +24,9 @@ that shares every untouched partition array with its predecessor.  A
 snapshot therefore pins consistent state simply by holding a ``(base,
 delta)`` pair; writers never mutate anything a reader can see.
 
-Invariants maintained by the mutators (the *delta-merge invariants* every
-reader — :class:`~repro.storage.snapshot.GraphSnapshot` merges, the
-continuous engine's delta terms, and the vectorized executor's merged-CSR
-views — relies on):
+Invariants maintained by the mutators (the *delta-merge invariants* the
+per-partition merges of :class:`~repro.storage.snapshot.GraphSnapshot`, and
+so every reader, rely on):
 
 * an edge appears on at most one of the insert and delete sides;
 * the delete side only ever names *base* edges and the insert side never
@@ -49,10 +46,7 @@ views — relies on):
   write linked to the older ones, so a write adds O(batch) to it;
   :meth:`DeltaStore.inserted_edges` keeps the logged edges still inserted,
   each at its latest write, so edge scans append inserts in the order they
-  were written.  A removal that leaves most of the log dead rewrites it;
-* the per-direction ``touched`` masks over-approximate the vertices with any
-  delta adjacency — a vertex outside them may always be read straight from
-  the base CSR.
+  were written.  A removal that leaves most of the log dead rewrites it.
 """
 
 from __future__ import annotations
@@ -88,14 +82,6 @@ def partition_matches(
     return (edge_label is ANY_LABEL or el == edge_label) and (
         neighbor_label is ANY_LABEL or nl == neighbor_label
     )
-
-
-def vertex_run(codes: Optional[np.ndarray], vertex: int) -> np.ndarray:
-    """The sorted neighbours ``vertex`` has in one partition's codes."""
-    if codes is None:
-        return _EMPTY
-    lo, hi = codes.searchsorted((vertex << _SHIFT, (vertex + 1) << _SHIFT))
-    return codes[lo:hi] & _LOW
 
 
 def recode(codes: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -151,21 +137,10 @@ def _live(log: Log, adds: Partitions) -> Tuple[np.ndarray, ...]:
     return tuple(column[alive] for column in columns)
 
 
-def _marked(touched: bytes, vertices: np.ndarray) -> bytes:
-    """A copy of the ``touched`` mask with ``vertices`` marked, grown to
-    cover them.  A ``bytes`` mask is immutable and indexes in one step."""
-    out = np.zeros(max(len(touched), int(vertices.max()) + 1), dtype=np.uint8)
-    out[: len(touched)] = np.frombuffer(touched, dtype=np.uint8)
-    out[vertices] = 1
-    return out.tobytes()
-
-
 class DeltaStore:
     """Immutable insert/delete overlay over a base graph's edge set."""
 
-    __slots__ = (
-        "adds", "dels", "log", "log_size", "num_inserted", "num_deleted", "_touched", "_arrivals"
-    )
+    __slots__ = ("adds", "dels", "log", "log_size", "num_inserted", "num_deleted", "_arrivals")
 
     def __init__(
         self,
@@ -173,7 +148,6 @@ class DeltaStore:
         dels: Dict[Direction, Partitions],
         log: Log,
         log_size: int,
-        touched: Dict[Direction, bytes],
     ) -> None:
         self.adds = adds
         self.dels = dels
@@ -181,15 +155,11 @@ class DeltaStore:
         self.log_size = log_size
         self.num_inserted = sum(len(c) for c in adds[Direction.FORWARD].values())
         self.num_deleted = sum(len(c) for c in dels[Direction.FORWARD].values())
-        self._touched = touched
         self._arrivals: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @classmethod
     def empty(cls) -> "DeltaStore":
-        return cls(
-            {d: {} for d in Direction}, {d: {} for d in Direction}, None, 0,
-            {d: b"" for d in Direction},
-        )
+        return cls({d: {} for d in Direction}, {d: {} for d in Direction}, None, 0)
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -202,10 +172,6 @@ class DeltaStore:
     @property
     def is_empty(self) -> bool:
         return self.num_inserted == 0 and self.num_deleted == 0
-
-    def touched(self, vertex: int, direction: Direction) -> bool:
-        mask = self._touched[direction]
-        return vertex < len(mask) and mask[vertex] == 1
 
     def partitions(
         self,
@@ -349,17 +315,6 @@ class DeltaStore:
                         out[direction][key] = merged
                     else:
                         del out[direction][key]
-        added = np.zeros(len(src), dtype=bool)
-        for _, mask, remove in sides:
-            if not remove:
-                added |= mask
-        touched = self._touched
-        # Removing an edge leaves its anchors marked: a safe over-approximation.
-        if added.any():
-            touched = {
-                d: _marked(touched[d], (src if d is Direction.FORWARD else dst)[added])
-                for d in Direction
-            }
         (insert_mask, insert_remove), adds = inserts, edited[0][Direction.FORWARD]
         log, log_size = self.log, self.log_size
         if insert_mask.any() and not insert_remove:
@@ -369,7 +324,7 @@ class DeltaStore:
             # Most logged writes are dead: log the live ones afresh.
             live = _live(log, adds)
             log, log_size = (live, None), len(live[0])
-        return DeltaStore(edited[0], edited[1], log, log_size, touched)
+        return DeltaStore(edited[0], edited[1], log, log_size)
 
     # ------------------------------------------------------------------ #
     # edge lists
@@ -396,4 +351,4 @@ class DeltaStore:
         return f"DeltaStore(inserted={self.num_inserted}, deleted={self.num_deleted})"
 
 
-__all__ = ["DeltaStore", "Edge", "partition_matches", "recode", "vertex_run"]
+__all__ = ["DeltaStore", "Edge", "partition_matches", "recode"]

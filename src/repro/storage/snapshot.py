@@ -2,22 +2,15 @@
 
 A :class:`GraphSnapshot` is what queries actually execute against: it pins one
 ``(base Graph, DeltaStore, vertex labels, version)`` quadruple — all immutable
-— and serves the *entire* read API of :class:`repro.graph.graph.Graph`
-(``neighbors`` / ``csr`` / ``adjacency_keys`` / ``edges`` / ``degree`` /
-``has_edge`` / …) by merging base and delta adjacency on the fly.  Creating a
-snapshot is O(1); in-flight queries, the continuous engine's old/new delta
-terms, and concurrent writers therefore never block each other.
+— and serves the read API of :class:`repro.graph.graph.Graph`.  Creating a
+snapshot is O(1); in-flight queries and concurrent writers therefore never
+block each other.
 
-Reads fall through to the base CSR untouched-vertex-wise: the per-direction
-``touched`` masks of the delta make the common case (a vertex with no
-pending updates) one lookup plus the base's own fast path.  A touched
-vertex's run is merged per partition from slices of the delta's sorted code
-arrays, two ``searchsorted`` calls each; no read builds a per-vertex map.
-
-The columnar structures the vectorized executor needs (:meth:`csr` and the
-key set it carries, :meth:`adjacency_keys`) are merged **lazily per
-partition**: a query plan only pays the merge for the ``(direction, edge
-label, neighbour label)`` partitions its operators actually touch, a
+Every adjacency read goes through :meth:`GraphSnapshot.csr`: the per-vertex
+reads (``neighbors`` / ``degree`` / ``has_edge``) are the ones
+:class:`~repro.graph.graph.GraphReads` writes once for both classes.  The
+CSR is merged **lazily per partition**: a reader only pays the merge for the
+``(direction, edge label, neighbour label)`` partitions it touches, a
 partition the delta never touches (:meth:`DeltaStore.touches_partition`) is
 served as the base's own objects without copying, and merged views are
 cached on the snapshot — the snapshot itself is immutable, so the cache is a
@@ -48,26 +41,15 @@ anyway.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.graph import ANY_LABEL, Direction, Graph, _CSR
-from repro.graph.intersect import KeySet
-from repro.storage.delta import (
-    DeltaStore,
-    PartitionKey,
-    Partitions,
-    partition_matches,
-    recode,
-    vertex_run,
-)
-
-_EMPTY = np.array([], dtype=np.int64)
-_EMPTY.setflags(write=False)
+from repro.graph.graph import _CSR, _EMPTY, ANY_LABEL, Direction, Graph, GraphReads
+from repro.storage.delta import DeltaStore, PartitionKey, Partitions, recode
 
 
-class GraphSnapshot:
+class GraphSnapshot(GraphReads):
     """A consistent, immutable view of a :class:`DynamicGraph` at one version."""
 
     def __init__(
@@ -85,7 +67,6 @@ class GraphSnapshot:
         self.name = name if name is not None else base.name
         # Lazy caches (safe to race: idempotent pure computations).
         self._csr_cache: Dict[Tuple[str, Optional[int], Optional[int]], _CSR] = {}
-        self._keys_cache: Dict[Tuple[str, Optional[int], Optional[int]], List[PartitionKey]] = {}
         self._edge_arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._scan_cache: Dict[
             Tuple[Optional[int], Optional[int], Optional[int]], Tuple[np.ndarray, np.ndarray]
@@ -94,10 +75,6 @@ class GraphSnapshot:
     # ------------------------------------------------------------------ #
     # basic properties
     # ------------------------------------------------------------------ #
-    @property
-    def num_vertices(self) -> int:
-        return int(len(self.vertex_labels))
-
     @property
     def num_edges(self) -> int:
         return self.base.num_edges - self.delta.num_deleted + self.delta.num_inserted
@@ -118,106 +95,8 @@ class GraphSnapshot:
             return np.union1d(self.base.edge_label_values, np.array(inserted, dtype=np.int64))
         return np.unique(self.edge_labels) if self.num_edges else np.array([], dtype=np.int64)
 
-    @property
-    def vertex_label_values(self) -> np.ndarray:
-        return np.unique(self.vertex_labels)
-
-    def vertex_label(self, vertex: int) -> int:
-        return int(self.vertex_labels[vertex])
-
-    def vertices_with_label(self, label: Optional[int]) -> np.ndarray:
-        if label is ANY_LABEL:
-            return np.arange(self.num_vertices, dtype=np.int64)
-        return np.flatnonzero(self.vertex_labels == label).astype(np.int64)
-
     # ------------------------------------------------------------------ #
     # adjacency access
-    # ------------------------------------------------------------------ #
-    def neighbors(
-        self,
-        vertex: int,
-        direction: Direction,
-        edge_label: Optional[int] = ANY_LABEL,
-        neighbor_label: Optional[int] = ANY_LABEL,
-    ) -> np.ndarray:
-        """Per partition, the base run minus its deletions plus its
-        insertions.  Deletions are subtracted within their own ``(edge
-        label, neighbour label)`` partition: a wildcard list keeps one entry
-        per *edge* (a neighbour reached through two edge labels appears
-        twice), and deleting one of those edges must drop exactly one."""
-        base = self.base
-        in_base = vertex < base.num_vertices
-        if not self.delta.touched(vertex, direction):
-            if not in_base:
-                return _EMPTY
-            return base.neighbors(vertex, direction, edge_label, neighbor_label)
-        base_parts = base._partition_map(direction)
-        adds, dels = self.delta.adds[direction], self.delta.dels[direction]
-        runs = []
-        for key in self._partition_keys(direction, edge_label, neighbor_label):
-            part = base_parts.get(key)
-            run = part.neighbors(vertex) if part is not None and in_base else _EMPTY
-            if key in dels:
-                removed = vertex_run(dels[key], vertex)
-                if len(removed):
-                    run = np.delete(run, run.searchsorted(removed))
-            if key in adds:
-                runs.append(vertex_run(adds[key], vertex))
-            runs.append(run)
-        runs = [run for run in runs if len(run)]
-        if len(runs) <= 1:
-            return runs[0] if runs else _EMPTY
-        return np.sort(np.concatenate(runs))
-
-    def _partition_keys(
-        self, direction: Direction, edge_label: Optional[int], neighbor_label: Optional[int]
-    ) -> List[PartitionKey]:
-        """The base's and the delta's partitions matching the filters, listed
-        once per snapshot and filter."""
-        cache_key = (direction.value, edge_label, neighbor_label)
-        keys = self._keys_cache.get(cache_key)
-        if keys is None:
-            if edge_label is not ANY_LABEL and neighbor_label is not ANY_LABEL:
-                keys = [(edge_label, neighbor_label)]
-            else:
-                base_keys = self.base._partition_map(direction).keys()
-                candidates = base_keys | self.delta.adds[direction].keys()
-                keys = [k for k in candidates if partition_matches(k, edge_label, neighbor_label)]
-            self._keys_cache[cache_key] = keys
-        return keys
-
-    def degree(
-        self,
-        vertex: int,
-        direction: Direction,
-        edge_label: Optional[int] = ANY_LABEL,
-        neighbor_label: Optional[int] = ANY_LABEL,
-    ) -> int:
-        if not self.delta.touched(vertex, direction):
-            if vertex >= self.base.num_vertices:
-                return 0
-            return self.base.degree(vertex, direction, edge_label, neighbor_label)
-        return int(len(self.neighbors(vertex, direction, edge_label, neighbor_label)))
-
-    def degree_array(
-        self,
-        direction: Direction,
-        edge_label: Optional[int] = ANY_LABEL,
-        neighbor_label: Optional[int] = ANY_LABEL,
-    ) -> np.ndarray:
-        return np.diff(self.csr(direction, edge_label, neighbor_label).indptr)
-
-    def has_edge(
-        self, src: int, dst: int, edge_label: Optional[int] = ANY_LABEL
-    ) -> bool:
-        if src >= self.num_vertices or dst >= self.num_vertices:
-            return False
-        nbrs = self.neighbors(src, Direction.FORWARD, edge_label, ANY_LABEL)
-        pos = np.searchsorted(nbrs, dst)
-        return bool(pos < len(nbrs) and nbrs[pos] == dst)
-
-    # ------------------------------------------------------------------ #
-    # columnar access (vectorized executor)
     # ------------------------------------------------------------------ #
     def _partition_clean(
         self,
@@ -282,17 +161,6 @@ class GraphSnapshot:
         if len(runs) <= 1:
             return runs[0] if runs else _EMPTY
         return np.sort(np.concatenate(runs))
-
-    def adjacency_keys(
-        self,
-        direction: Direction,
-        edge_label: Optional[int] = ANY_LABEL,
-        neighbor_label: Optional[int] = ANY_LABEL,
-    ) -> KeySet:
-        """The key set of :meth:`csr`'s partition, which carries it: a clean
-        partition's is the base's object, a touched one's is built once per
-        snapshot with the merged CSR."""
-        return self.csr(direction, edge_label, neighbor_label).keys
 
     # ------------------------------------------------------------------ #
     # delta accounting (cost-model input)
@@ -372,21 +240,8 @@ class GraphSnapshot:
         dst_label: Optional[int] = ANY_LABEL,
     ) -> Tuple[np.ndarray, np.ndarray]:
         if self.delta.is_empty:
-            # Same ANY_LABEL short-circuits (and mask reuse) as Graph.edges.
             return self.base.edges(edge_label, src_label, dst_label)
-        src, dst, lab = self._materialized_edges()
-        if edge_label is ANY_LABEL and src_label is ANY_LABEL and dst_label is ANY_LABEL:
-            return src, dst
-        mask: Optional[np.ndarray] = None
-        if edge_label is not ANY_LABEL:
-            mask = lab == edge_label
-        if src_label is not ANY_LABEL:
-            part = self.vertex_labels[src] == src_label
-            mask = part if mask is None else mask & part
-        if dst_label is not ANY_LABEL:
-            part = self.vertex_labels[dst] == dst_label
-            mask = part if mask is None else mask & part
-        return src[mask], dst[mask]
+        return super().edges(edge_label, src_label, dst_label)
 
     def scan_edges(
         self,
@@ -399,13 +254,7 @@ class GraphSnapshot:
         base's own arrays when the delta leaves that partition untouched."""
         if self._partition_clean(Direction.FORWARD, edge_label, dst_label):
             return self.base.scan_edges(edge_label, src_label, dst_label)
-        key = (edge_label, src_label, dst_label)
-        cached = self._scan_cache.get(key)
-        if cached is None:
-            csr = self.csr(Direction.FORWARD, edge_label, dst_label)
-            cached = csr.pairs(self.vertex_labels, src_label)
-            self._scan_cache[key] = cached
-        return cached
+        return super().scan_edges(edge_label, src_label, dst_label)
 
     def count_edges(
         self,
@@ -413,9 +262,7 @@ class GraphSnapshot:
         src_label: Optional[int] = ANY_LABEL,
         dst_label: Optional[int] = ANY_LABEL,
     ) -> int:
-        if edge_label is ANY_LABEL and src_label is ANY_LABEL and dst_label is ANY_LABEL:
-            return self.num_edges
-        if src_label is ANY_LABEL and dst_label is ANY_LABEL:
+        if edge_label is not ANY_LABEL and src_label is ANY_LABEL and dst_label is ANY_LABEL:
             # Graph.edges-style short-circuit on the snapshot path: an
             # edge-label-only count never needs the merged edge arrays —
             # the delete side names only base edges and the insert side is
@@ -429,13 +276,7 @@ class GraphSnapshot:
                 - count(self.delta.dels[forward])
                 + count(self.delta.adds[forward])
             )
-        src, _ = self.edges(edge_label, src_label, dst_label)
-        return int(len(src))
-
-    def iter_edges(self) -> Iterator[Tuple[int, int, int]]:
-        src, dst, lab = self._materialized_edges()
-        for s, d, l in zip(src, dst, lab):
-            yield int(s), int(d), int(l)
+        return super().count_edges(edge_label, src_label, dst_label)
 
     # ------------------------------------------------------------------ #
     # materialization

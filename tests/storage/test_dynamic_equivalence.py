@@ -3,8 +3,8 @@
 Every integration query must return identical results on (a) a dirty
 ``DynamicGraph`` (delta overlay populated), (b) a compacted snapshot of it,
 and (c) a ``Graph`` freshly built from the same final edge set — in both the
-iterator and the vectorized execution modes.  The continuous engine must also
-stop constructing full ``Graph`` objects per update batch.
+iterator and the vectorized execution modes.  Write batches and the counts
+read between them must not construct a full ``Graph`` per batch.
 """
 
 from __future__ import annotations
@@ -12,12 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.api import GraphflowDB
-from repro.continuous import ContinuousQueryEngine
 from repro.graph.builder import graph_from_edges
 from repro.graph.graph import Graph
 from repro.query import catalog_queries as cq
 from repro.storage import DynamicGraph
 
+from tests.conftest import brute_force_count
 from tests.storage.conftest import EQUIVALENCE_QUERIES, build_mutated_pair
 
 QUERIES = EQUIVALENCE_QUERIES
@@ -62,11 +62,13 @@ def test_collected_matches_identical(mutated):
     assert sorted(got, key=key) == sorted(expected, key=key)
 
 
-def test_continuous_engine_builds_no_graph_per_batch(monkeypatch):
-    """The delta path must not reconstruct the adjacency index per batch."""
+def test_dirty_writes_build_no_graph_per_batch(monkeypatch):
+    """Neither a write batch nor a count on the dirty snapshot it leaves
+    reconstructs the adjacency index."""
     base = graph_from_edges([(i, i + 1) for i in range(50)] + [(50, 0)])
-    engine = ContinuousQueryEngine(base)
-    engine.register("triangles", cq.triangle())
+    dynamic = DynamicGraph(base)
+    db = GraphflowDB(dynamic)
+    db.build_catalogue(z=50)
 
     builds = []
     original = Graph._build_partitions
@@ -77,28 +79,32 @@ def test_continuous_engine_builds_no_graph_per_batch(monkeypatch):
 
     monkeypatch.setattr(Graph, "_build_partitions", counting_build)
     for i in range(10):
-        engine.insert_edges([(i, i + 25)])
+        db.apply_updates(inserts=[(i, i + 2)])
         if i % 2:
-            engine.delete_edges([(i, i + 25, 0)])
+            db.apply_updates(deletes=[(i - 1, i + 1)])
+        expected = brute_force_count(dynamic.snapshot(), cq.triangle())
+        for vectorized in (False, True):
+            assert db.execute(cq.triangle(), vectorized=vectorized).num_matches == expected
     assert builds == [], "update batches must not rebuild the CSR index"
-    assert engine.graph.delta_edges > 0
+    assert dynamic.delta_edges > 0
+    assert expected > 0
 
     # Compaction (explicit or threshold-triggered) is the only path that
     # builds a new Graph, and it is amortised, not per-batch.
-    engine.graph.compact()
+    dynamic.compact()
     assert len(builds) == 1
 
 
-def test_engine_totals_survive_compaction():
+def test_counts_survive_threshold_compaction():
     base = graph_from_edges([(0, 1), (1, 2)])
-    engine = ContinuousQueryEngine(DynamicGraph(base, compact_min_edges=2, compact_ratio=0.0))
-    engine.register("triangles", cq.triangle())
-    engine.insert_edges([(0, 2)])
-    engine.insert_edges([(2, 3), (3, 0), (1, 3)])  # crosses the compaction threshold
-    assert engine.graph.compactions >= 1
-    engine.insert_edges([(3, 4), (4, 0), (4, 1)])
-    from tests.conftest import brute_force_count
-
-    assert engine.current_count("triangles") == brute_force_count(
-        engine.graph.snapshot().materialize(), cq.triangle()
-    )
+    dynamic = DynamicGraph(base, compact_min_edges=2, compact_ratio=0.0)
+    db = GraphflowDB(dynamic)
+    batches = [[(0, 2)], [(2, 3), (3, 0), (1, 3)], [(3, 4), (4, 0), (4, 1)]]
+    for number, batch in enumerate(batches):
+        db.apply_updates(inserts=batch)
+        if number == 1:  # crossed the compaction threshold
+            assert dynamic.compactions >= 1
+        expected = brute_force_count(dynamic.snapshot().materialize(), cq.triangle())
+        for vectorized in (False, True):
+            assert db.execute(cq.triangle(), vectorized=vectorized).num_matches == expected
+    assert expected > 0

@@ -11,7 +11,6 @@ from repro.errors import GraphConstructionError
 from repro.graph.builder import graph_from_edges
 from repro.graph.graph import ANY_LABEL, Direction, Graph
 from repro.storage import DeltaStore, DynamicGraph, GraphSnapshot
-from repro.storage.delta import vertex_run
 
 
 def small_base() -> Graph:
@@ -233,7 +232,7 @@ class TestDeltaStore:
         store = DeltaStore.empty()
         assert store.is_empty
         assert store.num_delta_edges == 0
-        assert not store.touched(0, Direction.FORWARD)
+        assert all(not store.adds[d] and not store.dels[d] for d in Direction)
 
     def test_structural_sharing(self):
         labels = np.zeros(6, dtype=np.int64)
@@ -248,8 +247,8 @@ class TestDeltaStore:
         assert applied.tolist() == [True, False]  # (4, 5, 0) is a base edge
         # The older store is unchanged by the newer write.
         fwd, bwd = Direction.FORWARD, Direction.BACKWARD
-        assert vertex_run(store.adds[fwd][(0, 0)], 0).tolist() == [1]
-        assert vertex_run(extended.adds[fwd][(0, 0)], 0).tolist() == [1, 4]
+        assert store.adds[fwd][(0, 0)].tolist() == [0 << 32 | 1]
+        assert extended.adds[fwd][(0, 0)].tolist() == [0 << 32 | 1, 0 << 32 | 4]
         assert [a.tolist() for a in store.inserted_edges()] == [[0, 2], [1, 3], [0, 1]]
         assert [a.tolist() for a in extended.inserted_edges()] == [[0, 2, 0], [1, 3, 4], [0, 1, 0]]
         # Partitions the write did not touch are shared by identity.
@@ -299,3 +298,43 @@ class TestBaseDeletedMask:
         assert snap._base_deleted_mask().tolist() == [e in gone for e in order]
         assert list(snap.iter_edges()) == [e for e in order if e not in gone] + inserted
 
+
+
+class TestVertexIdRange:
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 7), appended=st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_views_agree_on_every_id(self, seed, n, appended):
+        """``Graph``, ``GraphSnapshot`` and ``DynamicGraph`` read the same
+        edges for every id in ``[-n-2, n+2)``: an id outside
+        ``[0, num_vertices)`` has none."""
+        rng = np.random.default_rng(seed)
+        triples = rng.integers(0, [n, n, 2], size=(3 * n, 3)).tolist()
+        base_edges = sorted({(s, d, l) for s, d, l in triples if s != d})
+        labels = {v: int(rng.integers(0, 2)) for v in range(n)}
+        dynamic = DynamicGraph(graph_from_edges(base_edges, vertex_labels=labels))
+        if appended:
+            dynamic.add_vertices(labels=[1] * appended)
+            labels.update({n + i: 1 for i in range(appended)})
+        size = n + appended
+        triples = rng.integers(0, [size, size, 2], size=(2 * n, 3)).tolist()
+        dynamic.add_edges([(s, d, l) for s, d, l in triples if s != d])
+        dynamic.delete_edges(base_edges[: len(base_edges) // 2])
+        live = sorted(dynamic.iter_edges())
+        fresh = graph_from_edges(live, vertex_labels=labels)
+        ids = range(-size - 2, size + 2)
+        for view in (fresh, dynamic.snapshot(), dynamic):
+            assert view.num_vertices == size
+            for v in ids:
+                for el in (None, 0, 1):
+                    for nl in (None, 0, 1):
+                        out = [d for s, d, l in live if s == v and el in (None, l)
+                               and nl in (None, labels[d])]
+                        inc = [s for s, d, l in live if d == v and el in (None, l)
+                               and nl in (None, labels[s])]
+                        for direction, expected in zip(DIRECTIONS, (out, inc)):
+                            got = view.neighbors(v, direction, el, nl)
+                            assert got.tolist() == sorted(expected), (view, v, direction, el, nl)
+                            assert view.degree(v, direction, el, nl) == len(expected)
+                    for w in ids:
+                        expected = any(s == v and d == w and el in (None, l) for s, d, l in live)
+                        assert view.has_edge(v, w, el) == expected, (view, v, w, el)
