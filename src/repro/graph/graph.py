@@ -115,6 +115,16 @@ _EMPTY = np.array([], dtype=np.int64)
 _EMPTY.setflags(write=False)
 
 
+def label_of(vertex_labels: np.ndarray, vertex: int) -> int:
+    """``vertex_labels[vertex]``; an id outside ``[0, num_vertices)`` raises
+    :class:`IndexError` naming it, rather than wrapping round from the end."""
+    if not 0 <= vertex < len(vertex_labels):
+        raise IndexError(
+            f"vertex id {vertex} is outside [0, num_vertices={len(vertex_labels)})"
+        )
+    return int(vertex_labels[vertex])
+
+
 class GraphReads:
     """The read API shared by :class:`Graph` and the storage layer's
     snapshots, written once over what each provides: ``vertex_labels``, the
@@ -153,7 +163,7 @@ class GraphReads:
         return np.unique(self.vertex_labels)
 
     def vertex_label(self, vertex: int) -> int:
-        return int(self.vertex_labels[vertex])
+        return label_of(self.vertex_labels, vertex)
 
     def vertices_with_label(self, label: Optional[int]) -> np.ndarray:
         """All vertex ids carrying ``label`` (or all vertices for ANY_LABEL)."""

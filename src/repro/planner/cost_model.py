@@ -35,7 +35,7 @@ that pipelines its first rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,14 @@ from repro.errors import CatalogueError
 from repro.executor.operators import ExecutionConfig
 from repro.graph.graph import Graph
 from repro.planner.descriptors import AdjListDescriptor
-from repro.planner.plan import ExtendNode, HashJoinNode, Plan, PlanNode, ScanNode
+from repro.planner.plan import (
+    ExtendNode,
+    HashJoinNode,
+    Plan,
+    PlanNode,
+    ScanNode,
+    extension_descriptors,
+)
 from repro.query.query_graph import QueryGraph
 
 
@@ -220,47 +227,59 @@ class CostModel:
             + self._scan_delta_penalty(node, count)
         )
 
-    def _cache_prefix_length(self, node: ExtendNode) -> int:
-        """Number of leading child vertices the intersection actually depends
-        on.  If it is smaller than the child's arity, consecutive child tuples
-        sharing that prefix hit the intersection cache."""
-        child_order = node.child.out_vertices
-        positions = [child_order.index(d.from_vertex) for d in node.descriptors]
-        return max(positions) + 1
-
-    def extend_cost(self, node: ExtendNode) -> float:
-        """Estimated i-cost of one E/I operator (Eq. 2 and its cache-aware
-        refinement)."""
-        child_query = node.child.sub_query
-        sizes, _ = self.extension_stats(child_query, node.descriptors, node.to_vertex_label)
-        total_list_size = float(sum(sizes))
-        multiplier = self.cardinality(child_query)
+    def price_extend(
+        self, child_order: Sequence[str], to_vertex: str, memo: "SubQueryMemo"
+    ) -> float:
+        """Estimated i-cost of the E/I that extends matches of ``memo``'s
+        sub-query on ``child_order`` to ``to_vertex`` (Eq. 2 and its
+        cache-aware refinement)."""
+        bit = memo.bit
+        child = 0
+        for v in child_order:
+            child |= bit[v]
+        _, total_list_size, anchors = memo.extension(child, to_vertex)
+        multiplier = memo.cardinality(child)
         if self.cache_conscious:
-            prefix_len = self._cache_prefix_length(node)
-            child_order = node.child.out_vertices
+            # The intersection depends only on the shortest prefix of the
+            # child's order that holds every list's anchor.  If that prefix
+            # is shorter than the child, consecutive child tuples sharing it
+            # hit the intersection cache.
+            prefix = prefix_len = 0
+            for v in child_order:
+                prefix |= bit[v]
+                prefix_len += 1
+                if anchors & prefix == anchors:
+                    break
             if prefix_len < len(child_order):
-                prefix = child_order[:prefix_len]
-                if len(prefix) >= 2 and node.sub_query.connected_projection_exists(prefix):
-                    multiplier = min(
-                        multiplier, self.cardinality(child_query.project(prefix))
-                    )
-                elif len(prefix) == 1:
+                if prefix_len >= 2 and memo.connected(prefix):
+                    multiplier = min(multiplier, memo.cardinality(prefix))
+                elif prefix_len == 1:
                     # The intersection depends on a single already-matched
                     # vertex: it repeats once per distinct binding of that
                     # vertex, bounded by the number of graph vertices.
                     multiplier = min(multiplier, float(self.graph.num_vertices))
         cost = multiplier * total_list_size * self.constants.intersect_weight
-        cost += self.cardinality(node.sub_query) * self.constants.emit_weight
-        cost += self._batch_cost(self.cardinality(child_query))
+        cost += memo.cardinality(child | bit[to_vertex]) * self.constants.emit_weight
+        cost += self._batch_cost(memo.cardinality(child))
         return cost
 
-    def hash_join_cost(self, node: HashJoinNode) -> float:
-        n_build = self.cardinality(node.build.sub_query)
-        n_probe = self.cardinality(node.probe.sub_query)
+    def extend_cost(self, node: ExtendNode) -> float:
+        """:meth:`price_extend` of one E/I node."""
+        memo = SubQueryMemo(self, node.sub_query, known=(node.child.sub_query,))
+        return self.price_extend(node.child.out_vertices, node.to_vertex, memo)
+
+    def join_cost(self, n_build: float, n_probe: float) -> float:
+        """A HASH-JOIN's cost for build and probe sides of ``n_build`` and
+        ``n_probe`` estimated matches (Section 4.2)."""
         return (
             self.build_weight * n_build
             + self.probe_weight * n_probe
             + self._batch_cost(n_build + n_probe)
+        )
+
+    def hash_join_cost(self, node: HashJoinNode) -> float:
+        return self.join_cost(
+            self.cardinality(node.build.sub_query), self.cardinality(node.probe.sub_query)
         )
 
     def operator_cost(self, node: PlanNode) -> float:
@@ -312,6 +331,115 @@ class CostModel:
             (node._describe_line(), self.operator_cost(node)) for node in plan.root.iter_nodes()
         ]
         return CostBreakdown(total=float(sum(c for _, c in rows)), per_operator=rows)
+
+
+class SubQueryMemo:
+    """What one planning call knows about the sub-queries of ``query``, keyed
+    by the bitmask of their query vertices (bit ``i`` is
+    ``query.vertices[i]``).
+
+    Per vertex set it keeps one projection, whether that projection is
+    connected, its estimated cardinality and the mask of the query edges it
+    induces (bit ``i`` is ``query.edges[i]``).  Per (vertex set, to-vertex)
+    it keeps the descriptors of the E/I that extends the set to that vertex,
+    their summed list sizes ``Σ|A|`` and the mask of their anchor vertices.
+    Everything is computed on first use, so the cost model is asked in the
+    order the caller prices things: a lazily sampled catalogue entry is
+    measured on the first sub-query that asks for it, so that order decides
+    which of several isomorphic sub-queries it is measured on.
+
+    A memo belongs to the call that made it: the cost model's own memos,
+    keyed by sub-query, are what outlive a call.  ``known`` hands it
+    projections of ``query`` the caller already holds; ``query`` itself is
+    the projection onto all of its vertices.
+    """
+
+    def __init__(
+        self, cost_model: CostModel, query: QueryGraph, known: Sequence[QueryGraph] = ()
+    ) -> None:
+        self.cost_model = cost_model
+        self.query = query
+        self.vertices = query.vertices
+        self.bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        self.full = (1 << len(self.vertices)) - 1
+        #: Per query vertex, the mask of its neighbours.
+        self.adjacent = dict.fromkeys(self.vertices, 0)
+        self._edge_ends = []
+        for e in query.edges:
+            self.adjacent[e.src] |= self.bit[e.dst]
+            self.adjacent[e.dst] |= self.bit[e.src]
+            self._edge_ends.append(self.bit[e.src] | self.bit[e.dst])
+        self._projections: Dict[int, QueryGraph] = {self.full: query}
+        for sub in known:
+            self._projections[self.mask(sub.vertices)] = sub
+        self._connected: Dict[int, bool] = {}
+        self._cardinalities: Dict[int, float] = {}
+        self._edge_masks: Dict[int, int] = {}
+        self._extensions: Dict[
+            Tuple[int, str], Tuple[Tuple[AdjListDescriptor, ...], float, int]
+        ] = {}
+
+    def mask(self, vertices: Iterable[str]) -> int:
+        mask = 0
+        for v in vertices:
+            mask |= self.bit[v]
+        return mask
+
+    def names(self, mask: int) -> Tuple[str, ...]:
+        """The vertices of ``mask``, in the query's order."""
+        return tuple(v for v in self.vertices if mask & self.bit[v])
+
+    def projection(self, mask: int) -> QueryGraph:
+        sub = self._projections.get(mask)
+        if sub is None:
+            sub = self._projections[mask] = self.query.project(self.names(mask))
+        return sub
+
+    def connected(self, mask: int) -> bool:
+        """Whether the projection onto ``mask`` is connected and has an edge."""
+        connected = self._connected.get(mask)
+        if connected is None:
+            reached = frontier = mask & -mask
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown = self.adjacent[self.vertices[low.bit_length() - 1]] & mask & ~reached
+                reached |= grown
+                frontier |= grown
+            connected = self._connected[mask] = reached == mask and mask & (mask - 1) != 0
+        return connected
+
+    def cardinality(self, mask: int) -> float:
+        card = self._cardinalities.get(mask)
+        if card is None:
+            card = self._cardinalities[mask] = self.cost_model.cardinality(self.projection(mask))
+        return card
+
+    def edge_mask(self, mask: int) -> int:
+        edges = self._edge_masks.get(mask)
+        if edges is None:
+            edges = 0
+            for i, ends in enumerate(self._edge_ends):
+                if ends & mask == ends:
+                    edges |= 1 << i
+            self._edge_masks[mask] = edges
+        return edges
+
+    def extension(
+        self, mask: int, to_vertex: str
+    ) -> Tuple[Tuple[AdjListDescriptor, ...], float, int]:
+        """``(descriptors, Σ|A|, anchor mask)`` of the E/I that extends the
+        projection onto ``mask`` to ``to_vertex``, a neighbour of it."""
+        key = (mask, to_vertex)
+        extension = self._extensions.get(key)
+        if extension is None:
+            descriptors = extension_descriptors(self.query, self.names(mask), to_vertex)
+            sizes, _ = self.cost_model.extension_stats(
+                self.projection(mask), descriptors, self.query.vertex_label(to_vertex)
+            )
+            anchors = self.mask(d.from_vertex for d in descriptors)
+            extension = self._extensions[key] = (descriptors, float(sum(sizes)), anchors)
+        return extension
 
 
 def annotate_operator_estimates(plan: Plan, cost_model: CostModel) -> Plan:

@@ -20,7 +20,7 @@ by one :class:`AdaptiveNode` (Section 6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanError
 from repro.planner.descriptors import AdjListDescriptor
@@ -334,26 +334,28 @@ class Plan:
 # --------------------------------------------------------------------------- #
 # Construction helpers
 # --------------------------------------------------------------------------- #
-def make_scan(query: QueryGraph, edge: QueryEdge, reverse: bool = False) -> ScanNode:
-    """Create the SCAN leaf for ``edge``; ``reverse`` emits (dst, src) tuples."""
-    order = (edge.dst, edge.src) if reverse else (edge.src, edge.dst)
-    sub = query.project([edge.src, edge.dst])
-    return ScanNode(sub_query=sub, out_vertices=order, edge=edge)
-
-
-def make_extend(
+def make_scan(
     query: QueryGraph,
-    child: PlanNode,
-    to_vertex: str,
+    edge: QueryEdge,
+    reverse: bool = False,
     sub_query: Optional[QueryGraph] = None,
-) -> ExtendNode:
-    """Create the E/I node extending ``child`` to ``to_vertex``, deriving the
-    descriptors from every query edge between ``to_vertex`` and the child's
-    vertices (the projection constraint keeps all of them).  A caller that
-    already holds the projection of ``query`` onto the node's vertices passes
-    it as ``sub_query``."""
-    prior = set(child.out_vertices)
-    descriptors = tuple(
+) -> ScanNode:
+    """Create the SCAN leaf for ``edge``; ``reverse`` emits (dst, src) tuples.
+    A caller that already holds the projection of ``query`` onto the edge's
+    endpoints passes it as ``sub_query``."""
+    order = (edge.dst, edge.src) if reverse else (edge.src, edge.dst)
+    if sub_query is None:
+        sub_query = query.project([edge.src, edge.dst])
+    return ScanNode(sub_query=sub_query, out_vertices=order, edge=edge)
+
+
+def extension_descriptors(
+    query: QueryGraph, prior: Collection[str], to_vertex: str
+) -> Tuple[AdjListDescriptor, ...]:
+    """The descriptors of the E/I that extends matches of the ``prior``
+    vertices to ``to_vertex``: one per query edge between them (the
+    projection constraint keeps all of them), in a fixed order."""
+    return tuple(
         sorted(
             (
                 AdjListDescriptor.for_extension(e, to_vertex)
@@ -363,6 +365,20 @@ def make_extend(
             key=_descriptor_order,
         )
     )
+
+
+def make_extend(
+    query: QueryGraph,
+    child: PlanNode,
+    to_vertex: str,
+    sub_query: Optional[QueryGraph] = None,
+) -> ExtendNode:
+    """Create the E/I node extending ``child`` to ``to_vertex``, with the
+    :func:`extension_descriptors` of the child's vertices.  A caller that
+    already holds the projection of ``query`` onto the node's vertices passes
+    it as ``sub_query``."""
+    prior = set(child.out_vertices)
+    descriptors = extension_descriptors(query, prior, to_vertex)
     if not descriptors:
         raise PlanError(
             f"cannot extend to {to_vertex}: no query edge connects it to {sorted(prior)}"
@@ -379,17 +395,25 @@ def make_extend(
     )
 
 
-def make_hash_join(query: QueryGraph, build: PlanNode, probe: PlanNode) -> HashJoinNode:
-    """Create a HASH-JOIN of two sub-plans on their shared query vertices."""
+def make_hash_join(
+    query: QueryGraph,
+    build: PlanNode,
+    probe: PlanNode,
+    sub_query: Optional[QueryGraph] = None,
+) -> HashJoinNode:
+    """Create a HASH-JOIN of two sub-plans on their shared query vertices.  A
+    caller that already holds the projection of ``query`` onto their union
+    passes it as ``sub_query``."""
     shared = tuple(sorted(set(build.out_vertices) & set(probe.out_vertices)))
     if not shared:
         raise PlanError("hash join children must overlap on at least one query vertex")
     all_vertices = list(probe.out_vertices) + [
         v for v in build.out_vertices if v not in set(probe.out_vertices)
     ]
-    sub = query.project(all_vertices)
+    if sub_query is None:
+        sub_query = query.project(all_vertices)
     return HashJoinNode(
-        sub_query=sub,
+        sub_query=sub_query,
         out_vertices=tuple(all_vertices),
         build=build,
         probe=probe,

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 
 from repro.errors import GraphConstructionError
-from repro.graph.graph import ANY_LABEL, Direction, Graph
+from repro.graph.graph import ANY_LABEL, Direction, Graph, label_of
 from repro.storage.delta import DeltaStore, Edge
 from repro.storage.snapshot import GraphSnapshot
 
@@ -391,7 +391,7 @@ class DynamicGraph:
         return np.unique(self._state.vertex_labels)
 
     def vertex_label(self, vertex: int) -> int:
-        return int(self._state.vertex_labels[vertex])
+        return label_of(self._state.vertex_labels, vertex)
 
     def vertices_with_label(self, label: Optional[int]) -> np.ndarray:
         return self.snapshot().vertices_with_label(label)

@@ -12,7 +12,16 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.generators import clustered_social, complete_graph, erdos_renyi
 from repro.graph.graph import Graph
 from repro.planner.cost_model import CostConstants
-from repro.planner.plan import wco_plan_from_order
+from repro.errors import PlanError
+from repro.planner.plan import (
+    HashJoinNode,
+    Plan,
+    PlanNode,
+    make_extend,
+    make_hash_join,
+    make_scan,
+    wco_plan_from_order,
+)
 from repro.planner.qvo import enumerate_orderings
 from repro.query.query_graph import QueryGraph
 
@@ -149,6 +158,107 @@ def reference_best_wco(cost_model, query: QueryGraph) -> Dict:
                 if vset not in best or cost < best[vset][0]:
                     best[vset] = (cost, plan.root)
     return best
+
+
+def reference_optimize(
+    cost_model,
+    query: QueryGraph,
+    enable_binary_joins: bool = True,
+    output_limit: Optional[int] = None,
+    large_query_threshold: int = 10,
+    beam_width: int = 5,
+) -> Plan:
+    """The DP optimizer's plan for ``query``, found with plan nodes: case
+    (i) from :func:`reference_best_wco`, cases (ii) and (iii) by building
+    and costing an E/I or HASH-JOIN node for every way to make each vertex
+    set from stored plans.  Ties go to the first seen: case (i), then (ii)
+    by sorted vertex name, then (iii) by sorted vertex-name tuples.  Queries
+    above ``large_query_threshold`` vertices keep ``beam_width`` vertex sets
+    per level and skip case (i)."""
+    large = query.num_vertices > large_query_threshold
+    best: Dict[frozenset, Tuple[float, PlanNode]] = {}
+    for edge in query.edges:
+        vset = frozenset((edge.src, edge.dst))
+        scan = make_scan(query, edge)
+        cost = cost_model.scan_cost(scan)
+        if vset not in best or cost < best[vset][0]:
+            best[vset] = (cost, scan)
+    best_wco = {} if large else reference_best_wco(cost_model, query)
+
+    def cheapest(vset: frozenset) -> Optional[Tuple[float, PlanNode]]:
+        sub = query.project(vset)
+        winner = best_wco.get(vset)
+
+        def consider(cost: float, root: PlanNode) -> None:
+            nonlocal winner
+            if winner is None or cost < winner[0]:
+                winner = (cost, root)
+
+        for v in sorted(vset):
+            rest = vset - {v}
+            if rest not in best:
+                continue
+            child_cost, child = best[rest]
+            try:
+                node = make_extend(sub, child, v)
+            except PlanError:
+                continue
+            consider(child_cost + cost_model.extend_cost(node), node)
+        if enable_binary_joins:
+            stored = sorted(
+                (s for s in best if s < vset and len(s) >= 3), key=lambda s: tuple(sorted(s))
+            )
+            for i, left in enumerate(stored):
+                for right in stored[i:]:
+                    if left | right != vset or not left & right:
+                        continue
+                    covered = query.project(left).edge_key_set() | query.project(right).edge_key_set()
+                    if covered != sub.edge_key_set():
+                        continue
+                    if cost_model.cardinality(query.project(left)) <= cost_model.cardinality(
+                        query.project(right)
+                    ):
+                        build, probe = best[left][1], best[right][1]
+                    else:
+                        build, probe = best[right][1], best[left][1]
+                    node = make_hash_join(sub, build, probe)
+                    consider(
+                        best[left][0] + best[right][0] + cost_model.hash_join_cost(node), node
+                    )
+        return winner
+
+    for k in range(3, query.num_vertices + 1):
+        if large:
+            grown = []
+            for vset in [s for s in best if len(s) == k - 1]:
+                for v in query.vertices:
+                    candidate = vset | {v}
+                    if v not in vset and candidate not in grown:
+                        grown.append(candidate)
+            subsets = [s for s in grown if query.connected_projection_exists(s)]
+        else:
+            subsets = [
+                frozenset(s)
+                for s in combinations(query.vertices, k)
+                if query.connected_projection_exists(s)
+            ]
+        level = {vset: cheapest(vset) for vset in subsets}
+        level = {vset: found for vset, found in level.items() if found is not None}
+        if large and k < query.num_vertices:
+            level = dict(sorted(level.items(), key=lambda kv: kv[1][0])[:beam_width])
+        best.update(level)
+
+    cost, root = best[frozenset(query.vertices)]
+    wco = best_wco.get(frozenset(query.vertices))
+    if (
+        output_limit is not None
+        and wco is not None
+        and any(isinstance(n, HashJoinNode) for n in root.iter_nodes())
+        and cost_model.limited_cost(wco[1], output_limit)
+        < cost_model.limited_cost(root, output_limit)
+    ):
+        cost, root = wco
+    return Plan(query=query, root=root, estimated_cost=cost, label="reference")
 
 
 # --------------------------------------------------------------------------- #

@@ -6,6 +6,7 @@ queries, i-cost ranking plans consistently with runtimes)."""
 import gc
 import weakref
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from repro.graph.labeling import with_random_labels
 from repro.planner.cost_model import (
     COST_CONSTANTS,
     CostModel,
+    SubQueryMemo,
     calibrate_hash_join_weights,
 )
 from repro.planner.dp_optimizer import DynamicProgrammingOptimizer
@@ -25,8 +27,14 @@ from repro.planner.plan import wco_plan_from_order
 from repro.planner.qvo import enumerate_orderings, enumerate_wco_plans
 from repro.query import catalog_queries as cq
 from repro.query.generator import random_connected_query
+from repro.query.query_graph import QueryGraph
 
-from tests.conftest import PAPER_UNIT_WEIGHTS, brute_force_count, reference_best_wco
+from tests.conftest import (
+    PAPER_UNIT_WEIGHTS,
+    brute_force_count,
+    reference_best_wco,
+    reference_optimize,
+)
 
 CONSTANT_SETS = pytest.mark.parametrize(
     "constants", [PAPER_UNIT_WEIGHTS, COST_CONSTANTS], ids=["paper", "default"]
@@ -34,20 +42,27 @@ CONSTANT_SETS = pytest.mark.parametrize(
 
 
 def walk_costing(cost_model, query):
-    """``DynamicProgrammingOptimizer._best_wco_per_subquery`` on ``query``, and
-    how often it asked ``cost_model`` for each E/I's cost, by ordering prefix."""
+    """``DynamicProgrammingOptimizer._best_wco_per_subquery`` on ``query`` as
+    ``{vertex set: (cost, root)}``, and how often it asked ``cost_model`` to
+    price each E/I, by ordering prefix."""
     costed = Counter()
-    extend_cost = cost_model.extend_cost
+    price_extend = cost_model.price_extend
 
-    def counting(node):
-        costed[node.out_vertices] += 1
-        return extend_cost(node)
+    def counting(child_order, to_vertex, memo):
+        costed[tuple(child_order) + (to_vertex,)] += 1
+        return price_extend(child_order, to_vertex, memo)
 
-    cost_model.extend_cost = counting
+    optimizer = DynamicProgrammingOptimizer(cost_model)
+    memo = SubQueryMemo(cost_model, query)
+    cost_model.price_extend = counting
     try:
-        best = DynamicProgrammingOptimizer(cost_model)._best_wco_per_subquery(query)
+        walked = optimizer._best_wco_per_subquery(memo)
     finally:
-        del cost_model.extend_cost
+        del cost_model.price_extend
+    best = {
+        frozenset(memo.names(vset)): (found.cost, optimizer._wco_chain(memo, found.order))
+        for vset, found in walked.items()
+    }
     return best, costed
 
 
@@ -201,8 +216,8 @@ class TestWCOWalk:
         walked, costed = walk_costing(CostModel(graph, catalogue, constants=constants), query)
         assert walked.keys() == expected.keys()
         for vset, (cost, root) in expected.items():
-            assert walked[vset].cost == cost, sorted(vset)
-            assert walked[vset].root.signature() == root.signature(), sorted(vset)
+            assert walked[vset][0] == cost, sorted(vset)
+            assert walked[vset][1].signature() == root.signature(), sorted(vset)
         prefixes = {
             ordering[:k]
             for ordering in enumerate_orderings(query)
@@ -260,6 +275,92 @@ class TestWCOWalk:
         )
         graph, catalogue = labeled_social
         self.check(graph, catalogue, constants, query)
+
+
+class TestPlanIdentity:
+    """The DP prices from its per-call vertex-set memo and builds nodes only
+    for the plan it returns; the reference builds and costs a node for every
+    candidate.  Both must pick the same plan at the same cost, bit for bit."""
+
+    @CONSTANT_SETS
+    @settings(max_examples=20, deadline=None)
+    @given(
+        num_vertices=st.integers(min_value=3, max_value=7),
+        avg_degree=st.floats(min_value=1.5, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        num_edge_labels=st.integers(min_value=1, max_value=2),
+        num_vertex_labels=st.integers(min_value=1, max_value=2),
+        binary_joins=st.booleans(),
+        output_limit=st.sampled_from([None, 1, 100]),
+        beam=st.booleans(),
+    )
+    def test_random_queries(
+        self, labeled_social, constants, num_vertices, avg_degree, seed,
+        num_edge_labels, num_vertex_labels, binary_joins, output_limit, beam,
+    ):
+        query = random_connected_query(
+            num_vertices,
+            avg_degree=avg_degree,
+            seed=seed,
+            num_edge_labels=num_edge_labels,
+            num_vertex_labels=num_vertex_labels,
+        )
+        graph, catalogue = labeled_social
+        # Beam mode (no case (i), a few vertex sets kept per level) on queries
+        # above four vertices.
+        threshold = 4 if beam else 10
+        plan = DynamicProgrammingOptimizer(
+            CostModel(graph, catalogue, constants=constants),
+            enable_binary_joins=binary_joins,
+            large_query_threshold=threshold,
+            beam_width=3,
+        ).optimize(query, output_limit=output_limit)
+        expected = reference_optimize(
+            CostModel(graph, catalogue, constants=constants),
+            query,
+            enable_binary_joins=binary_joins,
+            output_limit=output_limit,
+            large_query_threshold=threshold,
+            beam_width=3,
+        )
+        assert plan.signature() == expected.signature()
+        assert plan.estimated_cost == expected.estimated_cost
+
+    @pytest.mark.parametrize("query_name", ["Q2", "Q3", "Q8", "Q9", "Q12", "Q13"])
+    def test_paper_queries(self, social_cost_model, query_name):
+        query = cq.get(query_name)
+        plan = DynamicProgrammingOptimizer(social_cost_model).optimize(query)
+        expected = reference_optimize(social_cost_model, query)
+        assert plan.signature() == expected.signature()
+        assert plan.estimated_cost == expected.estimated_cost
+
+    @pytest.mark.parametrize("query_name, vertex_sets", [("Q7", 26), ("Q12", 25), ("Q13", 19)])
+    def test_warm_optimize_projects_each_vertex_set_once(
+        self, social_cost_model, monkeypatch, query_name, vertex_sets
+    ):
+        """A warm ``optimize`` builds at most one ``QueryGraph`` per connected
+        vertex set.  Building a node, and so a projection, for every
+        candidate and prefix built 303 / 654 / 566."""
+        query = cq.get(query_name)
+        assert vertex_sets == sum(
+            query.connected_projection_exists(subset)
+            for k in range(2, query.num_vertices + 1)
+            for subset in combinations(query.vertices, k)
+        )
+        optimizer = DynamicProgrammingOptimizer(social_cost_model)
+        expected = optimizer.optimize(query)
+        built = Counter()
+        init = QueryGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            built["graphs"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QueryGraph, "__init__", counting)
+        plan = optimizer.optimize(query)
+        monkeypatch.undo()
+        assert 0 < built["graphs"] <= vertex_sets
+        assert plan.signature() == expected.signature()
 
 
 class TestFullEnumeration:

@@ -338,3 +338,26 @@ class TestVertexIdRange:
                     for w in ids:
                         expected = any(s == v and d == w and el in (None, l) for s, d, l in live)
                         assert view.has_edge(v, w, el) == expected, (view, v, w, el)
+
+    def test_vertex_label_rejects_ids_out_of_range(self):
+        """``vertex_label`` reads the label of an id in ``[0, num_vertices)``
+        and raises one ``IndexError`` naming any other id, on a ``Graph``, a
+        dirty ``GraphSnapshot`` and a ``DynamicGraph``: ``-1`` is not the last
+        vertex."""
+        base = small_base()
+        dynamic = DynamicGraph(base)
+        dynamic.add_vertices(labels=[1])
+        dynamic.add_edges([(4, 5, 0)])
+        snapshot = dynamic.snapshot()
+        assert not snapshot.is_clean
+        for view, labels in (
+            (base, [0, 0, 1, 1, 0]),
+            (snapshot, [0, 0, 1, 1, 0, 1]),
+            (dynamic, [0, 0, 1, 1, 0, 1]),
+        ):
+            n = view.num_vertices
+            assert [view.vertex_label(v) for v in range(n)] == labels
+            assert view.vertex_label(np.int64(n - 1)) == labels[-1]
+            for v in (-1, -n, n, n + 1, np.int64(n)):
+                with pytest.raises(IndexError, match=rf"vertex id {v} is outside \[0, num_vertices={n}\)"):
+                    view.vertex_label(v)
