@@ -35,6 +35,7 @@ that pipelines its first rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -264,9 +265,14 @@ class CostModel:
         return cost
 
     def extend_cost(self, node: ExtendNode) -> float:
-        """:meth:`price_extend` of one E/I node."""
-        memo = SubQueryMemo(self, node.sub_query, known=(node.child.sub_query,))
-        return self.price_extend(node.child.out_vertices, node.to_vertex, memo)
+        """:meth:`price_extend` of one E/I node, with the node's own
+        descriptors and to-vertex label."""
+        child = node.child
+        memo = SubQueryMemo(self, node.sub_query, known=(child.sub_query,))
+        memo.hold_extension(
+            memo.mask(child.out_vertices), node.to_vertex, node.descriptors, node.to_vertex_label
+        )
+        return self.price_extend(child.out_vertices, node.to_vertex, memo)
 
     def join_cost(self, n_build: float, n_probe: float) -> float:
         """A HASH-JOIN's cost for build and probe sides of ``n_build`` and
@@ -362,13 +368,6 @@ class SubQueryMemo:
         self.vertices = query.vertices
         self.bit = {v: 1 << i for i, v in enumerate(self.vertices)}
         self.full = (1 << len(self.vertices)) - 1
-        #: Per query vertex, the mask of its neighbours.
-        self.adjacent = dict.fromkeys(self.vertices, 0)
-        self._edge_ends = []
-        for e in query.edges:
-            self.adjacent[e.src] |= self.bit[e.dst]
-            self.adjacent[e.dst] |= self.bit[e.src]
-            self._edge_ends.append(self.bit[e.src] | self.bit[e.dst])
         self._projections: Dict[int, QueryGraph] = {self.full: query}
         for sub in known:
             self._projections[self.mask(sub.vertices)] = sub
@@ -378,6 +377,20 @@ class SubQueryMemo:
         self._extensions: Dict[
             Tuple[int, str], Tuple[Tuple[AdjListDescriptor, ...], float, int]
         ] = {}
+
+    # Built on first use: pricing one plan node needs neither.
+    @cached_property
+    def adjacent(self) -> Dict[str, int]:
+        """Per query vertex, the mask of its neighbours."""
+        adjacent = dict.fromkeys(self.vertices, 0)
+        for e in self.query.edges:
+            adjacent[e.src] |= self.bit[e.dst]
+            adjacent[e.dst] |= self.bit[e.src]
+        return adjacent
+
+    @cached_property
+    def _edge_ends(self) -> List[int]:
+        return [self.bit[e.src] | self.bit[e.dst] for e in self.query.edges]
 
     def mask(self, vertices: Iterable[str]) -> int:
         mask = 0
@@ -430,15 +443,33 @@ class SubQueryMemo:
     ) -> Tuple[Tuple[AdjListDescriptor, ...], float, int]:
         """``(descriptors, Σ|A|, anchor mask)`` of the E/I that extends the
         projection onto ``mask`` to ``to_vertex``, a neighbour of it."""
-        key = (mask, to_vertex)
-        extension = self._extensions.get(key)
+        extension = self._extensions.get((mask, to_vertex))
         if extension is None:
-            descriptors = extension_descriptors(self.query, self.names(mask), to_vertex)
-            sizes, _ = self.cost_model.extension_stats(
-                self.projection(mask), descriptors, self.query.vertex_label(to_vertex)
+            extension = self.hold_extension(
+                mask,
+                to_vertex,
+                extension_descriptors(self.query, self.names(mask), to_vertex),
+                self.query.vertex_label(to_vertex),
             )
-            anchors = self.mask(d.from_vertex for d in descriptors)
-            extension = self._extensions[key] = (descriptors, float(sum(sizes)), anchors)
+        return extension
+
+    def hold_extension(
+        self,
+        mask: int,
+        to_vertex: str,
+        descriptors: Tuple[AdjListDescriptor, ...],
+        to_label: Optional[int],
+    ) -> Tuple[Tuple[AdjListDescriptor, ...], float, int]:
+        """Keep, and return, the extension of ``mask`` to ``to_vertex`` by
+        ``descriptors`` into a vertex labelled ``to_label``: what
+        :meth:`extension` answers from then on."""
+        sizes, _ = self.cost_model.extension_stats(self.projection(mask), descriptors, to_label)
+        anchors = self.mask(d.from_vertex for d in descriptors)
+        extension = self._extensions[(mask, to_vertex)] = (
+            descriptors,
+            float(sum(sizes)),
+            anchors,
+        )
         return extension
 
 

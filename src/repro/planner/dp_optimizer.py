@@ -168,7 +168,8 @@ class DynamicProgrammingOptimizer:
         # Large-query mode: grow only from the sub-queries kept so far.
         seen = set()
         result: List[int] = []
-        for vset in [s for s in best if s.bit_count() == k - 1]:
+        # A popcount; int.bit_count needs Python 3.10 and setup.py allows 3.9.
+        for vset in [s for s in best if bin(s).count("1") == k - 1]:
             for v in memo.vertices:
                 grown = vset | memo.bit[v]
                 if grown == vset or grown in seen:

@@ -160,6 +160,46 @@ def reference_best_wco(cost_model, query: QueryGraph) -> Dict:
     return best
 
 
+def reference_wco_walk(cost_model, query: QueryGraph) -> Dict:
+    """:func:`reference_best_wco` found the way the DP asks the cost model:
+    one depth-first walk over the query's connected orderings, building and
+    costing an E/I node for each prefix once, in the order the walk meets
+    them.  A tie goes to the ordering :func:`enumerate_orderings` of the
+    vertex set's projection meets first.  The order matters where the
+    catalogue fills lazily: an entry is measured on the first of several
+    isomorphic sub-queries that asks for it.  Returns ``{vertex set: (cost,
+    root)}``."""
+    best: Dict[frozenset, Tuple[float, PlanNode]] = {}
+    ranks: Dict[frozenset, Tuple] = {}
+    induced: Dict[frozenset, QueryGraph] = {}
+
+    def rank(node: PlanNode) -> Tuple:
+        position = node.sub_query.vertices.index
+        order = node.out_vertices
+        return (position(order[0]), order[1]) + tuple(position(v) for v in order[2:])
+
+    def visit(node: PlanNode, cost: float, members: frozenset) -> None:
+        if len(members) >= 3 and (members not in best or cost <= best[members][0]):
+            key = rank(node)
+            if members not in best or cost < best[members][0] or key < ranks[members]:
+                best[members] = (cost, node)
+                ranks[members] = key
+        for v in query.vertices:
+            if v not in members and not query.neighbors(v).isdisjoint(members):
+                grown = members | {v}
+                if grown not in induced:
+                    induced[grown] = query.project(grown)
+                child = make_extend(query, node, v, induced[grown])
+                visit(child, cost + cost_model.extend_cost(child), grown)
+
+    for first in query.vertices:
+        for second in sorted(query.neighbors(first)):
+            edge = query.edges_between(first, second)[0]
+            scan = make_scan(query, edge, reverse=edge.src != first)
+            visit(scan, float(cost_model.scan_cost(scan)), frozenset((first, second)))
+    return best
+
+
 def reference_optimize(
     cost_model,
     query: QueryGraph,
@@ -169,7 +209,7 @@ def reference_optimize(
     beam_width: int = 5,
 ) -> Plan:
     """The DP optimizer's plan for ``query``, found with plan nodes: case
-    (i) from :func:`reference_best_wco`, cases (ii) and (iii) by building
+    (i) from :func:`reference_wco_walk`, cases (ii) and (iii) by building
     and costing an E/I or HASH-JOIN node for every way to make each vertex
     set from stored plans.  Ties go to the first seen: case (i), then (ii)
     by sorted vertex name, then (iii) by sorted vertex-name tuples.  Queries
@@ -183,7 +223,7 @@ def reference_optimize(
         cost = cost_model.scan_cost(scan)
         if vset not in best or cost < best[vset][0]:
             best[vset] = (cost, scan)
-    best_wco = {} if large else reference_best_wco(cost_model, query)
+    best_wco = {} if large else reference_wco_walk(cost_model, query)
 
     def cheapest(vset: frozenset) -> Optional[Tuple[float, PlanNode]]:
         sub = query.project(vset)

@@ -3,6 +3,7 @@ optimizer: plan validity, correctness of the chosen plans, and the qualitative
 properties the paper claims (cache-consciousness, hybrid plans for multi-cycle
 queries, i-cost ranking plans consistently with runtimes)."""
 
+import dataclasses
 import gc
 import weakref
 from collections import Counter
@@ -66,6 +67,34 @@ def walk_costing(cost_model, query):
     return best, costed
 
 
+def catalogue_copy(catalogue):
+    """A catalogue holding what ``catalogue`` holds now, that lazily adds
+    entries on its own."""
+    return dataclasses.replace(
+        catalogue, entries=dict(catalogue.entries), edge_counts=dict(catalogue.edge_counts)
+    )
+
+
+def added_entries(catalogue, base):
+    """The entries ``catalogue`` holds beyond ``base``'s, each as what was
+    measured: the sub-query as it was handed over (its vertex order, edges
+    and labels), the descriptors, the to-vertex label and the results."""
+    return {
+        key: (
+            entry.sub_query.vertices,
+            entry.sub_query.edges,
+            entry.sub_query.vertex_labels,
+            entry.descriptors,
+            entry.to_vertex_label,
+            entry.avg_list_sizes,
+            entry.mu,
+            entry.num_samples,
+        )
+        for key, entry in catalogue.entries.items()
+        if key not in base.entries
+    }
+
+
 @pytest.fixture(scope="module")
 def social_cost_model(request):
     social_graph = request.getfixturevalue("social_graph")
@@ -83,6 +112,15 @@ class TestCostModel:
         breakdown = social_cost_model.cost_breakdown(plan)
         assert breakdown.total == pytest.approx(sum(c for _, c in breakdown.per_operator))
         assert len(breakdown.per_operator) == 3
+
+    def test_extend_cost_prices_the_nodes_own_descriptors(self, social_cost_model):
+        """An E/I is priced from the descriptors it holds (a plan read back
+        from JSON holds what was stored), not from ones derived again from
+        its sub-query."""
+        node = wco_plan_from_order(cq.triangle(), ("a1", "a2", "a3")).root
+        assert len(node.descriptors) == 2
+        one_list = dataclasses.replace(node, descriptors=node.descriptors[:1])
+        assert social_cost_model.extend_cost(one_list) < social_cost_model.extend_cost(node)
 
     def test_cache_conscious_cheaper_for_cacheable_ordering(self, social_graph):
         catalogue = build_catalogue(social_graph, z=300)
@@ -280,7 +318,11 @@ class TestWCOWalk:
 class TestPlanIdentity:
     """The DP prices from its per-call vertex-set memo and builds nodes only
     for the plan it returns; the reference builds and costs a node for every
-    candidate.  Both must pick the same plan at the same cost, bit for bit."""
+    candidate.  Both must pick the same plan at the same cost, bit for bit.
+
+    Each side fills its own copy of one catalogue, so the entries it samples
+    lazily must also match: the same sub-query measured for each, because
+    the cost model is asked in the same order."""
 
     @CONSTANT_SETS
     @settings(max_examples=20, deadline=None)
@@ -305,7 +347,8 @@ class TestPlanIdentity:
             num_edge_labels=num_edge_labels,
             num_vertex_labels=num_vertex_labels,
         )
-        graph, catalogue = labeled_social
+        graph, shared = labeled_social
+        catalogue, reference_catalogue = catalogue_copy(shared), catalogue_copy(shared)
         # Beam mode (no case (i), a few vertex sets kept per level) on queries
         # above four vertices.
         threshold = 4 if beam else 10
@@ -316,7 +359,7 @@ class TestPlanIdentity:
             beam_width=3,
         ).optimize(query, output_limit=output_limit)
         expected = reference_optimize(
-            CostModel(graph, catalogue, constants=constants),
+            CostModel(graph, reference_catalogue, constants=constants),
             query,
             enable_binary_joins=binary_joins,
             output_limit=output_limit,
@@ -325,14 +368,19 @@ class TestPlanIdentity:
         )
         assert plan.signature() == expected.signature()
         assert plan.estimated_cost == expected.estimated_cost
+        assert added_entries(catalogue, shared) == added_entries(reference_catalogue, shared)
 
     @pytest.mark.parametrize("query_name", ["Q2", "Q3", "Q8", "Q9", "Q12", "Q13"])
-    def test_paper_queries(self, social_cost_model, query_name):
+    def test_paper_queries(self, social_graph, query_name):
+        base = build_catalogue(social_graph, z=300)
+        catalogue, reference_catalogue = catalogue_copy(base), catalogue_copy(base)
         query = cq.get(query_name)
-        plan = DynamicProgrammingOptimizer(social_cost_model).optimize(query)
-        expected = reference_optimize(social_cost_model, query)
+        plan = DynamicProgrammingOptimizer(CostModel(social_graph, catalogue)).optimize(query)
+        expected = reference_optimize(CostModel(social_graph, reference_catalogue), query)
         assert plan.signature() == expected.signature()
         assert plan.estimated_cost == expected.estimated_cost
+        added = added_entries(catalogue, base)
+        assert added and added == added_entries(reference_catalogue, base)
 
     @pytest.mark.parametrize("query_name, vertex_sets", [("Q7", 26), ("Q12", 25), ("Q13", 19)])
     def test_warm_optimize_projects_each_vertex_set_once(
